@@ -18,7 +18,7 @@ import pytest
 _RELAX_SPEEDUP = os.environ.get("REPRO_BENCH_RELAX", "") not in ("", "0")
 
 from repro.core import theorem2_mesh_dynamo, verify_construction
-from repro.engine import run_batch, run_synchronous
+from repro.engine import ExecutionSettings, run_batch, run_synchronous
 from repro.rules import (
     RULE_NAMES,
     SMPRule,
@@ -178,13 +178,23 @@ def test_process_sharded_convergence_scaling(benchmark):
         + square_points("cordalis", [5, 6, 7])
         + square_points("serpentinus", [5, 6, 7])
     )
-    kwargs = dict(replicas=2048, shard_size=256, batch_size=256, seed=7)
+    kwargs = dict(replicas=2048, seed=7)
 
     def single():
-        return convergence_sweep(points, **kwargs, processes=1)
+        return convergence_sweep(
+            points, **kwargs,
+            settings=ExecutionSettings(
+                processes=1, shard_size=256, batch_size=256
+            ),
+        )
 
     def sharded():
-        return convergence_sweep(points, **kwargs, processes=4)
+        return convergence_sweep(
+            points, **kwargs,
+            settings=ExecutionSettings(
+                processes=4, shard_size=256, batch_size=256
+            ),
+        )
 
     ref, out = single(), sharded()  # warm both paths + parity cross-check
     assert np.array_equal(ref, out)

@@ -61,6 +61,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -190,6 +191,25 @@ def _plan_from_args(args):
         return None  # the default plan
     return ExecutionPlan(
         cache=args.plan_cache, initial_rounds=args.initial_rounds
+    )
+
+
+def _settings_from_args(args):
+    """The one ExecutionSettings a subcommand's execution flags describe.
+
+    Flags a subcommand does not define, and flags left unset, stay
+    ``None`` so the driver applies its own default.
+    """
+    from .engine.context import ExecutionSettings
+
+    return ExecutionSettings(
+        processes=args.processes,
+        shard_size=getattr(args, "shard_size", None),
+        batch_size=getattr(args, "batch_size", None),
+        backend=args.backend,
+        plan=_plan_from_args(args),
+        ledger=args.run_ledger,
+        resume=args.resume,
     )
 
 
@@ -357,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--batch-size",
         type=_positive_arg("--batch-size"),
-        default=8192,
+        default=None,
         metavar="B",
         help="replica rows advanced per batched-engine call",
     )
@@ -865,13 +885,7 @@ def _dispatch(parser, args) -> int:
                 args.rule if args.rule is not None else "smp",
                 replicas=args.replicas if args.replicas is not None else 256,
                 num_colors=args.colors if args.colors is not None else 4,
-                batch_size=args.batch_size if args.batch_size is not None else 256,
-                processes=args.processes,
-                shard_size=args.shard_size,
-                backend=args.backend,
-                plan=_plan_from_args(args),
-                ledger=args.run_ledger,
-                resume=args.resume,
+                settings=_settings_from_args(args),
             )
             print(f"{'size':>8} {'rule':>15} {'conv':>6} {'mono':>6} "
                   f"{'monot':>6} {'rounds':>7}")
@@ -901,15 +915,9 @@ def _dispatch(parser, args) -> int:
             kinds=args.kinds,
             sizes=args.sizes,
             random_trials=args.trials,
-            batch_size=args.batch_size,
             seed=args.seed,
-            processes=args.processes,
-            shard_size=args.shard_size,
             db=_open_db(args.db) if args.db else None,
-            backend=args.backend,
-            plan=_plan_from_args(args),
-            ledger=args.run_ledger,
-            resume=args.resume,
+            settings=_settings_from_args(args),
         )
         print(f"{'kind':>12} {'size':>6} {'bound':>6} {'found':>6} "
               f"{'below':>6} {'ruled<':>7} {'method':>11}")
@@ -939,7 +947,7 @@ def _dispatch(parser, args) -> int:
         topo = _make_torus(args.kind, args.m, args.n)
         rule = make_rule(args.rule, num_colors=args.colors)
         db = _open_db(args.db) if args.db else None
-        plan = _plan_from_args(args)
+        settings = _settings_from_args(args)
         if args.exhaustive:
             out = exhaustive_dynamo_search(
                 topo,
@@ -949,12 +957,9 @@ def _dispatch(parser, args) -> int:
                 rule=rule,
                 monotone_only=args.monotone_only,
                 max_configs=args.max_configs,
-                batch_size=args.batch_size if args.batch_size is not None else 8192,
                 db=db,
-                backend=args.backend,
-                plan=plan,
-                ledger=args.run_ledger,
-                resume=args.resume,
+                # one enumeration, never sharded: --shard-size is ignored
+                settings=replace(settings, shard_size=None),
             )
         else:
             out = random_dynamo_search(
@@ -966,14 +971,8 @@ def _dispatch(parser, args) -> int:
                 k=args.target_color,
                 rule=rule,
                 monotone_only=args.monotone_only,
-                batch_size=args.batch_size if args.batch_size is not None else 4096,
-                processes=args.processes,
-                shard_size=args.shard_size,
                 db=db,
-                backend=args.backend,
-                plan=plan,
-                ledger=args.run_ledger,
-                resume=args.resume,
+                settings=settings,
             )
         mode = "exhaustive" if args.exhaustive else "random"
         mono = sum(1 for _, m in out.witnesses if m)
@@ -1007,10 +1006,7 @@ def _dispatch(parser, args) -> int:
             max_rounds=args.max_rounds,
             seed=args.seed,
             db=_open_db(args.db) if args.db else None,
-            processes=args.processes,
-            backend=args.backend,
-            ledger=args.run_ledger,
-            resume=args.resume,
+            settings=_settings_from_args(args),
         )
         print(f"{'strategy':>16} {'frac':>6} {'takeover':>9} {'conv':>6} "
               f"{'k-frac':>7} {'rounds':>7}")

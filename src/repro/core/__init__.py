@@ -56,19 +56,6 @@ from .sequences import (
 )
 from .verify import DynamoReport, is_monotone_dynamo, verify_construction, verify_dynamo
 
-#: retired ``repro.core.batch`` names, resolved lazily so that importing
-#: :mod:`repro.core` does not trigger the shim's DeprecationWarning.
-_BATCH_EXPORTS = ("BatchOutcome", "batch_smp_step", "run_batch_smp")
-
-
-def __getattr__(name):
-    if name in _BATCH_EXPORTS:
-        from . import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Construction",
     "build_minimum_dynamo",
@@ -111,9 +98,6 @@ __all__ = [
     "exhaustive_min_dynamo_size",
     "random_dynamo_search",
     "count_configs",
-    "BatchOutcome",
-    "batch_smp_step",
-    "run_batch_smp",
     "cyclic_window_sequence",
     "find_cyclic_window_sequence",
     "mesh_row_sequence",

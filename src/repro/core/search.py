@@ -25,13 +25,13 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 if TYPE_CHECKING:  # runtime import stays lazy: io.serialize imports core
-    from ..io.ledger import LedgerScope, RunLedger
+    from ..io.ledger import LedgerScope
     from ..io.witnessdb import WitnessDB
 
 from .. import obs
 from ..engine.backends import KernelBackend, resolve_backend_ref
 from ..engine.batch import DYNAMICS_VERSION, run_batch
-from ..engine.context import ExecutionSettings, resolve_settings
+from ..engine.context import ExecutionSettings, LedgerSetting
 from ..engine.plans import ExecutionPlan, resolve_plan
 from ..engine.parallel import (
     DEFAULT_SHARD_RETRIES,
@@ -68,15 +68,9 @@ BackendSpec = Union[str, KernelBackend, None]
 #: enter search definitions or witness ids.
 PlanSpec = Optional[ExecutionPlan]
 
-#: how callers name a run ledger (:mod:`repro.io.ledger`): a live
-#: :class:`~repro.io.ledger.RunLedger` or a path to one.  Like the
-#: witness db, the ledger never changes results — only whether completed
-#: work is replayed or recomputed.
-LedgerSpec = Union["RunLedger", str, "Path", None]
-
 
 def _open_top_ledger(
-    ledger: LedgerSpec,
+    ledger: LedgerSetting,
     resume: bool,
     definition: Optional[dict],
 ) -> Optional["LedgerScope"]:
@@ -302,42 +296,33 @@ def exhaustive_dynamo_search(
     rule: Optional[Rule] = None,
     max_rounds: Optional[int] = None,
     max_configs: int = 20_000_000,
-    batch_size: int = 8192,
     stop_at_first: bool = True,
     monotone_only: bool = False,
     db: Optional["WitnessDB"] = None,
-    backend: BackendSpec = None,
-    plan: PlanSpec = None,
-    ledger: LedgerSpec = None,
-    resume: bool = False,
     ledger_scope: Optional["LedgerScope"] = None,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> SearchOutcome:
     """Enumerate every placement of an s-vertex k-seed together with every
     complement coloring over the remaining ``num_colors - 1`` colors.
 
     ``settings`` (an :class:`~repro.engine.context.ExecutionSettings`)
-    is the preferred way to configure execution; the individual
-    ``batch_size``/``backend``/``plan``/``ledger``/``resume`` keywords
-    are **deprecated** — still honoured, folded into a settings object
-    internally, but mixing them with ``settings=`` raises
-    :class:`ValueError`.  The enumeration is one unit of work, so
-    ``settings.processes`` is ignored (bitwise-invisible anyway) while
-    a ``settings.shard_size`` is refused; ``settings.cancel`` is
-    checked between batches and raises
-    :class:`~repro.engine.parallel.RunCancelled`.
+    configures execution; ``settings.batch_size`` defaults to 8192.  The
+    enumeration is one unit of work, so ``settings.processes`` is
+    ignored (bitwise-invisible anyway) while a ``settings.shard_size``
+    is refused; ``settings.cancel`` is checked between batches and
+    raises :class:`~repro.engine.parallel.RunCancelled`.
 
-    ``ledger`` opens a :class:`~repro.io.ledger.RunLedger` run for this
-    search (``resume=True`` re-opens a previous run); the whole
-    enumeration is one unit of work, committed on completion and
+    ``settings.ledger`` opens a :class:`~repro.io.ledger.RunLedger` run
+    for this search (``settings.resume`` re-opens a previous run); the
+    whole enumeration is one unit of work, committed on completion and
     replayed bitwise on resume.  ``ledger_scope`` is the nested form a
     parent driver (the census) passes instead — mutually exclusive with
-    ``ledger``.
+    ``settings.ledger``.
 
-    ``backend`` selects the kernel backend batches run under
+    ``settings.backend`` selects the kernel backend batches run under
     (:mod:`repro.engine.backends`); backends are bitwise-interchangeable,
     so it affects speed only — the name lands in witness provenance but
-    never in the cached search definition.  ``plan`` selects the
+    never in the cached search definition.  ``settings.plan`` selects the
     execution plan (:mod:`repro.engine.plans`: stepper caching +
     adaptive round escalation); plans are likewise bitwise-invisible and
     excluded from the definition.
@@ -358,18 +343,9 @@ def exhaustive_dynamo_search(
     silently skip the database.
     """
     rule = rule if rule is not None else SMPRule()
-    settings = resolve_settings(
-        settings,
-        batch_size=(batch_size, 8192),
-        backend=(backend, None),
-        plan=(plan, None),
-        ledger=(ledger, None),
-        resume=(resume, False),
-    )
     settings.reject("exhaustive_dynamo_search", "shard_size")
     batch_size = settings.resolved_batch_size(8192)
     ledger = settings.ledger
-    resume = settings.resume
     validate_positive(batch_size, flag="batch_size")
     backend_name, backend_ref = resolve_backend_ref(settings.backend)
     plan = resolve_plan(settings.plan)
@@ -405,7 +381,7 @@ def exhaustive_dynamo_search(
             "batch_size": int(batch_size),
             "max_rounds": int(max_rounds),
         }
-    top_scope = _open_top_ledger(ledger, resume, definition)
+    top_scope = _open_top_ledger(ledger, settings.resume, definition)
     if top_scope is not None:
         ledger_scope = top_scope
     if db is not None and definition is not None:
@@ -517,12 +493,9 @@ def exhaustive_min_dynamo_size(
     max_seed_size: Optional[int] = None,
     monotone_only: bool = True,
     max_configs: int = 20_000_000,
-    batch_size: int = 8192,
     db: Optional["WitnessDB"] = None,
-    backend: BackendSpec = None,
-    plan: PlanSpec = None,
     ledger_scope: Optional["LedgerScope"] = None,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> Tuple[Optional[int], List[SearchOutcome]]:
     """Smallest seed size admitting a (monotone) k-dynamo, by exhaustion.
 
@@ -531,15 +504,8 @@ def exhaustive_min_dynamo_size(
     forwarded to every per-size :func:`exhaustive_dynamo_search`, so a
     populated witness database short-circuits the sizes that previously
     produced witnesses (witness-free sizes always re-run: absence is not
-    recorded).  ``settings`` is the preferred execution spelling; the
-    ``batch_size``/``backend``/``plan`` keywords are deprecated.
+    recorded).  ``settings`` is handed to every per-size search.
     """
-    settings = resolve_settings(
-        settings,
-        batch_size=(batch_size, 8192),
-        backend=(backend, None),
-        plan=(plan, None),
-    )
     n = topo.num_vertices
     cap = n if max_seed_size is None else min(max_seed_size, n)
     outcomes: List[SearchOutcome] = []
@@ -689,42 +655,31 @@ def random_dynamo_search(
     k: int = 0,
     rule: Optional[Rule] = None,
     max_rounds: Optional[int] = None,
-    batch_size: int = 4096,
     monotone_only: bool = False,
-    processes: Optional[int] = 0,
-    shard_size: Optional[int] = None,
     db: Optional["WitnessDB"] = None,
-    backend: BackendSpec = None,
-    plan: PlanSpec = None,
-    ledger: LedgerSpec = None,
-    resume: bool = False,
     ledger_scope: Optional["LedgerScope"] = None,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> SearchOutcome:
     """Monte-Carlo falsification: random seeds + random complements.
 
     ``settings`` (an :class:`~repro.engine.context.ExecutionSettings`)
-    is the preferred way to configure execution; the individual
-    ``batch_size``/``processes``/``shard_size``/``backend``/``plan``/
-    ``ledger``/``resume`` keywords are **deprecated** — still honoured,
-    folded into a settings object internally, but mixing them with
-    ``settings=`` raises :class:`ValueError`.  ``settings.cancel`` is
-    checked between shards and raises
+    configures execution; ``settings.batch_size`` defaults to 4096.
+    ``settings.cancel`` is checked between shards and raises
     :class:`~repro.engine.parallel.RunCancelled`.
 
-    ``ledger`` opens a :class:`~repro.io.ledger.RunLedger` run for this
-    search (``resume=True`` re-opens a previous run): every completed
-    shard is durably committed, completed shards replay bitwise on
-    resume, and worker death is retried up to
+    ``settings.ledger`` opens a :class:`~repro.io.ledger.RunLedger` run
+    for this search (``settings.resume`` re-opens a previous run): every
+    completed shard is durably committed, completed shards replay
+    bitwise on resume, and worker death is retried up to
     :data:`~repro.engine.parallel.DEFAULT_SHARD_RETRIES` times before a
     structured :class:`~repro.engine.parallel.ShardError` surfaces.
     ``ledger_scope`` is the nested form a parent driver (the census)
-    passes instead — mutually exclusive with ``ledger``.  Both require
-    the deterministic seed-material path (a ``Generator`` stream is not
-    reconstructible after a crash).
+    passes instead — mutually exclusive with ``settings.ledger``.  Both
+    require the deterministic seed-material path (a ``Generator`` stream
+    is not reconstructible after a crash).
 
-    ``backend`` selects the kernel backend (a registry name resolved
-    locally by each pool worker); bitwise-interchangeable by contract, so
+    ``settings.backend`` selects the kernel backend (a registry name
+    resolved locally by each pool worker); bitwise-interchangeable, so
     it is recorded in witness provenance but excluded from the cached
     search definition — a census computed under one backend serves cache
     hits to every other.
@@ -735,13 +690,14 @@ def random_dynamo_search(
 
     ``rng`` selects the execution mode.  Seed *material* — an int, a
     sequence of entropy words, or a ``SeedSequence`` — picks the sharded
-    deterministic path: trials split into shards of ``shard_size``
-    (default ``batch_size``), shard ``i`` draws from
-    ``SeedSequence([*entropy, i])``, and shards fan out over ``processes``
-    pool workers (``0`` = inline, ``None`` = one per core).  Witnesses are
-    reduced in shard order, so the outcome is **bitwise-identical at any
-    process count** (it does depend on ``shard_size``/``batch_size``,
-    which are part of the experiment definition).  A ``Generator`` keeps
+    deterministic path: trials split into shards of
+    ``settings.shard_size`` (default: the batch size), shard ``i`` draws
+    from ``SeedSequence([*entropy, i])``, and shards fan out over
+    ``settings.processes`` pool workers (``0`` = inline, ``None`` = one
+    per core).  Witnesses are reduced in shard order, so the outcome is
+    **bitwise-identical at any process count** (it does depend on
+    ``shard_size``/``batch_size``, which are part of the experiment
+    definition).  A ``Generator`` keeps
     the legacy single-stream sequential behaviour and cannot be sharded —
     combining one with ``processes > 0`` raises :class:`ValueError`.
 
@@ -757,21 +713,9 @@ def random_dynamo_search(
     record nothing and therefore always re-run.
     """
     rule = rule if rule is not None else SMPRule()
-    settings = resolve_settings(
-        settings,
-        processes=(processes, 0),
-        shard_size=(shard_size, None),
-        batch_size=(batch_size, 4096),
-        backend=(backend, None),
-        plan=(plan, None),
-        ledger=(ledger, None),
-        resume=(resume, False),
-    )
     batch_size = settings.resolved_batch_size(4096)
     shard_size = settings.shard_size
-    backend = settings.backend
     ledger = settings.ledger
-    resume = settings.resume
     validate_positive(batch_size, flag="batch_size")
     if shard_size is not None:
         validate_positive(shard_size, flag="shard_size")
@@ -786,7 +730,8 @@ def random_dynamo_search(
     entropy = _seed_entropy(rng)
     spec = topology_spec(topo)
     backend_name, backend_ref = resolve_backend_ref(
-        backend, sharded=entropy is not None and (nproc is None or nproc > 0)
+        settings.backend,
+        sharded=entropy is not None and (nproc is None or nproc > 0),
     )
     if ledger is not None and ledger_scope is not None:
         raise ValueError("pass either ledger or ledger_scope, not both")
@@ -838,7 +783,7 @@ def random_dynamo_search(
             "shard_size": int(shard_size if shard_size is not None else batch_size),
             "max_rounds": int(max_rounds),
         }
-    top_scope = _open_top_ledger(ledger, resume, definition)
+    top_scope = _open_top_ledger(ledger, settings.resume, definition)
     if top_scope is not None:
         ledger_scope = top_scope
     if db is not None and definition is not None:

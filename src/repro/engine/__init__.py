@@ -15,7 +15,7 @@ from .backends import (
     select_backend,
 )
 from .batch import BatchRunResult, as_color_batch, run_batch
-from .context import ExecutionSettings, RunStats, resolve_settings
+from .context import ExecutionSettings, RunStats
 from .plans import (
     DEFAULT_PLAN,
     NO_PLAN,
@@ -56,7 +56,6 @@ __all__ = [
     "ExecutionSettings",
     "RunStats",
     "RunCancelled",
-    "resolve_settings",
     "run_sharded",
     "shard_counts",
     "shard_seed",

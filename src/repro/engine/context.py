@@ -3,13 +3,11 @@
 Five drivers fan work out through :func:`~repro.engine.parallel.
 run_sharded` — ``below_bound_census``, ``random_dynamo_search``,
 ``exhaustive_dynamo_search``, ``convergence_sweep``,
-``scale_free_takeover_census`` — and historically each threaded the same
-~10 execution keywords by hand.  :class:`ExecutionSettings` is that
-surface as a single frozen value: build it once, hand it to any driver
-(and to :func:`~repro.engine.parallel.run_sharded` itself) as
-``settings=``.  The legacy keywords still work and are folded into a
-settings object internally by :func:`resolve_settings`; mixing the two
-spellings for the same knob is an error, never a silent override.
+``scale_free_takeover_census`` — and every one of them takes its
+execution configuration from a single frozen :class:`ExecutionSettings`
+passed as ``settings=`` (default: ``ExecutionSettings()``, "run inline,
+no ledger, no telemetry").  There is no other spelling: build the object
+once and hand it to any driver.
 
 Two kinds of field live here, and the distinction is the repo's
 determinism contract:
@@ -27,9 +25,8 @@ a knob that could change results would corrupt the caller's mental
 model of what ran).
 
 :class:`RunStats` is the companion on the way out: the typed
-cache/record accounting census-style drivers now return on their result
-objects, replacing the mutable ``stats`` dict out-param (still
-populated for one release, deprecated).
+cache/record accounting census-style drivers return on their result
+objects.
 """
 
 from __future__ import annotations
@@ -39,12 +36,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     ContextManager,
     Dict,
     Optional,
-    Tuple,
     Union,
 )
 
@@ -58,7 +53,6 @@ if TYPE_CHECKING:  # type-only: avoid runtime engine -> io import cycles
 __all__ = [
     "ExecutionSettings",
     "RunStats",
-    "resolve_settings",
 ]
 
 #: how drivers accept a kernel backend: a registry name, an instance, or
@@ -79,10 +73,9 @@ class ExecutionSettings:
     """How a sharded driver should execute — never *what* it computes,
     except for the two definitional geometry knobs noted below.
 
-    Pass as ``settings=`` to any sharded driver or to
-    :func:`~repro.engine.parallel.run_sharded`.  All fields default to
-    the drivers' historical defaults, so ``ExecutionSettings()`` is
-    always a valid "run inline, no ledger, no telemetry" request.
+    Pass as ``settings=`` to any sharded driver.  All fields default to
+    the drivers' own defaults, so ``ExecutionSettings()`` is always a
+    valid "run inline, no ledger, no telemetry" request.
 
     Parameters
     ----------
@@ -116,8 +109,9 @@ class ExecutionSettings:
     telemetry_level:
         Capture level for the driver-opened session.
     cancel:
-        Cancellation probe checked between shards; a ``True`` return
-        makes the driver raise :class:`~repro.engine.parallel.
+        Cancellation probe checked between shards (and, on a pool,
+        after every committed shard); a ``True`` return makes the
+        driver raise :class:`~repro.engine.parallel.
         RunCancelled`.  Work already committed (db records, ledger
         shards) stays committed — a cancelled run resumes like a
         crashed one.  Excluded from equality/repr: two settings that
@@ -181,9 +175,7 @@ class RunStats:
     """Cache/record accounting for one census-style driver run.
 
     Returned on result objects (``CensusResult.run_stats``,
-    ``ScaleFreeCensus.run_stats``, ``AsyncRobustness.run_stats``),
-    replacing the mutable ``stats: Optional[dict]`` out-param — which is
-    still populated for one release but deprecated.
+    ``ScaleFreeCensus.run_stats``, ``AsyncRobustness.run_stats``).
     """
 
     #: work units considered (census cells; 1 for a single summary)
@@ -201,48 +193,3 @@ class RunStats:
             "records_appended": self.records_appended,
         }
 
-
-def _differs(value: Any, default: Any) -> bool:
-    """True when a legacy keyword was moved off its driver default."""
-    if value is default:
-        return False
-    try:
-        return bool(value != default)
-    except Exception:  # objects with exotic __eq__: treat as explicit
-        return True
-
-
-def resolve_settings(
-    settings: Optional[ExecutionSettings],
-    **legacy: Tuple[Any, Any],
-) -> ExecutionSettings:
-    """Fold a driver's legacy execution keywords into one settings object.
-
-    The single normalization helper behind every ``settings=``-accepting
-    driver.  Each keyword maps a field name to ``(value, default)``
-    pairs taken from the driver's signature::
-
-        settings = resolve_settings(
-            settings,
-            processes=(processes, 0),
-            batch_size=(batch_size, 8192),
-            ...
-        )
-
-    With ``settings=None`` the legacy values build a fresh
-    :class:`ExecutionSettings`.  With a settings object provided, every
-    legacy keyword must still sit at its default — mixing the two
-    spellings raises :class:`ValueError` rather than guessing which one
-    the caller meant.
-    """
-    if settings is None:
-        return ExecutionSettings(
-            **{name: value for name, (value, _default) in legacy.items()}
-        )
-    for name, (value, default) in legacy.items():
-        if _differs(value, default):
-            raise ValueError(
-                f"pass {name!r} through settings= or as a keyword, not both "
-                f"(settings={settings!r} and {name}={value!r})"
-            )
-    return settings

@@ -9,7 +9,7 @@ promotes the ``sweep_rounds`` pool idiom to a reusable layer:
 
 1. a workload is split into **shards** — small picklable descriptions of
    ``(grid point x replica block)`` work units;
-2. shards fan out over a ``multiprocessing`` pool via :func:`run_sharded`
+2. shards fan out over a process pool via :func:`run_sharded`
    (workers rebuild topology/rule state locally, so nothing large is
    pickled in either direction);
 3. each shard derives its RNG from coordinates, not execution order —
@@ -45,7 +45,7 @@ import numpy as np
 from .. import obs
 from ..topology.base import Topology
 from ..topology.tori import TORUS_CLASSES, make_torus
-from .context import CancelCheck, ExecutionSettings
+from .context import CancelCheck
 
 if TYPE_CHECKING:  # type-only: avoid a runtime engine -> io import cycle
     from ..io.ledger import ShardCheckpoint
@@ -123,8 +123,9 @@ def validate_processes(
 
     ``None`` means one worker per core; ``0`` means run inline in the
     calling process; positive integers give the pool size.  Anything
-    else raises :class:`ValueError` with a clear message instead of
-    reaching ``multiprocessing.Pool`` (whose own complaint is opaque).
+    else (including ``True``/``False``) raises :class:`ValueError` with a
+    clear message instead of reaching the process pool, whose own
+    complaint is opaque.
 
     Parameters
     ----------
@@ -142,6 +143,8 @@ def validate_processes(
     if processes is None:
         return None
     try:
+        if isinstance(processes, bool):  # True would count as one worker
+            raise TypeError(processes)
         p = int(processes)
     except (TypeError, ValueError):
         raise ValueError(
@@ -219,11 +222,9 @@ def run_sharded(
     shards: Iterable[S],
     *,
     processes: Optional[int] = None,
-    chunksize: Optional[int] = None,
     flag: str = "processes",
     checkpoint: Optional["ShardCheckpoint"] = None,
     max_retries: int = 0,
-    settings: Optional[ExecutionSettings] = None,
     cancel: Optional[CancelCheck] = None,
 ) -> List[R]:
     """Map ``worker`` over ``shards``, optionally across a process pool.
@@ -234,9 +235,17 @@ def run_sharded(
     count — this ordering guarantee plus coordinate-derived shard RNGs
     (:func:`shard_seed`) is the whole determinism contract.
 
-    ``processes=0`` (or an effective pool of one, or a single shard)
-    short-circuits to an inline loop — same code path as the pool
-    workers, no pickling.
+    ``processes=0`` (or an effective pool of one, or a single shard left
+    to run) short-circuits to an inline loop — same code path as the
+    pool workers, no pickling.  Otherwise every shard is submitted to a
+    :class:`concurrent.futures.ProcessPoolExecutor` and results are
+    consumed, committed, and returned in shard order regardless of
+    completion order.  The executor (rather than ``multiprocessing.
+    Pool``) is what makes worker death recoverable: a hard-killed worker
+    hangs ``Pool.map`` forever, while the executor surfaces
+    :class:`~concurrent.futures.BrokenExecutor`, which this loop turns
+    into an inline retry of the interrupted shard plus a fresh executor
+    for whatever remains.
 
     Parameters
     ----------
@@ -248,11 +257,6 @@ def run_sharded(
         rebuild anything large (topologies, rule state) locally.
     processes:
         Pool size per :func:`validate_processes`.
-    chunksize:
-        Shards handed to a worker per pool dispatch; defaults to
-        ``len(shards) / (4 * pool)`` so stragglers rebalance.  Only the
-        plain (non-checkpointed, non-retrying) path batches dispatches;
-        the fault-tolerant path submits shards individually.
     flag:
         Flag name used in validation errors.
     checkpoint:
@@ -267,15 +271,13 @@ def run_sharded(
         Retries run the same shard description, hence the same derived
         ``SeedSequence`` and bitwise-identical output; once the budget
         is exhausted a :class:`ShardError` naming the shard's key is
-        raised.  The default ``0`` preserves fail-fast semantics.
-    settings:
-        An :class:`~repro.engine.context.ExecutionSettings` supplying
-        ``processes`` (and ``cancel``, unless overridden) — the single
-        settings object the sharded drivers thread through.  Mutually
-        exclusive with the ``processes`` keyword.
+        raised.  The default ``0`` without a ``checkpoint`` is
+        fail-fast: the first failing worker's own exception propagates
+        unwrapped.
     cancel:
-        Cancellation probe checked between shards (inline paths) and at
-        pool-wave boundaries; a ``True`` return raises
+        Cancellation probe checked before each inline shard, before a
+        pool starts, and after every shard a pool commits; a ``True``
+        return cancels the shards not yet started and raises
         :class:`RunCancelled`.  Committed work stays committed.
 
     Returns
@@ -284,47 +286,106 @@ def run_sharded(
     process count, whether shards were replayed, and however many
     retries were spent.
     """
-    if settings is not None:
-        if processes is not None:
-            raise ValueError(
-                "pass processes through settings= or the keyword, not both"
-            )
-        processes = settings.processes
-        if cancel is None:
-            cancel = settings.cancel
     units = list(shards)
-    with obs.span("pool", level="basic", shards=len(units)):
-        if checkpoint is None and max_retries == 0:
-            nproc = resolve_processes(processes, len(units), flag=flag)
-            if nproc <= 1 or len(units) <= 1:
-                results: List[R] = []
-                for i, u in enumerate(units):
-                    _check_cancel(cancel)
-                    results.append(obs.shard_call(worker, i, u))
-                return results
-            _check_cancel(cancel)
-            if obs.enabled("debug"):
-                for i in range(len(units)):
-                    obs.emit("shard-dispatch", key=i, level="debug")
-            init, initargs = obs.pool_initializer()
-            # fork keeps the warm import; spawn platforms re-import lazily
-            with mp.get_context().Pool(
-                nproc, initializer=init, initargs=initargs
-            ) as pool:
-                return pool.starmap(
-                    obs.shard_call,
-                    [(worker, i, u) for i, u in enumerate(units)],
-                    chunksize=chunksize or max(1, len(units) // (4 * nproc)),
-                )
-        return _run_sharded_resumable(
-            worker,
-            units,
-            processes=processes,
-            flag=flag,
-            checkpoint=checkpoint,
-            max_retries=max_retries,
-            cancel=cancel,
+    if checkpoint is not None and len(checkpoint) != len(units):
+        raise ValueError(
+            f"checkpoint carries {len(checkpoint)} keys for "
+            f"{len(units)} shards"
         )
+    fail_fast = checkpoint is None and max_retries == 0
+    results: List[Optional[R]] = [None] * len(units)
+
+    def commit(i: int, value: R) -> None:
+        results[i] = value
+        if checkpoint is not None:
+            checkpoint.store(i, value)
+
+    def run(i: int, first_exc: Optional[BaseException]) -> None:
+        """Finish shard ``i`` inline, honouring the retry budget."""
+        commit(
+            i,
+            _attempt_shard(
+                worker,
+                units[i],
+                _shard_key(checkpoint, i),
+                max_retries,
+                first_exc,
+                fail_fast,
+            ),
+        )
+
+    with obs.span("pool", level="basic", shards=len(units)):
+        pending: List[int] = []
+        for i in range(len(units)):
+            if checkpoint is not None:
+                found, value = checkpoint.lookup(i)
+                if found:
+                    results[i] = value
+                    obs.emit(
+                        "shard-replay",
+                        key=checkpoint.key_of(i),
+                        level="detailed",
+                    )
+                    continue
+            pending.append(i)
+        nproc = resolve_processes(processes, len(pending), flag=flag)
+        if nproc <= 1 or len(pending) <= 1:
+            for i in pending:
+                _check_cancel(cancel)
+                run(i, None)
+            return results  # type: ignore[return-value]
+        queue = pending
+        while queue:
+            _check_cancel(cancel)
+            consumed: List[int] = []
+            try:
+                init, initargs = obs.pool_initializer()
+                with ProcessPoolExecutor(
+                    max_workers=min(nproc, len(queue)),
+                    initializer=init,
+                    initargs=initargs,
+                ) as pool:
+                    futures: List[Tuple[int, "Future[R]"]] = []
+                    for i in queue:
+                        key = _shard_key(checkpoint, i)
+                        obs.emit("shard-dispatch", key=key, level="debug")
+                        futures.append(
+                            (i, pool.submit(obs.shard_call, worker, key, units[i]))
+                        )
+                    try:
+                        for n, (i, future) in enumerate(futures):
+                            if n:
+                                _check_cancel(cancel)
+                            try:
+                                value = future.result()
+                            except BrokenExecutor:
+                                raise  # handled below: retry inline + fresh pool
+                            except Exception as exc:
+                                run(i, exc)
+                            else:
+                                commit(i, value)
+                            consumed.append(i)
+                    except BaseException:
+                        # drop the shards no worker has started; the
+                        # ones already committed stay committed
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        raise
+                return results  # type: ignore[return-value]
+            except BrokenExecutor as exc:
+                # A worker died hard (e.g. SIGKILL/os._exit) and took the
+                # executor with it.  Charge the attempt to the first
+                # unconsumed shard and finish it inline, then rebuild a
+                # fresh pool for the remainder — recomputation is
+                # bitwise-safe and completed shards are already committed.
+                remaining = [i for i in queue if i not in set(consumed)]
+                obs.emit(
+                    "pool-rebuild",
+                    key=_shard_key(checkpoint, remaining[0]),
+                    remaining=len(remaining),
+                )
+                run(remaining[0], exc)
+                queue = remaining[1:]
+    return results  # type: ignore[return-value]
 
 
 def _shard_key(checkpoint: Optional["ShardCheckpoint"], index: int) -> object:
@@ -337,12 +398,19 @@ def _attempt_shard(
     key: object,
     max_retries: int,
     first_exc: Optional[BaseException],
+    fail_fast: bool,
 ) -> R:
     """Run ``unit`` inline honouring the retry budget.
 
     ``first_exc`` is a failure already spent by a pool execution (so it
     counts against the budget); ``None`` means no attempt has run yet.
+    Under ``fail_fast`` nothing is retried or wrapped: the first failure
+    propagates exactly as the worker raised it.
     """
+    if fail_fast:
+        if first_exc is not None:
+            raise first_exc
+        return obs.shard_call(worker, key, unit)
     attempts = 0 if first_exc is None else 1
     last_exc = first_exc
     while attempts <= max_retries:
@@ -357,116 +425,6 @@ def _attempt_shard(
             attempts += 1
     assert last_exc is not None
     raise ShardError(key, attempts, last_exc) from last_exc
-
-
-def _run_sharded_resumable(
-    worker: Callable[[S], R],
-    units: List[S],
-    *,
-    processes: Optional[int],
-    flag: str,
-    checkpoint: Optional["ShardCheckpoint"],
-    max_retries: int,
-    cancel: Optional[CancelCheck] = None,
-) -> List[R]:
-    """The ledger-aware / fault-tolerant fan-out behind :func:`run_sharded`.
-
-    Uses :class:`concurrent.futures.ProcessPoolExecutor` rather than
-    ``multiprocessing.Pool`` because a hard-killed pool worker hangs
-    ``Pool.map`` forever, while the executor surfaces
-    :class:`~concurrent.futures.BrokenExecutor` — which this loop turns
-    into an inline retry of the interrupted shard plus a fresh executor
-    for whatever remains.  Results are consumed, committed, and returned
-    in shard order regardless of completion order.
-    """
-    if checkpoint is not None and len(checkpoint) != len(units):
-        raise ValueError(
-            f"checkpoint carries {len(checkpoint)} keys for "
-            f"{len(units)} shards"
-        )
-    results: List[Optional[R]] = [None] * len(units)
-    pending: List[int] = []
-    for i in range(len(units)):
-        if checkpoint is not None:
-            found, value = checkpoint.lookup(i)
-            if found:
-                results[i] = value
-                obs.emit(
-                    "shard-replay", key=checkpoint.key_of(i), level="detailed"
-                )
-                continue
-        pending.append(i)
-    nproc = resolve_processes(processes, len(pending), flag=flag)
-    if nproc <= 1 or len(pending) <= 1:
-        for i in pending:
-            _check_cancel(cancel)
-            results[i] = _attempt_shard(
-                worker, units[i], _shard_key(checkpoint, i), max_retries, None
-            )
-            if checkpoint is not None:
-                checkpoint.store(i, results[i])
-        return results  # type: ignore[return-value]
-    queue = pending
-    while queue:
-        _check_cancel(cancel)
-        consumed: List[int] = []
-        try:
-            init, initargs = obs.pool_initializer()
-            with ProcessPoolExecutor(
-                max_workers=min(nproc, len(queue)),
-                initializer=init,
-                initargs=initargs,
-            ) as pool:
-                futures: List[Tuple[int, "Future[R]"]] = []
-                for i in queue:
-                    key = _shard_key(checkpoint, i)
-                    obs.emit("shard-dispatch", key=key, level="debug")
-                    futures.append(
-                        (i, pool.submit(obs.shard_call, worker, key, units[i]))
-                    )
-                for i, future in futures:
-                    try:
-                        value = future.result()
-                    except BrokenExecutor:
-                        raise  # handled below: retry inline + fresh pool
-                    except Exception as exc:
-                        value = _attempt_shard(
-                            worker,
-                            units[i],
-                            _shard_key(checkpoint, i),
-                            max_retries,
-                            exc,
-                        )
-                    results[i] = value
-                    if checkpoint is not None:
-                        checkpoint.store(i, value)
-                    consumed.append(i)
-            return results  # type: ignore[return-value]
-        except BrokenExecutor as exc:
-            # A worker died hard (e.g. SIGKILL/os._exit) and took the
-            # executor with it.  Charge the attempt to the first
-            # unconsumed shard and finish it inline, then rebuild a
-            # fresh pool for the remainder — recomputation is
-            # bitwise-safe and completed shards are already committed.
-            remaining = [i for i in queue if i not in set(consumed)]
-            first = remaining[0]
-            obs.emit(
-                "pool-rebuild",
-                key=_shard_key(checkpoint, first),
-                remaining=len(remaining),
-            )
-            value = _attempt_shard(
-                worker,
-                units[first],
-                _shard_key(checkpoint, first),
-                max_retries,
-                exc,
-            )
-            results[first] = value
-            if checkpoint is not None:
-                checkpoint.store(first, value)
-            queue = remaining[1:]
-    return results  # type: ignore[return-value]
 
 
 def shard_counts(total: int, shard_size: int) -> List[int]:

@@ -35,23 +35,18 @@ import numpy as np
 from .. import obs
 from ..core.bounds import lower_bound
 from ..core.diagonal import diagonal_dynamo
-from ..core.search import (
-    BackendSpec,
-    PlanSpec,
-    exhaustive_min_dynamo_size,
-    random_dynamo_search,
-)
+from ..core.search import exhaustive_min_dynamo_size, random_dynamo_search
 from ..core.verify import is_monotone_dynamo
 from ..engine.backends import resolve_backend_ref
 from ..engine.batch import DYNAMICS_VERSION
-from ..engine.context import ExecutionSettings, RunStats, resolve_settings
+from ..engine.context import ExecutionSettings, RunStats
 from ..engine.parallel import (
     RunCancelled,
     kind_tag,
     validate_positive,
     validate_processes,
 )
-from ..io.ledger import LedgerScope, RunLedger, open_ledger
+from ..io.ledger import LedgerScope, open_ledger
 from ..io.witnessdb import CensusCellRecord, WitnessDB
 from ..topology.base import Topology
 from ..topology.tori import make_torus
@@ -103,8 +98,7 @@ class CensusResult(List[CensusRow]):
     """The audit table (a plain list of rows) plus typed run accounting.
 
     Behaves exactly like the ``List[CensusRow]`` the census always
-    returned; :attr:`run_stats` carries the cache/record counts that the
-    deprecated ``stats`` dict out-param used to report.
+    returned; :attr:`run_stats` carries the cache/record counts.
     """
 
     run_stats: RunStats
@@ -174,32 +168,20 @@ def below_bound_census(
     sizes: Sequence[int] = (3, 4, 5, 6),
     *,
     random_trials: int = 20_000,
-    batch_size: int = 8192,
     seed: int = 0xBEEF,
-    processes: Optional[int] = 0,
-    shard_size: Optional[int] = None,
     db: Union[WitnessDB, str, Path, None] = None,
-    stats: Optional[dict] = None,
-    backend: BackendSpec = None,
-    plan: PlanSpec = None,
-    ledger: Union[RunLedger, str, Path, None] = None,
-    resume: bool = False,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> "CensusResult":
     """Run the audit; every returned witness size is re-verified.
 
     ``settings`` (an :class:`~repro.engine.context.ExecutionSettings`)
-    is the preferred way to configure execution; the individual
-    ``batch_size``/``processes``/``shard_size``/``backend``/``plan``/
-    ``ledger``/``resume`` keywords below are **deprecated** — they keep
-    working and are folded into a settings object internally, but
-    mixing them with ``settings=`` raises :class:`ValueError`.  The
-    returned :class:`CensusResult` is the usual list of rows plus a
-    typed :attr:`~CensusResult.run_stats`.
+    configures execution.  The returned :class:`CensusResult` is the
+    usual list of rows plus a typed :attr:`~CensusResult.run_stats`.
 
-    ``batch_size`` is the replica-block width handed to the batched
-    engine (:func:`repro.engine.batch.run_batch`) by both the exhaustive
-    and the random searches; ``processes``/``shard_size`` shard the
+    ``settings.batch_size`` (default 8192) is the replica-block width
+    handed to the batched engine (:func:`repro.engine.batch.run_batch`)
+    by both the exhaustive and the random searches;
+    ``settings.processes``/``settings.shard_size`` shard the
     random-search trials across a worker pool (``processes=0`` runs
     inline, ``None`` uses every core) without changing any result.
 
@@ -209,26 +191,23 @@ def below_bound_census(
     ``shard_size``, plus the module's search palettes — matches a
     stored ``census-cell`` record is served
     from the store without running any search, and freshly computed
-    cells store their witness and summary on the way out.  ``stats``
-    (an optional dict, mutated in place) is **deprecated** in favour of
-    the returned ``run_stats``; for one more release it still reports
-    ``cells``, ``cache_hits``, and ``witnesses_recorded``.
+    cells store their witness and summary on the way out.
 
-    ``backend`` selects the kernel backend
+    ``settings.backend`` selects the kernel backend
     (:mod:`repro.engine.backends`) the searches run under.  Backends are
     bitwise-interchangeable, so the census table, the witnesses, and the
     cache definition are identical under every backend — the chosen name
-    is recorded in witness provenance only.  ``plan`` selects the
-    execution plan (:mod:`repro.engine.plans`) the searches run under;
+    is recorded in witness provenance only.  ``settings.plan`` selects
+    the execution plan (:mod:`repro.engine.plans`) the searches run under;
     plans are bitwise-invisible too, so cached cells serve identically
     whatever the plan settings.
 
-    ``ledger`` (a :class:`~repro.io.ledger.RunLedger` or a path) makes
-    the census crash-safe: the run — identified by a digest of this
-    definition plus the ``kinds``/``sizes`` grid — commits every
+    ``settings.ledger`` (a :class:`~repro.io.ledger.RunLedger` or a
+    path) makes the census crash-safe: the run — identified by a digest
+    of this definition plus the ``kinds``/``sizes`` grid — commits every
     completed search shard and every finished cell to the ledger with
     durable appends.  After a kill, rerunning the same invocation with
-    ``resume=True`` replays completed work bitwise and continues
+    ``settings.resume`` replays completed work bitwise and continues
     mid-grid; the resumed run's rows, witness ids, and db contents are
     identical to an uninterrupted run at any process count.  Worker
     death inside the sharded searches is retried (bounded) before a
@@ -237,16 +216,6 @@ def below_bound_census(
     """
     from ..engine.plans import resolve_plan
 
-    settings = resolve_settings(
-        settings,
-        processes=(processes, 0),
-        shard_size=(shard_size, None),
-        batch_size=(batch_size, 8192),
-        backend=(backend, None),
-        plan=(plan, None),
-        ledger=(ledger, None),
-        resume=(resume, False),
-    )
     plan = resolve_plan(settings.plan)  # reject junk before any cell runs
     nproc = validate_processes(settings.processes)
     batch_size = settings.resolved_batch_size(8192)
@@ -254,13 +223,10 @@ def below_bound_census(
     shard_size = settings.shard_size
     if shard_size is not None:
         shard_size = validate_positive(shard_size, flag="shard_size")
-    backend = settings.backend
-    ledger = settings.ledger
-    resume = settings.resume
     # same sharded-instance rejection the searches apply, but *before*
     # any cell runs — a mid-census failure would waste finished cells
     backend_name, _ = resolve_backend_ref(
-        backend, sharded=nproc is None or nproc > 0
+        settings.backend, sharded=nproc is None or nproc > 0
     )
     # what the inner searches see: geometry fully resolved (the random
     # search's own batch default must never apply), ledger handed down
@@ -289,14 +255,16 @@ def below_bound_census(
         "exhaustive_colors": _EXHAUSTIVE_PALETTE,
     }
     scope: Optional[LedgerScope] = None
-    if ledger is not None:
-        led = open_ledger(ledger)
+    if settings.ledger is not None:
+        led = open_ledger(settings.ledger)
         run_definition = {
             **definition,
             "kinds": [str(kind) for kind in kinds],
             "sizes": [int(s) for s in sizes],
         }
-        scope = LedgerScope(led, led.begin(run_definition, resume=resume))
+        scope = LedgerScope(
+            led, led.begin(run_definition, resume=settings.resume)
+        )
     cache_hits = 0
     rows: List[CensusRow] = []
 
@@ -433,14 +401,9 @@ def below_bound_census(
                     commit_cell(row, witness, cell_scope)
     if scope is not None:
         scope.ledger.finish(scope.run_id)
+    # actual store growth — the searches themselves append witnesses
+    # beyond the one-per-cell the census links to its row
     recorded = (len(store) - witnesses_before) if store is not None else 0
-    if stats is not None:
-        # deprecated out-param, populated for one more release: count
-        # actual store growth — the searches themselves append witnesses
-        # beyond the one-per-cell the census links to its row
-        stats.update(
-            cells=len(rows), cache_hits=cache_hits, witnesses_recorded=recorded
-        )
     return CensusResult(
         rows,
         RunStats(

@@ -28,13 +28,12 @@ or platforms without fork); ``None`` uses one worker per core.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..engine.context import ExecutionSettings, resolve_settings
+from ..engine.context import ExecutionSettings
 from ..engine.parallel import (
     DEFAULT_SHARD_RETRIES,
     run_sharded,
@@ -43,10 +42,7 @@ from ..engine.parallel import (
     validate_positive,
     validate_processes,
 )
-from ..io.ledger import LedgerScope, RunLedger, open_ledger
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from ..engine.plans import ExecutionPlan
+from ..io.ledger import LedgerScope, open_ledger
 
 __all__ = [
     "SweepPoint",
@@ -186,49 +182,38 @@ def convergence_sweep(
     *,
     replicas: int = 256,
     num_colors: int = 4,
-    batch_size: int = 256,
     max_rounds: Optional[int] = None,
     seed: int = 0xD1CE,
-    processes: Optional[int] = 0,
-    shard_size: Optional[int] = None,
-    backend: Optional[str] = None,
-    plan: Optional["ExecutionPlan"] = None,
-    ledger: Union[RunLedger, str, Path, None] = None,
-    resume: bool = False,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> np.ndarray:
     """Random-replica convergence statistics per grid point, sharded.
 
     ``settings`` (an :class:`~repro.engine.context.ExecutionSettings`)
-    is the preferred way to configure execution; the individual
-    ``batch_size``/``processes``/``shard_size``/``backend``/``plan``/
-    ``ledger``/``resume`` keywords are **deprecated** — still honoured,
-    folded into a settings object internally, but mixing them with
-    ``settings=`` raises :class:`ValueError`.
-
-    For each ``(kind, m, n)`` point, ``replicas`` uniform random initial
-    colorings are advanced by the batched engine in blocks of
-    ``batch_size`` rows, and the per-row outcomes are reduced to one
-    record (fractions converged / target-monochromatic / monotone, plus
-    round statistics over converged rows).
+    configures execution.  For each ``(kind, m, n)`` point, ``replicas``
+    uniform random initial colorings are advanced by the batched engine
+    in blocks of ``settings.batch_size`` rows (default 256), and the
+    per-row outcomes are reduced to one record (fractions converged /
+    target-monochromatic / monotone, plus round statistics over
+    converged rows).
 
     The workload splits into ``(point x replica block)`` shards of
-    ``shard_size`` replicas (default ``batch_size``) that fan out over
-    ``processes`` pool workers; per-shard integer partials are reduced
-    in shard order, so the records are bitwise-identical at any process
-    count.
+    ``settings.shard_size`` replicas (default: the batch size) that fan
+    out over ``settings.processes`` pool workers; per-shard integer
+    partials are reduced in shard order, so the records are
+    bitwise-identical at any process count.
 
-    ``backend`` names the kernel backend
+    ``settings.backend`` names the kernel backend
     (:mod:`repro.engine.backends`) each worker resolves locally;
     backends are bitwise-interchangeable, so records never depend on it.
-    ``plan`` is the :class:`~repro.engine.plans.ExecutionPlan` each
-    worker executes under (settings travel; compiled steppers stay
+    ``settings.plan`` is the :class:`~repro.engine.plans.ExecutionPlan`
+    each worker executes under (settings travel; compiled steppers stay
     per-process) — plans are likewise bitwise-invisible.
 
-    ``ledger`` (a :class:`~repro.io.ledger.RunLedger` or a path) commits
-    each ``(point, shard)`` partial durably as it completes; rerunning
-    the same sweep with ``resume=True`` replays committed shards and
-    computes only the rest, bitwise-identically at any process count.
+    ``settings.ledger`` (a :class:`~repro.io.ledger.RunLedger` or a
+    path) commits each ``(point, shard)`` partial durably as it
+    completes; rerunning the same sweep with ``settings.resume``
+    replays committed shards and computes only the rest,
+    bitwise-identically at any process count.
     The run identity pins the sweep definition (rule, grid, replicas,
     seed, batch/shard geometry, ``max_rounds``, dynamics version) and
     excludes ``processes``/``backend``/``plan``.
@@ -238,21 +223,8 @@ def convergence_sweep(
     from ..engine.plans import resolve_plan
     from ..rules import make_rule  # validate the rule name before forking
 
-    settings = resolve_settings(
-        settings,
-        processes=(processes, 0),
-        shard_size=(shard_size, None),
-        batch_size=(batch_size, 256),
-        backend=(backend, None),
-        plan=(plan, None),
-        ledger=(ledger, None),
-        resume=(resume, False),
-    )
     batch_size = settings.resolved_batch_size(256)
     shard_size = settings.shard_size
-    backend = settings.backend
-    ledger = settings.ledger
-    resume = settings.resume
     plan = resolve_plan(settings.plan)
     validate_positive(replicas, flag="replicas")
     validate_positive(batch_size, flag="batch_size")
@@ -264,7 +236,7 @@ def convergence_sweep(
     # (workers resolve it locally) and the instance itself only inline;
     # unpicklable instances are rejected here, before forking
     _, backend_ref = resolve_backend_ref(
-        backend, sharded=nproc is None or nproc > 0
+        settings.backend, sharded=nproc is None or nproc > 0
     )
     pts: List[SweepPoint] = list(points)
     counts = shard_counts(replicas, shard_size if shard_size is not None else batch_size)
@@ -276,8 +248,8 @@ def convergence_sweep(
     ]
     checkpoint = None
     max_retries = 0
-    if ledger is not None:
-        led = open_ledger(ledger)
+    if settings.ledger is not None:
+        led = open_ledger(settings.ledger)
         definition = {
             "experiment": "convergence-sweep",
             "dynamics": DYNAMICS_VERSION,
@@ -290,7 +262,9 @@ def convergence_sweep(
             "max_rounds": None if max_rounds is None else int(max_rounds),
             "points": [[str(kind), int(m), int(n)] for kind, m, n in pts],
         }
-        scope = LedgerScope(led, led.begin(definition, resume=resume))
+        scope = LedgerScope(
+            led, led.begin(definition, resume=settings.resume)
+        )
         checkpoint = scope.checkpoint_for(
             [(kind, int(m), int(n), si)
              for kind, m, n in pts
@@ -312,7 +286,7 @@ def convergence_sweep(
             max_retries=max_retries,
             cancel=settings.cancel,
         )
-    if ledger is not None:
+    if settings.ledger is not None:
         scope.ledger.finish(scope.run_id)
 
     rows = []

@@ -204,7 +204,6 @@ def async_robustness(
     engine: str = "batch",
     db=None,
     label: Optional[str] = None,
-    stats: Optional[dict] = None,
 ) -> AsyncRobustness:
     """Random-order sequential runs of a construction.
 
@@ -216,14 +215,9 @@ def async_robustness(
     by the full experiment definition (including a content hash of the
     configuration) and later identical invocations skip the sweeps
     entirely.  The cache outcome is reported on the returned summary's
-    ``run_stats`` field (:class:`~repro.engine.context.RunStats`); the
-    ``stats`` dict out-param is deprecated and will be removed in a
-    future release — it is still mutated in place for now.
+    ``run_stats`` field (:class:`~repro.engine.context.RunStats`).
     """
     root = derive_schedule_root(seed, rng, 0xA5C)
-    if stats is None:
-        stats = {}
-    stats.update({"cache_hit": False, "recorded": False})
     record_label = label if label is not None else getattr(con, "name", "construction")
     definition = None
     if db is not None:
@@ -237,7 +231,6 @@ def async_robustness(
         }
         cached = db.find_async_summary(record_label, definition)
         if cached is not None:
-            stats["cache_hit"] = True
             summary = AsyncRobustness.from_row(cached.row)
             summary.run_stats = RunStats(cells=1, cache_hits=1)
             return summary
@@ -257,9 +250,8 @@ def async_robustness(
                 row=summary.as_row(),
             )
         )
-        stats["recorded"] = True
     summary.run_stats = RunStats(
-        cells=1, records_appended=1 if stats["recorded"] else 0
+        cells=1, records_appended=1 if db is not None else 0
     )
     return summary
 

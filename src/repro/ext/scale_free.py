@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import obs
 from ..engine.batch import DYNAMICS_VERSION, run_batch
-from ..engine.context import ExecutionSettings, RunStats, resolve_settings
+from ..engine.context import ExecutionSettings, RunStats
 from ..engine.parallel import (
     DEFAULT_SHARD_RETRIES,
     RunCancelled,
@@ -38,7 +38,7 @@ from ..engine.parallel import (
     run_sharded,
     validate_positive,
 )
-from ..io.ledger import LedgerScope, RunLedger, open_ledger
+from ..io.ledger import LedgerScope, open_ledger
 from ..rules.plurality import GeneralizedPluralityRule
 from ..topology.graph import GraphTopology
 
@@ -214,12 +214,10 @@ class ScaleFreeCensus:
     """All cells of one census invocation plus execution statistics.
 
     ``run_stats`` is the typed accounting (cells / cache hits / records
-    appended); the ``stats`` dict mirrors it under the legacy keys
-    (``cells`` / ``cache_hits`` / ``recorded``) and is **deprecated**.
+    appended).
     """
 
     cells: List[ScaleFreeCell]
-    stats: dict = field(default_factory=dict)
     run_stats: RunStats = field(default_factory=RunStats)
 
 
@@ -296,27 +294,16 @@ def scale_free_takeover_census(
     max_rounds: Optional[int] = None,
     seed: int = 0x5CA1E,
     db=None,
-    processes: Optional[int] = 0,
-    backend=None,
-    stats: Optional[dict] = None,
-    ledger=None,
-    resume: bool = False,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> ScaleFreeCensus:
     """Sweep (strategy x seed fraction), averaging replicas over BA graphs.
 
     ``settings`` (an :class:`~repro.engine.context.ExecutionSettings`)
-    is the preferred way to configure execution; the individual
-    ``processes``/``backend``/``ledger``/``resume`` keywords are
-    **deprecated** — still honoured, folded into a settings object
-    internally, but mixing them with ``settings=`` raises
-    :class:`ValueError`.  This census has fixed shard geometry (one
+    configures execution.  This census has fixed shard geometry (one
     graph's replicas advance as one block), so a ``shard_size`` or
     ``batch_size`` in the settings is refused rather than silently
     ignored; ``settings.plan`` is honoured by every graph worker, and
-    ``settings.cancel`` is checked between cells and shards.  The
-    ``stats`` out-param is likewise **deprecated** in favour of the
-    returned :attr:`ScaleFreeCensus.run_stats`.
+    ``settings.cancel`` is checked between cells and shards.
 
     Each cell runs ``graphs`` independent Barabási–Albert graphs with
     ``replicas`` random initial configurations each; a graph is one
@@ -330,32 +317,21 @@ def scale_free_takeover_census(
     With ``db`` (a :class:`~repro.io.witnessdb.WitnessDB`), every
     computed cell is recorded as a ``scale-free-cell`` row and later
     invocations with the same definition are served from the cache
-    without running a single replica; ``stats`` (mutated in place when
-    given) reports ``cells`` / ``cache_hits`` / ``recorded``.
+    without running a single replica; the returned ``run_stats``
+    reports ``cells`` / ``cache_hits`` / ``records_appended``.
 
-    ``ledger`` (a :class:`~repro.io.ledger.RunLedger` or a path) commits
-    every completed graph shard durably under the census's run id;
-    ``resume=True`` replays committed shards after a crash and computes
-    only the rest, bitwise-identically at any process count.  The run
-    identity pins the census definition (grid, seed, dynamics version)
-    and excludes ``processes``/``backend``.
+    ``settings.ledger`` (a :class:`~repro.io.ledger.RunLedger` or a
+    path) commits every completed graph shard durably under the
+    census's run id; ``settings.resume`` replays committed shards after
+    a crash and computes only the rest, bitwise-identically at any
+    process count.  The run identity pins the census definition (grid,
+    seed, dynamics version) and excludes ``processes``/``backend``.
     """
     from ..io.witnessdb import ScaleFreeCellRecord
 
-    settings = resolve_settings(
-        settings,
-        processes=(processes, 0),
-        backend=(backend, None),
-        ledger=(ledger, None),
-        resume=(resume, False),
-    )
     settings.reject(
         "scale_free_takeover_census", "shard_size", "batch_size"
     )
-    processes = settings.processes
-    backend = settings.backend
-    ledger = settings.ledger
-    resume = settings.resume
     n = validate_positive(n, flag="n")
     graphs = validate_positive(graphs, flag="graphs")
     replicas = validate_positive(replicas, flag="replicas")
@@ -370,21 +346,18 @@ def scale_free_takeover_census(
                 f"{sorted(SCALE_FREE_STRATEGIES)}"
             )
     backend_name = None
-    if backend is not None:
+    if settings.backend is not None:
         from ..engine.backends import select_backend
 
-        backend_name = select_backend(backend).name
+        backend_name = select_backend(settings.backend).name
     from ..engine.plans import resolve_plan
 
     plan = resolve_plan(settings.plan)
-
-    if stats is None:
-        stats = {}
-    stats.update({"cells": 0, "cache_hits": 0, "recorded": 0})
+    cache_hits = recorded = 0
 
     scope: Optional[LedgerScope] = None
-    if ledger is not None:
-        led = open_ledger(ledger)
+    if settings.ledger is not None:
+        led = open_ledger(settings.ledger)
         run_definition = {
             "experiment": "scale-free-takeover-census",
             "dynamics": DYNAMICS_VERSION,
@@ -398,7 +371,9 @@ def scale_free_takeover_census(
             "replicas": replicas,
             "max_rounds": int(max_rounds),
         }
-        scope = LedgerScope(led, led.begin(run_definition, resume=resume))
+        scope = LedgerScope(
+            led, led.begin(run_definition, resume=settings.resume)
+        )
 
     cells: List[ScaleFreeCell] = []
     with settings.telemetry_scope("scale-free-census"):
@@ -412,7 +387,6 @@ def scale_free_takeover_census(
                 with obs.span(
                     "cell", key=[strategy, fraction], level="basic"
                 ):
-                    stats["cells"] += 1
                     definition = {
                         "experiment": "scale-free-takeover",
                         "dynamics": DYNAMICS_VERSION,
@@ -434,7 +408,7 @@ def scale_free_takeover_census(
                             cells.append(
                                 ScaleFreeCell.from_row(cached.row, from_cache=True)
                             )
-                            stats["cache_hits"] += 1
+                            cache_hits += 1
                             continue
                     shards: List[_GraphShard] = [
                         (
@@ -452,7 +426,7 @@ def scale_free_takeover_census(
                     partials = run_sharded(
                         _scale_free_graph_worker,
                         shards,
-                        processes=processes,
+                        processes=settings.processes,
                         checkpoint=checkpoint,
                         max_retries=(
                             DEFAULT_SHARD_RETRIES
@@ -488,15 +462,14 @@ def scale_free_takeover_census(
                                 row=cell.as_row(),
                             )
                         )
-                        stats["recorded"] += 1
+                        recorded += 1
     if scope is not None:
         scope.ledger.finish(scope.run_id)
     return ScaleFreeCensus(
         cells=cells,
-        stats=stats,
         run_stats=RunStats(
-            cells=stats["cells"],
-            cache_hits=stats["cache_hits"],
-            records_appended=stats["recorded"],
+            cells=len(cells),
+            cache_hits=cache_hits,
+            records_appended=recorded,
         ),
     )

@@ -170,7 +170,7 @@ def _validate_census(params: Mapping[str, Any]) -> Dict[str, Any]:
         "kinds": [str(kind) for kind in kinds],
         "sizes": [int(s) for s in sizes],
         "trials": _int_of(params, "trials", 20_000),
-        "batch_size": _int_of(params, "batch_size", 8192),
+        "batch_size": _int_of(params, "batch_size", None),
         "shard_size": _int_of(params, "shard_size", None),
         "seed": _int_of(params, "seed", 0xBEEF),
         "processes": _int_of(params, "processes", 0),

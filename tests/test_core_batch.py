@@ -1,50 +1,42 @@
-"""Batched SMP kernel tests: the search substrate must agree with the
-single-configuration engine bit for bit.
+"""Batched SMP tests: the batch substrate the core searches run on must
+agree with the single-configuration engine bit for bit.
 
-These exercise the retired :mod:`repro.core.batch` shim on purpose
-(its import-time and call-time DeprecationWarnings are expected behavior,
-filtered below); the rule-agnostic replacement is covered by
-``test_engine_batch.py``.
+The searches batch through :func:`repro.engine.run_batch` under
+:class:`~repro.rules.smp.SMPRule`; the rule-agnostic contract for every
+rule family lives in ``test_engine_batch.py``.
 """
 
 import sys
 import warnings
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro.core import batch_smp_step, run_batch_smp
-
-from repro.engine import run_synchronous
+from repro.engine import run_batch, run_synchronous
 from repro.rules import SMPRule
-from repro.topology import GraphTopology, ToroidalMesh
+from repro.rules.smp import smp_step_batch
+from repro.topology import ToroidalMesh
 
 from helpers import TORUS_KINDS
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_batch_smp is deprecated:DeprecationWarning"
-)
 
-
-def test_shim_import_warns():
-    """A fresh import of the retired module emits DeprecationWarning."""
-    sys.modules.pop("repro.core.batch", None)
-    with pytest.warns(DeprecationWarning, match="repro.core.batch is retired"):
-        import repro.core.batch  # noqa: F401
+def _run_smp(topo, batch, k, max_rounds):
+    """The searches' batched call: SMP rule, no cycle detection."""
+    return run_batch(
+        topo, batch, SMPRule(), max_rounds=max_rounds, target_color=k,
+        detect_cycles=False,
+    )
 
 
 def test_core_import_stays_quiet():
-    """Importing repro.core itself must not touch the retired shim."""
-    sys.modules.pop("repro.core.batch", None)
+    """Importing repro.core warns about nothing and carries no retired
+    batch names."""
     sys.modules.pop("repro.core", None)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        import repro.core  # noqa: F401
-    assert "repro.core.batch" not in sys.modules
+        import repro.core
+    assert not hasattr(repro.core, "run_batch_smp")
 
 
 @settings(max_examples=25, deadline=None)
@@ -53,7 +45,7 @@ def test_batch_step_equals_single_step(seed, batch):
     rng = np.random.default_rng(seed)
     topo = ToroidalMesh(4, 5)
     configs = rng.integers(0, 4, size=(batch, topo.num_vertices)).astype(np.int32)
-    stepped = batch_smp_step(configs, topo.neighbors)
+    stepped = smp_step_batch(configs, topo.neighbors)
     rule = SMPRule()
     for b in range(batch):
         assert np.array_equal(stepped[b], rule.step(configs[b], topo))
@@ -63,7 +55,7 @@ def test_batch_run_matches_engine(rng, torus_kind):
     topo = TORUS_KINDS[torus_kind](4, 4)
     k = 0
     configs = rng.integers(0, 3, size=(32, 16)).astype(np.int32)
-    out = run_batch_smp(topo, configs, k, max_rounds=80)
+    out = _run_smp(topo, configs, k, max_rounds=80)
     for b in range(configs.shape[0]):
         res = run_synchronous(
             topo, configs[b], SMPRule(), max_rounds=80, target_color=k
@@ -80,7 +72,7 @@ def test_batch_includes_constructions(torus_kind):
 
     con = build_minimum_dynamo(torus_kind, 5, 5)
     batch = np.stack([con.colors, con.colors])
-    out = run_batch_smp(con.topo, batch, con.k, max_rounds=200)
+    out = _run_smp(con.topo, batch, con.k, max_rounds=200)
     assert out.k_monochromatic.all()
     assert out.monotone.all()
 
@@ -89,16 +81,8 @@ def test_batch_input_not_mutated(rng):
     topo = ToroidalMesh(3, 3)
     configs = rng.integers(0, 3, size=(4, 9)).astype(np.int32)
     before = configs.copy()
-    run_batch_smp(topo, configs, 0, max_rounds=10)
+    _run_smp(topo, configs, 0, max_rounds=10)
     assert np.array_equal(configs, before)
-
-
-def test_batch_rejects_irregular_topology():
-    import networkx as nx
-
-    topo = GraphTopology(nx.path_graph(5))
-    with pytest.raises(ValueError):
-        run_batch_smp(topo, np.zeros((2, 5), dtype=np.int32), 0, 10)
 
 
 def test_batch_round_cap():
@@ -106,6 +90,6 @@ def test_batch_round_cap():
 
     con = theorem4_cordalis_dynamo(8, 8)  # 24 rounds needed
     batch = con.colors[None, :]
-    out = run_batch_smp(con.topo, batch, con.k, max_rounds=5)
+    out = _run_smp(con.topo, batch, con.k, max_rounds=5)
     assert not out.converged[0]
     assert not out.k_monochromatic[0]

@@ -17,6 +17,7 @@ from repro.core import (
     random_dynamo_search,
     theorem1_mesh_lower_bound,
 )
+from repro.engine import ExecutionSettings
 from repro.topology import ToroidalMesh
 
 
@@ -112,7 +113,8 @@ def test_last_batch_witness_still_exhaustive():
     topo = ToroidalMesh(3, 3)
     total = count_configs(9, 8, 3)
     out = exhaustive_dynamo_search(
-        topo, seed_size=8, num_colors=3, batch_size=4, stop_at_first=False
+        topo, seed_size=8, num_colors=3, stop_at_first=False,
+        settings=ExecutionSettings(batch_size=4),
     )
     assert out.found_dynamo
     assert out.examined == total
@@ -126,7 +128,8 @@ def test_exact_multiple_batch_witness_still_exhaustive():
     topo = ToroidalMesh(3, 3)
     # 1 configuration, batch_size=1: the only batch flushes in-loop
     out = exhaustive_dynamo_search(
-        topo, seed_size=9, num_colors=2, batch_size=1, stop_at_first=True
+        topo, seed_size=9, num_colors=2, stop_at_first=True,
+        settings=ExecutionSettings(batch_size=1),
     )
     assert out.found_dynamo
     assert out.examined == count_configs(9, 9, 2) == 1
@@ -139,8 +142,9 @@ def test_spawned_seed_sequences_draw_distinct_trials():
     parent's streams."""
     topo = ToroidalMesh(3, 3)
     child_a, child_b = np.random.SeedSequence(7).spawn(2)
-    out_a = random_dynamo_search(topo, 3, 3, 500, child_a, shard_size=100)
-    out_b = random_dynamo_search(topo, 3, 3, 500, child_b, shard_size=100)
+    shards = ExecutionSettings(shard_size=100)
+    out_a = random_dynamo_search(topo, 3, 3, 500, child_a, settings=shards)
+    out_b = random_dynamo_search(topo, 3, 3, 500, child_b, settings=shards)
     assert any(
         not np.array_equal(wa, wb)
         for (wa, _), (wb, _) in zip(out_a.witnesses, out_b.witnesses)
@@ -152,7 +156,8 @@ def test_early_stop_is_not_exhaustive():
     non-exhaustive coverage."""
     topo = ToroidalMesh(3, 3)
     out = exhaustive_dynamo_search(
-        topo, seed_size=8, num_colors=3, batch_size=4, stop_at_first=True
+        topo, seed_size=8, num_colors=3, stop_at_first=True,
+        settings=ExecutionSettings(batch_size=4),
     )
     assert out.found_dynamo
     assert out.examined < count_configs(9, 8, 3)

@@ -1,29 +1,26 @@
 """Docs stay honest: every documented CLI invocation must parse.
 
-Runs the same checker CI uses (``tools/check_docs_cli.py``) over
+Runs the docs checker family of :mod:`tools.reprolint` (rule RPL-C003,
+the check CI runs as ``python -m tools.reprolint --select docs``) over
 README.md and docs/*.md, plus unit tests of its extractor so a silent
 regression in the checker itself (finding nothing, mis-joining
 continuations) also fails loudly.
 """
 
-import importlib.util
+import subprocess
 import sys
 from pathlib import Path
+
+from tools.reprolint.docs import (
+    check_invocation,
+    extract_invocations,
+    iter_doc_files,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_checker():
-    spec = importlib.util.spec_from_file_location(
-        "check_docs_cli", ROOT / "tools" / "check_docs_cli.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_extractor_joins_continuations_and_cuts_pipes():
-    checker = _load_checker()
     text = "\n".join([
         "prose repro-dynamo outside a fence is ignored",
         "```bash",
@@ -33,7 +30,7 @@ def test_extractor_joins_continuations_and_cuts_pipes():
         "python not-a-cli-line.py",
         "```",
     ])
-    got = list(checker.extract_invocations(text))
+    got = list(extract_invocations(text))
     assert got == [
         (3, "repro-dynamo census --kinds mesh cordalis --sizes 3 4 --processes 2"),
         (5, "repro-dynamo witness list"),
@@ -41,33 +38,36 @@ def test_extractor_joins_continuations_and_cuts_pipes():
 
 
 def test_checker_flags_stale_flags():
-    checker = _load_checker()
     from repro.cli import build_parser
 
     parser = build_parser()
-    assert checker.check_invocation(parser, "repro-dynamo census --db x.jsonl") is None
-    assert checker.check_invocation(parser, "repro-dynamo census --no-such-flag") is not None
-    assert checker.check_invocation(parser, "repro-dynamo witness verify --all") is None
+    assert check_invocation(parser, "repro-dynamo census --db x.jsonl") is None
+    assert check_invocation(parser, "repro-dynamo census --no-such-flag") is not None
+    assert check_invocation(parser, "repro-dynamo witness verify --all") is None
 
 
-def test_all_documented_invocations_parse(capsys):
-    checker = _load_checker()
-    code = checker.main(["check_docs_cli.py", str(ROOT)])
-    out = capsys.readouterr().out
-    assert code == 0, f"documented CLI invocations failed to parse:\n{out}"
+def test_all_documented_invocations_parse():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    checked = 0
+    failures = []
+    for path in iter_doc_files(ROOT):
+        for lineno, command in extract_invocations(path.read_text()):
+            checked += 1
+            error = check_invocation(parser, command)
+            if error:
+                failures.append(f"{path.name}:{lineno}: `{command}` — {error}")
+    assert not failures, "\n".join(failures)
     # the extractor found a healthy number of commands (README quickstart
     # alone documents a dozen); zero would mean it silently broke
-    import re
-
-    match = re.search(r"(\d+)/(\d+) documented CLI invocations parse", out)
-    assert match and int(match.group(2)) >= 10
+    assert checked >= 10
 
 
 def test_checker_script_runs_standalone():
-    import subprocess
-
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "check_docs_cli.py"), str(ROOT)],
+        [sys.executable, "-m", "tools.reprolint", "--select", "docs"],
+        cwd=ROOT,
         capture_output=True,
         text=True,
     )

@@ -13,11 +13,13 @@ package is installed (CI runs a dedicated leg with it); without numba the
 matrix covers the two NumPy backends and the unavailability error path.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.search import random_dynamo_search
-from repro.engine import run_batch
+from repro.engine import ExecutionSettings, run_batch
 from repro.engine.backends import (
     BackendUnavailableError,
     KernelBackend,
@@ -244,15 +246,17 @@ def test_convergence_sweep_backend_instance_inline_only():
         def compile(self, rule, topo, max_batch):
             return fallback_stepper(rule, topo)
 
-    kwargs = dict(replicas=64, batch_size=32)
-    recs = convergence_sweep([("mesh", 4, 4)], processes=0,
-                             backend=Inline(), **kwargs)
+    inline = ExecutionSettings(processes=0, batch_size=32)
+    recs = convergence_sweep([("mesh", 4, 4)], replicas=64,
+                             settings=replace(inline, backend=Inline()))
     assert np.array_equal(
-        recs, convergence_sweep([("mesh", 4, 4)], processes=0, **kwargs)
+        recs, convergence_sweep([("mesh", 4, 4)], replicas=64, settings=inline)
     )
     with pytest.raises(ValueError, match="cannot cross process boundaries"):
-        convergence_sweep([("mesh", 4, 4)], processes=2,
-                          backend=Inline(), **kwargs)
+        convergence_sweep(
+            [("mesh", 4, 4)], replicas=64,
+            settings=replace(inline, processes=2, backend=Inline()),
+        )
 
 
 def test_census_rejects_backend_instance_before_any_cell_runs(tmp_path):
@@ -268,14 +272,14 @@ def test_census_rejects_backend_instance_before_any_cell_runs(tmp_path):
     db = WitnessDB(tmp_path / "w.jsonl")
     with pytest.raises(ValueError, match="cannot cross process boundaries"):
         below_bound_census(
-            kinds=["mesh"], sizes=[3], random_trials=100,
-            processes=2, db=db, backend=Inline(),
+            kinds=["mesh"], sizes=[3], random_trials=100, db=db,
+            settings=ExecutionSettings(processes=2, backend=Inline()),
         )
     assert len(db) == 0  # nothing was computed or recorded
     # inline census accepts the instance
     rows = below_bound_census(
         kinds=["mesh"], sizes=[3], random_trials=100,
-        processes=0, backend=Inline(),
+        settings=ExecutionSettings(processes=0, backend=Inline()),
     )
     assert rows[0].method == "exhaustive"
 
@@ -403,12 +407,14 @@ def test_backend_instance_cannot_cross_process_boundaries():
 
     topo = ToroidalMesh(4, 4)
     out = random_dynamo_search(
-        topo, 3, 4, 64, 0xBEEF, processes=0, backend=Inline()
+        topo, 3, 4, 64, 0xBEEF,
+        settings=ExecutionSettings(processes=0, backend=Inline()),
     )
     assert out.examined == 64
     with pytest.raises(ValueError, match="cannot cross process boundaries"):
         random_dynamo_search(
-            topo, 3, 4, 64, 0xBEEF, processes=2, backend=Inline()
+            topo, 3, 4, 64, 0xBEEF,
+            settings=ExecutionSettings(processes=2, backend=Inline()),
         )
 
 
@@ -417,11 +423,15 @@ def test_backend_instance_cannot_cross_process_boundaries():
 # ----------------------------------------------------------------------
 def test_random_search_is_backend_independent(fast_backend):
     topo = ToroidalMesh(4, 4)
-    kwargs = dict(k=0, monotone_only=True, batch_size=128, processes=0)
-    ref = random_dynamo_search(topo, 3, 5, 4096, 0xBEEF,
-                              backend="reference", **kwargs)
-    out = random_dynamo_search(topo, 3, 5, 4096, 0xBEEF,
-                               backend=fast_backend, **kwargs)
+    settings = ExecutionSettings(batch_size=128, processes=0)
+    ref = random_dynamo_search(
+        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
+        settings=replace(settings, backend="reference"),
+    )
+    out = random_dynamo_search(
+        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
+        settings=replace(settings, backend=fast_backend),
+    )
     assert out.examined == ref.examined
     assert len(out.witnesses) == len(ref.witnesses)
     for (ca, ma), (cb, mb) in zip(out.witnesses, ref.witnesses):
@@ -436,7 +446,9 @@ def test_census_rows_and_witness_ids_are_backend_independent(
     dbs, rows = {}, {}
     for name in ("reference", fast_backend):
         db = WitnessDB(tmp_path / f"{name}.jsonl")
-        rows[name] = below_bound_census(db=db, backend=name, **kwargs)
+        rows[name] = below_bound_census(
+            db=db, settings=ExecutionSettings(backend=name), **kwargs
+        )
         dbs[name] = db
     assert rows["reference"] == rows[fast_backend]
     ref_ids = sorted(r.id for r in dbs["reference"])
@@ -456,13 +468,16 @@ def test_cached_census_serves_across_backends(tmp_path, fast_backend):
     the definition key is backend-independent by design."""
     path = tmp_path / "w.jsonl"
     kwargs = dict(kinds=["mesh"], sizes=[3], random_trials=400)
-    first = below_bound_census(db=WitnessDB(path), backend="reference", **kwargs)
-    stats = {}
+    first = below_bound_census(
+        db=WitnessDB(path), settings=ExecutionSettings(backend="reference"),
+        **kwargs,
+    )
     second = below_bound_census(
-        db=WitnessDB(path), backend=fast_backend, stats=stats, **kwargs
+        db=WitnessDB(path), settings=ExecutionSettings(backend=fast_backend),
+        **kwargs,
     )
     assert first == second
-    assert stats["cache_hits"] == stats["cells"] == 1
+    assert second.run_stats.cache_hits == second.run_stats.cells == 1
 
 
 # ----------------------------------------------------------------------
@@ -517,13 +532,17 @@ def test_drivers_reject_nonpositive_sizes():
     from repro.experiments import below_bound_census, convergence_sweep
 
     with pytest.raises(ValueError, match="batch_size"):
-        below_bound_census(kinds=["mesh"], sizes=[3], batch_size=0)
+        below_bound_census(kinds=["mesh"], sizes=[3],
+                           settings=ExecutionSettings(batch_size=0))
     with pytest.raises(ValueError, match="shard_size"):
-        below_bound_census(kinds=["mesh"], sizes=[3], shard_size=-1)
+        below_bound_census(kinds=["mesh"], sizes=[3],
+                           settings=ExecutionSettings(shard_size=-1))
     with pytest.raises(ValueError, match="shard_size"):
-        convergence_sweep([("mesh", 4, 4)], shard_size=0)
+        convergence_sweep([("mesh", 4, 4)],
+                          settings=ExecutionSettings(shard_size=0))
     with pytest.raises(ValueError, match="shard_size"):
-        random_dynamo_search(ToroidalMesh(4, 4), 3, 4, 10, 0, shard_size=0)
+        random_dynamo_search(ToroidalMesh(4, 4), 3, 4, 10, 0,
+                             settings=ExecutionSettings(shard_size=0))
 
 
 # ----------------------------------------------------------------------

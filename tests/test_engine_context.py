@@ -1,12 +1,12 @@
-"""ExecutionSettings contract: one settings object, bitwise parity.
+"""ExecutionSettings contract: one settings object, read directly.
 
-Every sharded driver accepts a frozen
-:class:`repro.engine.ExecutionSettings` as ``settings=`` and must
-produce **bitwise-identical** results to the equivalent legacy-kwargs
-invocation — the settings object is pure plumbing, never identity.
-Also pinned here: the conflict rule (settings= plus a non-default
-legacy kwarg is an error), the rejection of inapplicable definitional
-knobs, and cooperative cancellation through ``settings.cancel``.
+Every sharded driver takes its execution configuration from a frozen
+:class:`repro.engine.ExecutionSettings` passed as ``settings=``; an
+unset field means the driver's own default.  Pinned here: the object's
+value semantics, default resolution (an unset ``batch_size`` is
+bitwise the literal default the CLI used to pass), the rejection of
+inapplicable definitional knobs, and cooperative cancellation through
+``settings.cancel``.
 """
 
 import dataclasses
@@ -19,9 +19,9 @@ from repro.core.search import (
     random_dynamo_search,
 )
 from repro.engine import ExecutionSettings, RunCancelled, RunStats, run_sharded
-from repro.engine.context import resolve_settings
 from repro.experiments.census import below_bound_census
 from repro.experiments.sweeps import convergence_sweep
+from repro.io.witnessdb import WitnessDB
 from repro.topology import ToroidalMesh
 
 
@@ -45,15 +45,6 @@ class TestSettingsObject:
         # cancel is execution wiring, not identity
         assert s == dataclasses.replace(s, cancel=lambda: False)
 
-    def test_resolve_conflict_is_an_error(self):
-        with pytest.raises(ValueError, match="settings="):
-            resolve_settings(
-                ExecutionSettings(), processes=(2, 0)
-            )
-        # passing the default alongside settings= is fine
-        s = resolve_settings(ExecutionSettings(processes=3), processes=(0, 0))
-        assert s.processes == 3
-
     def test_reject_inapplicable_definitional_knobs(self):
         topo = ToroidalMesh(3, 3)
         with pytest.raises(ValueError, match="shard_size"):
@@ -69,25 +60,6 @@ class TestSettingsObject:
 
 
 class TestRunShardedSettings:
-    def test_settings_processes_matches_kwarg(self):
-        def work(shard):
-            return shard * shard
-
-        by_kwarg = run_sharded(work, list(range(6)), processes=0)
-        by_settings = run_sharded(
-            work, list(range(6)), settings=ExecutionSettings(processes=0)
-        )
-        assert by_kwarg == by_settings
-
-    def test_both_processes_sources_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_sharded(
-                lambda s: s,
-                [1],
-                processes=0,
-                settings=ExecutionSettings(processes=0),
-            )
-
     def test_cancel_raises_run_cancelled(self):
         calls = []
 
@@ -99,82 +71,94 @@ class TestRunShardedSettings:
             run_sharded(
                 work,
                 list(range(8)),
-                settings=ExecutionSettings(
-                    processes=0, cancel=lambda: len(calls) >= 2
-                ),
+                processes=0,
+                cancel=lambda: len(calls) >= 2,
             )
         assert len(calls) == 2  # committed work stopped at the boundary
 
 
 class TestDriverParity:
-    """kwargs path vs settings path: bitwise-equal results, all drivers."""
+    """An unset settings field is bitwise the driver default the CLI used
+    to spell out (8192 census/exhaustive, 4096 random search, 256 sweep):
+    same results and the same witness-db bytes, hence the same cache keys.
+    """
 
-    def test_random_search(self):
+    def test_random_search(self, tmp_path):
         topo = ToroidalMesh(3, 3)
-        kwargs = random_dynamo_search(
-            topo, 3, 3, 300, 11, processes=0, batch_size=64, shard_size=128
-        )
-        settings = random_dynamo_search(
-            topo, 3, 3, 300, 11,
-            settings=ExecutionSettings(
-                processes=0, batch_size=64, shard_size=128
-            ),
-        )
-        assert outcome_key(kwargs) == outcome_key(settings)
 
-    def test_exhaustive_search(self):
-        topo = ToroidalMesh(3, 3)
-        kwargs = exhaustive_dynamo_search(topo, 1, 3, batch_size=128)
-        settings = exhaustive_dynamo_search(
-            topo, 1, 3, settings=ExecutionSettings(batch_size=128)
+        def run(name, settings):
+            db = WitnessDB(tmp_path / name)
+            out = random_dynamo_search(
+                topo, 3, 3, 300, 11, db=db, settings=settings
+            )
+            return out, (tmp_path / name).read_bytes()
+
+        unset, unset_db = run("unset.jsonl", ExecutionSettings())
+        explicit, explicit_db = run(
+            "explicit.jsonl", ExecutionSettings(batch_size=4096)
         )
-        assert outcome_key(kwargs) == outcome_key(settings)
+        assert unset.found_dynamo
+        assert outcome_key(unset) == outcome_key(explicit)
+        assert unset_db == explicit_db
+
+    def test_exhaustive_search(self, tmp_path):
+        topo = ToroidalMesh(3, 3)
+
+        def run(name, settings):
+            db = WitnessDB(tmp_path / name)
+            out = exhaustive_dynamo_search(topo, 3, 3, db=db, settings=settings)
+            return out, (tmp_path / name).read_bytes()
+
+        unset, unset_db = run("unset.jsonl", ExecutionSettings())
+        explicit, explicit_db = run(
+            "explicit.jsonl", ExecutionSettings(batch_size=8192)
+        )
+        assert unset.found_dynamo
+        assert outcome_key(unset) == outcome_key(explicit)
+        assert unset_db == explicit_db
 
     def test_exhaustive_min_size(self):
         topo = ToroidalMesh(3, 3)
-        kwargs = exhaustive_min_dynamo_size(topo, 3, max_seed_size=2)
-        settings = exhaustive_min_dynamo_size(
-            topo, 3, max_seed_size=2, settings=ExecutionSettings()
+        unset = exhaustive_min_dynamo_size(topo, 3, max_seed_size=2)
+        explicit = exhaustive_min_dynamo_size(
+            topo, 3, max_seed_size=2,
+            settings=ExecutionSettings(batch_size=8192),
         )
-        assert kwargs[0] == settings[0]
-        assert [outcome_key(o) for o in kwargs[1]] == [
-            outcome_key(o) for o in settings[1]
+        assert unset[0] == explicit[0]
+        assert [outcome_key(o) for o in unset[1]] == [
+            outcome_key(o) for o in explicit[1]
         ]
 
     def test_census(self, tmp_path):
-        from repro.io.witnessdb import WitnessDB
-
-        def run(db_path, **kw):
+        def run(db_path, settings):
             db = WitnessDB(db_path)
             rows = below_bound_census(
-                kinds=["mesh"], sizes=[3], random_trials=60, db=db, **kw
+                kinds=["mesh"], sizes=[3], random_trials=60, db=db,
+                settings=settings,
             )
             return rows, db_path.read_bytes()
 
-        rows_kw, bytes_kw = run(
-            tmp_path / "kw.jsonl", batch_size=512, processes=0
+        rows_unset, bytes_unset = run(
+            tmp_path / "unset.jsonl", ExecutionSettings()
         )
-        rows_st, bytes_st = run(
-            tmp_path / "st.jsonl",
-            settings=ExecutionSettings(batch_size=512, processes=0),
+        rows_explicit, bytes_explicit = run(
+            tmp_path / "explicit.jsonl", ExecutionSettings(batch_size=8192)
         )
-        assert rows_kw == rows_st
-        assert bytes_kw == bytes_st
-        assert rows_kw.run_stats == rows_st.run_stats
-        assert rows_st.run_stats.cells == 1
-        assert rows_st.run_stats.cache_hits == 0
+        assert rows_unset == rows_explicit
+        assert bytes_unset == bytes_explicit
+        assert rows_unset.run_stats == rows_explicit.run_stats
+        assert rows_unset.run_stats.cells == 1
+        assert rows_unset.run_stats.cache_hits == 0
 
     def test_convergence_sweep(self):
         points = [("mesh", 4, 4)]
-        kwargs = convergence_sweep(
-            points, "smp", replicas=32, batch_size=16, seed=5
+        unset = convergence_sweep(points, "smp", replicas=600, seed=5)
+        explicit = convergence_sweep(
+            points, "smp", replicas=600, seed=5,
+            settings=ExecutionSettings(batch_size=256),
         )
-        settings = convergence_sweep(
-            points, "smp", replicas=32, seed=5,
-            settings=ExecutionSettings(batch_size=16),
-        )
-        assert kwargs.tobytes() == settings.tobytes()
-        assert kwargs.shape == settings.shape
+        assert unset.tobytes() == explicit.tobytes()
+        assert unset.shape == explicit.shape
 
     def test_scale_free(self):
         pytest.importorskip("networkx")
@@ -185,14 +169,14 @@ class TestDriverParity:
             seed_fractions=(0.2,), graphs=2, replicas=4, max_rounds=40,
             seed=9,
         )
-        kwargs = scale_free_takeover_census(processes=0, **common)
-        settings = scale_free_takeover_census(
-            settings=ExecutionSettings(processes=0), **common
+        inline = scale_free_takeover_census(**common)
+        pooled = scale_free_takeover_census(
+            settings=ExecutionSettings(processes=2), **common
         )
-        assert [c.as_row() for c in kwargs.cells] == [
-            c.as_row() for c in settings.cells
+        assert [c.as_row() for c in inline.cells] == [
+            c.as_row() for c in pooled.cells
         ]
-        assert settings.run_stats == RunStats(cells=1)
+        assert pooled.run_stats == RunStats(cells=1)
 
     def test_scale_free_rejects_geometry_knobs(self):
         pytest.importorskip("networkx")
@@ -225,16 +209,3 @@ class TestCancellationPaths:
                 ),
             )
 
-
-def test_deprecated_stats_dicts_still_fill():
-    """The dict out-params stay populated for one deprecation cycle."""
-    stats = {}
-    rows = below_bound_census(
-        kinds=["mesh"], sizes=[3], random_trials=40, stats=stats
-    )
-    assert stats == {
-        "cells": 1,
-        "cache_hits": 0,
-        "witnesses_recorded": 0,
-    }
-    assert rows.run_stats.cells == 1

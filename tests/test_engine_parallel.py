@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import random_dynamo_search
+from repro.engine import ExecutionSettings
 from repro.engine.parallel import (
     kind_tag,
     resolve_processes,
@@ -34,7 +35,7 @@ def test_validate_processes_accepts_valid_counts():
     assert validate_processes(3) == 3
 
 
-@pytest.mark.parametrize("bad", [-1, -2, 2.5, "four"])
+@pytest.mark.parametrize("bad", [-1, -2, 2.5, "four", True, False])
 def test_validate_processes_rejects_invalid(bad):
     with pytest.raises(ValueError, match="processes"):
         validate_processes(bad)
@@ -49,12 +50,13 @@ def test_sweep_rounds_rejects_negative_processes():
 
 def test_drivers_share_process_validation():
     points = square_points("mesh", [4])
+    bad = ExecutionSettings(processes=-1)
     with pytest.raises(ValueError, match="processes"):
-        convergence_sweep(points, replicas=4, processes=-1)
+        convergence_sweep(points, replicas=4, settings=bad)
     with pytest.raises(ValueError, match="processes"):
-        below_bound_census(kinds=["mesh"], sizes=[4], processes=-1)
+        below_bound_census(kinds=["mesh"], sizes=[4], settings=bad)
     with pytest.raises(ValueError, match="processes"):
-        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, 7, processes=-1)
+        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, 7, settings=bad)
 
 
 def test_resolve_processes_caps_at_units():
@@ -102,34 +104,63 @@ def test_run_sharded_preserves_order():
     assert inline == pooled == [i * i for i in range(10)]
 
 
+def _square_or_fail(x):
+    if x == 3:
+        raise KeyError(f"shard {x} is bad")
+    return x * x
+
+
+@pytest.mark.parametrize("processes", [0, 2])
+def test_run_sharded_fails_fast_with_the_workers_own_exception(processes):
+    """No retry budget and no checkpoint: the first failing shard's own
+    exception surfaces unwrapped (not a ShardError), inline and pooled."""
+    with pytest.raises(KeyError) as exc_info:
+        run_sharded(_square_or_fail, range(8), processes=processes)
+    assert exc_info.type is KeyError
+    assert exc_info.value.args == ("shard 3 is bad",)
+
+
 # ----------------------------------------------------------------------
 # process-count parity: bitwise-identical at 0, 1, and 4 processes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("processes", [1, 4])
 def test_convergence_sweep_process_parity(processes):
     points = square_points("mesh", [4]) + square_points("cordalis", [4])
-    kwargs = dict(replicas=48, shard_size=16, batch_size=16, seed=99)
-    inline = convergence_sweep(points, **kwargs, processes=0)
-    sharded = convergence_sweep(points, **kwargs, processes=processes)
+    inline = convergence_sweep(
+        points, replicas=48, seed=99,
+        settings=ExecutionSettings(processes=0, shard_size=16, batch_size=16),
+    )
+    sharded = convergence_sweep(
+        points, replicas=48, seed=99,
+        settings=ExecutionSettings(
+            processes=processes, shard_size=16, batch_size=16
+        ),
+    )
     assert np.array_equal(inline, sharded)
 
 
 @pytest.mark.parametrize("processes", [1, 4])
 def test_census_process_parity(processes):
-    kwargs = dict(kinds=["mesh", "cordalis"], sizes=[4], random_trials=800,
-                  shard_size=256)
-    assert below_bound_census(**kwargs, processes=0) == below_bound_census(
-        **kwargs, processes=processes
+    kwargs = dict(kinds=["mesh", "cordalis"], sizes=[4], random_trials=800)
+    assert below_bound_census(
+        **kwargs, settings=ExecutionSettings(processes=0, shard_size=256)
+    ) == below_bound_census(
+        **kwargs,
+        settings=ExecutionSettings(processes=processes, shard_size=256),
     )
 
 
 @pytest.mark.parametrize("processes", [1, 4])
 def test_random_search_process_parity(processes):
     topo = ToroidalMesh(3, 3)
-    a = random_dynamo_search(topo, 3, 3, 1000, [7, 11], shard_size=128,
-                             processes=0)
-    b = random_dynamo_search(topo, 3, 3, 1000, [7, 11], shard_size=128,
-                             processes=processes)
+    a = random_dynamo_search(
+        topo, 3, 3, 1000, [7, 11],
+        settings=ExecutionSettings(processes=0, shard_size=128),
+    )
+    b = random_dynamo_search(
+        topo, 3, 3, 1000, [7, 11],
+        settings=ExecutionSettings(processes=processes, shard_size=128),
+    )
     assert a.examined == b.examined == 1000
     assert len(a.witnesses) == len(b.witnesses)
     for (wa, ma), (wb, mb) in zip(a.witnesses, b.witnesses):
@@ -139,10 +170,11 @@ def test_random_search_process_parity(processes):
 def test_random_search_seed_material_forms_agree():
     """An int seed and a one-word entropy list derive the same shards."""
     topo = ToroidalMesh(3, 3)
-    a = random_dynamo_search(topo, 3, 3, 500, 7, shard_size=100)
-    b = random_dynamo_search(topo, 3, 3, 500, [7], shard_size=100)
+    shards = ExecutionSettings(shard_size=100)
+    a = random_dynamo_search(topo, 3, 3, 500, 7, settings=shards)
+    b = random_dynamo_search(topo, 3, 3, 500, [7], settings=shards)
     c = random_dynamo_search(topo, 3, 3, 500, np.random.SeedSequence([7]),
-                             shard_size=100)
+                             settings=shards)
     assert len(a.witnesses) == len(b.witnesses) == len(c.witnesses)
     for (wa, _), (wb, _), (wc, _) in zip(a.witnesses, b.witnesses, c.witnesses):
         assert np.array_equal(wa, wb) and np.array_equal(wa, wc)
@@ -150,7 +182,8 @@ def test_random_search_seed_material_forms_agree():
 
 def test_random_search_generator_cannot_shard(rng):
     with pytest.raises(ValueError, match="Generator"):
-        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, rng, processes=2)
+        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, rng,
+                             settings=ExecutionSettings(processes=2))
 
 
 def test_census_cells_are_independent():
@@ -170,8 +203,7 @@ def test_convergence_sweep_seed_stability():
     recs = convergence_sweep(
         square_points("mesh", [4, 5]),
         replicas=64,
-        shard_size=16,
-        batch_size=16,
+        settings=ExecutionSettings(shard_size=16, batch_size=16),
     )
     assert list(recs["converged_frac"]) == [0.375, 0.46875]
     assert list(recs["monochromatic_frac"]) == [0.109375, 0.078125]
@@ -194,7 +226,7 @@ def test_census_seed_stability():
 
 def test_random_search_seed_stability():
     out = random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 1000, [7, 11],
-                               shard_size=128)
+                               settings=ExecutionSettings(shard_size=128))
     assert out.examined == 1000
     assert not out.exhaustive
     assert len(out.witnesses) == 35

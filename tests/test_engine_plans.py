@@ -14,6 +14,7 @@ Two contracts are pinned here:
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.engine import (
     DEFAULT_PLAN,
     NO_PLAN,
     ExecutionPlan,
+    ExecutionSettings,
     clear_plan_cache,
     default_initial_rounds,
     default_round_cap,
@@ -170,10 +172,14 @@ def test_escalation_retires_cycling_rows_early(rng):
 # ----------------------------------------------------------------------
 def test_random_search_is_plan_independent():
     topo = ToroidalMesh(4, 4)
-    kwargs = dict(k=0, monotone_only=True, batch_size=128, processes=0)
-    ref = random_dynamo_search(topo, 3, 5, 4096, 0xBEEF, plan=NO_PLAN, **kwargs)
+    settings = ExecutionSettings(batch_size=128, processes=0)
+    ref = random_dynamo_search(
+        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
+        settings=replace(settings, plan=NO_PLAN),
+    )
     out = random_dynamo_search(
-        topo, 3, 5, 4096, 0xBEEF, plan=ExecutionPlan(initial_rounds=4), **kwargs
+        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
+        settings=replace(settings, plan=ExecutionPlan(initial_rounds=4)),
     )
     assert out.examined == ref.examined
     assert len(out.witnesses) == len(ref.witnesses)
@@ -187,7 +193,9 @@ def test_census_rows_and_witness_ids_are_plan_independent(tmp_path):
     dbs, rows = {}, {}
     for name, plan in (("off", NO_PLAN), ("on", DEFAULT_PLAN)):
         db = WitnessDB(tmp_path / f"{name}.jsonl")
-        rows[name] = below_bound_census(db=db, plan=plan, **kwargs)
+        rows[name] = below_bound_census(
+            db=db, settings=ExecutionSettings(plan=plan), **kwargs
+        )
         dbs[name] = db
     assert rows["off"] == rows["on"]
     ids_off = sorted(r.id for r in dbs["off"])
@@ -204,22 +212,29 @@ def test_cached_census_serves_across_plans(tmp_path):
     plan settings never enter the cell definition."""
     path = tmp_path / "w.jsonl"
     kwargs = dict(kinds=["mesh"], sizes=[3], random_trials=400)
-    first = below_bound_census(db=WitnessDB(path), plan=NO_PLAN, **kwargs)
-    stats = {}
+    first = below_bound_census(
+        db=WitnessDB(path), settings=ExecutionSettings(plan=NO_PLAN), **kwargs
+    )
     second = below_bound_census(
-        db=WitnessDB(path), plan=ExecutionPlan(initial_rounds=2), stats=stats,
+        db=WitnessDB(path),
+        settings=ExecutionSettings(plan=ExecutionPlan(initial_rounds=2)),
         **kwargs,
     )
     assert first == second
-    assert stats["cache_hits"] == stats["cells"] == 1
+    assert second.run_stats.cache_hits == second.run_stats.cells == 1
 
 
 def test_convergence_sweep_is_plan_independent():
     pts = [("mesh", 4, 4), ("cordalis", 5, 5)]
-    kwargs = dict(replicas=128, batch_size=64, processes=0)
+    settings = ExecutionSettings(batch_size=64, processes=0)
     assert np.array_equal(
-        convergence_sweep(pts, plan=NO_PLAN, **kwargs),
-        convergence_sweep(pts, plan=ExecutionPlan(initial_rounds=3), **kwargs),
+        convergence_sweep(
+            pts, replicas=128, settings=replace(settings, plan=NO_PLAN)
+        ),
+        convergence_sweep(
+            pts, replicas=128,
+            settings=replace(settings, plan=ExecutionPlan(initial_rounds=3)),
+        ),
     )
 
 
@@ -458,17 +473,18 @@ def test_sharded_search_keeps_parent_cache_untouched():
     counters must not move while shards run elsewhere."""
     topo = ToroidalMesh(4, 4)
     before = plan_cache_stats()
+    settings = ExecutionSettings(batch_size=64, shard_size=128)
     out = random_dynamo_search(
-        topo, 3, 5, 512, 0xBEEF, monotone_only=True, batch_size=64,
-        shard_size=128, processes=2,
+        topo, 3, 5, 512, 0xBEEF, monotone_only=True,
+        settings=replace(settings, processes=2),
     )
     assert out.examined == 512
     after = plan_cache_stats()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     # and the sharded outcome matches the inline one bitwise
     inline = random_dynamo_search(
-        topo, 3, 5, 512, 0xBEEF, monotone_only=True, batch_size=64,
-        shard_size=128, processes=0,
+        topo, 3, 5, 512, 0xBEEF, monotone_only=True,
+        settings=replace(settings, processes=0),
     )
     assert len(out.witnesses) == len(inline.witnesses)
     for (ca, ma), (cb, mb) in zip(out.witnesses, inline.witnesses):

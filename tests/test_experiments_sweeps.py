@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionSettings
 from repro.experiments import (
     convergence_sweep,
     rect_points,
@@ -44,7 +45,8 @@ def test_sweep_parallel_matches_inline():
 
 def test_convergence_sweep_records():
     recs = convergence_sweep(
-        square_points("mesh", [4]), replicas=32, batch_size=8, shard_size=8
+        square_points("mesh", [4]), replicas=32,
+        settings=ExecutionSettings(batch_size=8, shard_size=8),
     )
     (r,) = recs
     assert r["replicas"] == 32
@@ -59,7 +61,8 @@ def test_convergence_sweep_validates_early():
     with pytest.raises(ValueError):
         convergence_sweep(square_points("mesh", [4]), "no-such-rule", replicas=4)
     with pytest.raises(ValueError, match="processes"):
-        convergence_sweep(square_points("mesh", [4]), replicas=4, processes=-3)
+        convergence_sweep(square_points("mesh", [4]), replicas=4,
+                          settings=ExecutionSettings(processes=-3))
 
 
 def test_sweep_mixed_kinds():

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core import build_minimum_dynamo
+from repro.engine import RunStats
 from repro.ext import async_robustness, order_sensitivity
 
 
@@ -98,21 +99,15 @@ def test_db_caches_summary(tmp_path):
 
     path = tmp_path / "w.jsonl"
     con = build_minimum_dynamo("mesh", 5, 5)
-    stats = {}
-    first = async_robustness(con, trials=5, seed=9, db=WitnessDB(path),
-                             stats=stats)
-    assert stats == {"cache_hit": False, "recorded": True}
-    stats = {}
-    second = async_robustness(con, trials=5, seed=9, db=WitnessDB(path),
-                              stats=stats)
-    assert stats == {"cache_hit": True, "recorded": False}
+    first = async_robustness(con, trials=5, seed=9, db=WitnessDB(path))
+    assert first.run_stats == RunStats(cells=1, records_appended=1)
+    second = async_robustness(con, trials=5, seed=9, db=WitnessDB(path))
+    assert second.run_stats == RunStats(cells=1, cache_hits=1)
     assert first == second
     # trial count is part of the definition: no false hit
-    stats = {}
-    async_robustness(con, trials=6, seed=9, db=WitnessDB(path), stats=stats)
-    assert stats["cache_hit"] is False
+    third = async_robustness(con, trials=6, seed=9, db=WitnessDB(path))
+    assert third.run_stats.cache_hits == 0
     # a different configuration (digest) misses too
-    stats = {}
-    async_robustness(build_minimum_dynamo("mesh", 7, 7), trials=5, seed=9,
-                     db=WitnessDB(path), stats=stats)
-    assert stats["cache_hit"] is False
+    other = async_robustness(build_minimum_dynamo("mesh", 7, 7), trials=5,
+                             seed=9, db=WitnessDB(path))
+    assert other.run_stats.cache_hits == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import ExecutionSettings, RunStats
 from repro.ext import (
     barabasi_albert_topology,
     run_scale_free_experiment,
@@ -110,8 +111,12 @@ def test_census_bitwise_identical_at_any_process_count():
 
     kwargs = dict(n=60, graphs=2, replicas=8, seed_fractions=(0.05,),
                   strategies=("hubs", "random"), seed=17)
-    inline = scale_free_takeover_census(processes=0, **kwargs)
-    pooled = scale_free_takeover_census(processes=2, **kwargs)
+    inline = scale_free_takeover_census(
+        settings=ExecutionSettings(processes=0), **kwargs
+    )
+    pooled = scale_free_takeover_census(
+        settings=ExecutionSettings(processes=2), **kwargs
+    )
     assert inline.cells == pooled.cells
 
 
@@ -120,8 +125,10 @@ def test_census_backend_invariant():
 
     kwargs = dict(n=60, graphs=2, replicas=8, seed_fractions=(0.05,),
                   strategies=("hubs",), seed=17)
-    assert (scale_free_takeover_census(backend="reference", **kwargs).cells
-            == scale_free_takeover_census(backend="stencil", **kwargs).cells)
+    reference = ExecutionSettings(backend="reference")
+    stencil = ExecutionSettings(backend="stencil")
+    assert (scale_free_takeover_census(settings=reference, **kwargs).cells
+            == scale_free_takeover_census(settings=stencil, **kwargs).cells)
 
 
 def test_census_db_cache_round_trip(tmp_path):
@@ -131,22 +138,20 @@ def test_census_db_cache_round_trip(tmp_path):
     path = tmp_path / "w.jsonl"
     kwargs = dict(n=60, graphs=2, replicas=8, seed_fractions=(0.05, 0.1),
                   strategies=("hubs",), seed=17)
-    stats = {}
-    first = scale_free_takeover_census(db=WitnessDB(path), stats=stats, **kwargs)
-    assert stats == {"cells": 2, "cache_hits": 0, "recorded": 2}
-    stats = {}
-    second = scale_free_takeover_census(db=WitnessDB(path), stats=stats, **kwargs)
-    assert stats == {"cells": 2, "cache_hits": 2, "recorded": 0}
+    first = scale_free_takeover_census(db=WitnessDB(path), **kwargs)
+    assert first.run_stats == RunStats(cells=2, records_appended=2)
+    second = scale_free_takeover_census(db=WitnessDB(path), **kwargs)
+    assert second.run_stats == RunStats(cells=2, cache_hits=2)
     assert all(c.from_cache for c in second.cells)
     for a, b in zip(first.cells, second.cells):
         assert a.as_row() == b.as_row()
     # a different definition key misses the cache
-    stats = {}
-    scale_free_takeover_census(
-        db=WitnessDB(path), stats=stats,
+    third = scale_free_takeover_census(
+        db=WitnessDB(path),
         **{**kwargs, "seed": 18},
     )
-    assert stats["cache_hits"] == 0 and stats["recorded"] == 2
+    assert third.run_stats.cache_hits == 0
+    assert third.run_stats.records_appended == 2
 
 
 def test_census_validates_inputs():

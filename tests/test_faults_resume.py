@@ -21,7 +21,12 @@ from faults import (
     run_cli_killed,
     tear_tail,
 )
-from repro.engine.parallel import ShardError, run_sharded
+from repro.engine.parallel import (
+    DEFAULT_SHARD_RETRIES,
+    RunCancelled,
+    ShardError,
+    run_sharded,
+)
 from repro.io.ledger import LedgerScope, RunLedger
 from repro.io.witnessdb import WitnessDB
 
@@ -242,6 +247,39 @@ def test_exhausted_retries_without_checkpoint_name_the_index(tmp_path):
         run_sharded(flaky, UNITS, processes=0, max_retries=1)
     assert exc_info.value.key == 0
     assert exc_info.value.attempts == 2
+
+
+def test_cancel_stops_a_running_pool_and_resumes_bitwise(tmp_path):
+    """A cancel that trips while a pool is running stops it after the
+    next committed shard: the shards no worker started are dropped, the
+    committed ones stay in the ledger, and resuming from that ledger
+    returns exactly the uninterrupted results."""
+    units = [(23, i) for i in range(10)]
+    expected = [_noisy_worker(u) for u in units]
+    definition = {"experiment": "cancel-test", "dynamics": "d1", "seed": 23}
+    led = RunLedger(tmp_path / "led.jsonl")
+    rid = led.begin(definition)
+    scope = LedgerScope(led, rid, prefix=("cancel",))
+    with pytest.raises(RunCancelled):
+        run_sharded(
+            _noisy_worker, units, processes=2,
+            checkpoint=scope.checkpoint(len(units)),
+            max_retries=DEFAULT_SHARD_RETRIES,
+            cancel=lambda: led.shard_count(rid) >= 1,
+        )
+    committed = RunLedger(tmp_path / "led.jsonl").shard_count(rid)
+    assert 1 <= committed < len(units)
+
+    led = RunLedger(tmp_path / "led.jsonl")
+    rid = led.begin(definition, resume=True)
+    scope = LedgerScope(led, rid, prefix=("cancel",))
+    got = run_sharded(
+        _noisy_worker, units, processes=2,
+        checkpoint=scope.checkpoint(len(units)),
+        max_retries=DEFAULT_SHARD_RETRIES,
+    )
+    assert got == expected
+    assert led.shard_count(rid) == len(units)
 
 
 # ----------------------------------------------------------------------

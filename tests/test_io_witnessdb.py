@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.experiments.census as census_mod
+from repro.engine import ExecutionSettings
 from repro.core.search import exhaustive_dynamo_search, random_dynamo_search
 from repro.experiments import below_bound_census
 from repro.io import (
@@ -96,7 +97,7 @@ def test_lookup_and_best(tmp_path):
 def test_random_search_cache_hit_bitwise(tmp_path):
     topo = ToroidalMesh(4, 4)
     db = WitnessDB(tmp_path / "w.jsonl")
-    kw = dict(monotone_only=True, batch_size=512)
+    kw = dict(monotone_only=True, settings=ExecutionSettings(batch_size=512))
     fresh = random_dynamo_search(topo, 4, 5, 2000, [1, 2], db=db, **kw)
     assert fresh.found_monotone_dynamo and not fresh.cached
     cached = random_dynamo_search(topo, 4, 5, 2000, [1, 2], db=db, **kw)
@@ -127,7 +128,7 @@ def test_cache_preserves_found_monotone_across_record_cap(tmp_path):
     (regression: monotone witnesses past the cap used to vanish)."""
     topo = ToroidalMesh(3, 3)
     db = WitnessDB(tmp_path / "w.jsonl")
-    kw = dict(monotone_only=False, batch_size=512)
+    kw = dict(monotone_only=False, settings=ExecutionSettings(batch_size=512))
     fresh = random_dynamo_search(topo, 4, 4, 3000, [9, 9], db=db, **kw)
     assert len(fresh.witnesses) > 16  # the cap really truncated
     assert fresh.found_monotone_dynamo
@@ -145,7 +146,10 @@ def test_cache_complete_when_definitions_overlap(tmp_path):
     to come back from cache with only its non-shared witnesses)."""
     topo = ToroidalMesh(4, 4)
     db = WitnessDB(tmp_path / "w.jsonl")
-    kw = dict(monotone_only=True, batch_size=500, shard_size=500)
+    kw = dict(
+        monotone_only=True,
+        settings=ExecutionSettings(batch_size=500, shard_size=500),
+    )
     small = random_dynamo_search(topo, 4, 5, 2000, [7], db=db, **kw)
     fresh = random_dynamo_search(topo, 4, 5, 4000, [7], db=db, **kw)
     assert small.found_dynamo and not fresh.cached
@@ -181,12 +185,12 @@ def test_generator_rng_records_but_never_caches(tmp_path):
 def test_census_cache_hit_short_circuits_the_search(tmp_path, monkeypatch):
     path = tmp_path / "w.jsonl"
     kw = dict(kinds=["mesh"], sizes=[3, 4], random_trials=1500)
-    s1, s2 = {}, {}
-    fresh = below_bound_census(db=path, stats=s1, **kw)
+    fresh = below_bound_census(db=path, **kw)
     # (the 3x3 cell's witness is already recorded by the inner exhaustive
     # search, so the census-level add dedupes it: recorded counts new rows)
-    assert s1["cells"] == 2 and s1["cache_hits"] == 0
-    assert s1["witnesses_recorded"] >= 1
+    s1 = fresh.run_stats
+    assert s1.cells == 2 and s1.cache_hits == 0
+    assert s1.records_appended >= 1
 
     def boom(*a, **k):  # any search on the second run is a cache failure
         raise AssertionError("cache miss: the census re-ran a search")
@@ -194,8 +198,9 @@ def test_census_cache_hit_short_circuits_the_search(tmp_path, monkeypatch):
     monkeypatch.setattr(census_mod, "exhaustive_min_dynamo_size", boom)
     monkeypatch.setattr(census_mod, "random_dynamo_search", boom)
     monkeypatch.setattr(census_mod, "diagonal_dynamo", boom)
-    cached = below_bound_census(db=path, stats=s2, **kw)
-    assert s2["cache_hits"] == 2 and s2["witnesses_recorded"] == 0
+    cached = below_bound_census(db=path, **kw)
+    s2 = cached.run_stats
+    assert s2.cache_hits == 2 and s2.records_appended == 0
     assert cached == fresh
     # ... and the db file did not grow on the all-hit run
     assert below_bound_census(db=path, **kw) == fresh

@@ -11,8 +11,7 @@ hand-maintained list:
 * RPL-C002 — dotted ``repro.*`` cross-references and backticked repo
   paths in README.md / docs/*.md must resolve against the source tree.
 * RPL-C003 — every documented ``repro-dynamo`` invocation must parse
-  against the real parser (absorbed from the former standalone
-  ``tools/check_docs_cli.py``, which now delegates here).
+  against the real parser.
 * RPL-C004 — retired modules must not be referenced from README.md /
   docs/*.md.  Currently only ``repro.core.batch`` is retired; its docs
   live in the module docstring (which is exempt — only prose docs are
