@@ -27,6 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..engine.context import CancelCheck
 from ..topology.base import GridTopology
 from ..topology.tori import make_torus
 from .complement import minimum_palette_complement
@@ -79,12 +80,15 @@ def diagonal_dynamo(
     use_cache: bool = True,
     max_palette: int = 4,
     max_nodes: int = 20_000_000,
+    cancel: Optional[CancelCheck] = None,
 ) -> Optional[Construction]:
     """A size-n monotone dynamo on the n x n torus seeded on the diagonal.
 
     Returns None when the complement search exhausts its budget without a
     witness (expected for n beyond ~6 — the DFS is exponential; no claim
-    is made either way there).
+    is made either way there).  ``cancel`` is polled by the complement
+    search, which raises :class:`~repro.engine.parallel.RunCancelled`
+    once it trips.
     """
     if n < 3:
         raise ValueError("diagonal dynamos need n >= 3")
@@ -99,7 +103,8 @@ def diagonal_dynamo(
         palette_size = 2
     else:
         found = minimum_palette_complement(
-            topo, seed_ids, k=0, max_palette=max_palette, max_nodes=max_nodes
+            topo, seed_ids, k=0, max_palette=max_palette, max_nodes=max_nodes,
+            cancel=cancel,
         )
         if found is None:
             return None

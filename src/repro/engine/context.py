@@ -110,7 +110,8 @@ class ExecutionSettings:
         Capture level for the driver-opened session.
     cancel:
         Cancellation probe checked between shards (and, on a pool,
-        after every committed shard); a ``True`` return makes the
+        after every committed shard) and, inside the census's complement
+        search, before every leaf block; a ``True`` return makes the
         driver raise :class:`~repro.engine.parallel.
         RunCancelled`.  Work already committed (db records, ledger
         shards) stays committed — a cancelled run resumes like a

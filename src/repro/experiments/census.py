@@ -345,7 +345,8 @@ def below_bound_census(
                         continue
                     # diagonal family first (cheap for cached mesh sizes)
                     con = diagonal_dynamo(
-                        n, kind, max_nodes=2_000_000 if n <= 5 else 8_000_000
+                        n, kind, max_nodes=2_000_000 if n <= 5 else 8_000_000,
+                        cancel=settings.cancel,
                     )
                     if con is not None and is_monotone_dynamo(
                         con.topo, con.colors, con.k

@@ -10,9 +10,16 @@ it breaks as soon as another directory (e.g. ``benchmarks/``) also has a
 
 from __future__ import annotations
 
+from typing import Iterable, Optional, Sequence
+
 import numpy as np
 
+from repro.core.complement import _wavefront_order
+from repro.engine.runner import run_synchronous
+from repro.rules.smp import SMPRule
+from repro.structures.blocks import prune_to_core
 from repro.topology import ToroidalMesh, TorusCordalis, TorusSerpentinus
+from repro.topology.base import Topology
 
 #: the three torus classes, keyed by the registry names used everywhere
 TORUS_KINDS = {
@@ -34,3 +41,93 @@ def grid_colors(topo, rows):
     arr = np.asarray(rows, dtype=np.int32)
     assert arr.shape == (topo.m, topo.n)
     return arr.reshape(-1)
+
+
+def reference_dynamo_complement(
+    topo: Topology,
+    seed_ids: Iterable[int] | np.ndarray,
+    k: int,
+    palette: Sequence[int],
+    *,
+    require_monotone: bool = True,
+    max_nodes: int = 2_000_000,
+    max_rounds: Optional[int] = None,
+) -> Optional[np.ndarray]:
+    """The scalar complement DFS: one ``run_synchronous`` per leaf and a
+    whole-graph ``prune_to_core`` at every node.
+
+    Reference for :func:`repro.core.complement.find_dynamo_complement`,
+    which must return the same vector (or None) on every input.
+
+    ``palette`` lists the non-k colors available for complement cells.
+    Returns the full color vector, or None when the search space is
+    exhausted (or the node budget ``max_nodes`` is hit — treat None as
+    "not found", not a proof, when the budget binds).
+    """
+    seed_ids = np.asarray(sorted(set(int(v) for v in seed_ids)), dtype=np.int64)
+    n = topo.num_vertices
+    if seed_ids.size and (seed_ids[0] < 0 or seed_ids[-1] >= n):
+        raise ValueError("seed vertex id out of range")
+    palette = [int(c) for c in palette]
+    if k in palette:
+        raise ValueError("palette must not contain the target color")
+    colors = np.full(n, -1, dtype=np.int64)
+    colors[seed_ids] = k
+    cells = _wavefront_order(topo, seed_ids)
+    rule = SMPRule()
+    budget = [max_nodes]
+
+    def fully_assigned_neighbors(v: int) -> bool:
+        nb = topo.neighbors[v, : topo.degrees[v]]
+        return bool(np.all(colors[nb] >= 0))
+
+    def seed_protected(v: int) -> bool:
+        """Seed vertex v keeps k at round 1 (only called when decidable)."""
+        nb = [int(colors[int(w)]) for w in topo.neighbors[v, : topo.degrees[v]]]
+        return rule.update_vertex(k, nb) == k
+
+    def assigned_non_k_block_exists() -> bool:
+        assigned_non_k = colors >= 0
+        assigned_non_k &= colors != k
+        core = prune_to_core(topo, assigned_non_k, 3)
+        return bool(core.any())
+
+    def leaf_check() -> bool:
+        cand = colors.astype(np.int32)
+        res = run_synchronous(
+            topo, cand, rule, max_rounds=max_rounds, target_color=k,
+            track_changes=False,
+        )
+        ok = res.is_dynamo_run(k)
+        if ok and require_monotone:
+            ok = bool(res.monotone)
+        return ok
+
+    def dfs(idx: int) -> bool:
+        if budget[0] <= 0:
+            return False
+        budget[0] -= 1
+        if idx == len(cells):
+            return leaf_check()
+        v = cells[idx]
+        for c in palette:
+            colors[v] = c
+            if require_monotone:
+                bad = False
+                for u in [v] + [int(w) for w in topo.neighbors[v, : topo.degrees[v]]]:
+                    if colors[u] == k and fully_assigned_neighbors(u):
+                        if not seed_protected(u):
+                            bad = True
+                            break
+                if bad:
+                    continue
+            if assigned_non_k_block_exists():
+                continue
+            if dfs(idx + 1):
+                return True
+        colors[v] = -1
+        return False
+
+    if dfs(0):
+        return colors.astype(np.int32)
+    return None

@@ -1,15 +1,30 @@
 """Complement-coloring search tests."""
 
+import helpers
 import numpy as np
 import pytest
+from helpers import reference_dynamo_complement
 
+import repro.core.complement as complement_module
+import repro.engine.batch as batch_module
+import repro.engine.plans as plans_module
+import repro.experiments.census as census_module
+from repro import obs
 from repro.core import (
     find_dynamo_complement,
     is_monotone_dynamo,
     minimum_palette_complement,
     theorem2_mesh_dynamo,
 )
+from repro.core.complement import LEAF_BLOCK
+from repro.core.diagonal import diagonal_seed
+from repro.engine.context import ExecutionSettings
+from repro.engine.parallel import RunCancelled
+from repro.engine.plans import clear_plan_cache, plan_cache_stats
+from repro.experiments import below_bound_census
+from repro.obs.report import summarize_stream
 from repro.topology import ToroidalMesh, TorusCordalis
+from repro.topology.tori import make_torus
 
 
 def test_rejects_bad_inputs():
@@ -88,3 +103,304 @@ def test_budget_exhaustion_returns_none():
     assert (
         find_dynamo_complement(topo, diag, 0, [1, 2], max_nodes=1) is None
     )
+
+
+# ---------------------------------------------------------------------------
+# input validation happens before the first node is visited
+# ---------------------------------------------------------------------------
+
+
+def test_rejects_negative_colors_before_searching():
+    # a negative color would read as the unassigned sentinel mid-search
+    topo = ToroidalMesh(3, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        find_dynamo_complement(topo, [0, 4, 8], 0, [-2, 1], max_nodes=3)
+    with pytest.raises(ValueError, match="non-negative"):
+        find_dynamo_complement(topo, [0, 4, 8], -1, [1, 2], max_nodes=3)
+
+
+def test_rejects_bad_round_cap_before_searching():
+    topo = ToroidalMesh(3, 3)
+    with pytest.raises(ValueError, match="max_rounds"):
+        find_dynamo_complement(
+            topo, [0, 4, 8], 0, [1, 2], max_nodes=1, max_rounds=-1
+        )
+
+
+# ---------------------------------------------------------------------------
+# parity with the scalar reference DFS (tests/helpers.py)
+# ---------------------------------------------------------------------------
+
+
+def _assert_same(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want)
+
+
+def _random_case(i):
+    rng = np.random.default_rng([0xC0, i])
+    kind = str(rng.choice(["mesh", "cordalis", "serpentinus"]))
+    n = int(rng.integers(3, 6))
+    topo = make_torus(kind, n, n)
+    if rng.random() < 0.5:
+        seed = diagonal_seed(topo)
+    else:
+        size = int(rng.integers(1, 2 * n))
+        seed = rng.choice(n * n, size=size, replace=False).tolist()
+    k = int(rng.integers(0, 3))
+    palette = [c for c in range(6) if c != k][: int(rng.integers(1, 5))]
+    kwargs = dict(
+        require_monotone=bool(rng.random() < 0.7),
+        max_nodes=int(rng.choice([40, 300, 1000, 3000])),
+        max_rounds=None if rng.random() < 0.75 else int(rng.integers(0, 5)),
+    )
+    return topo, seed, k, palette, kwargs
+
+
+@pytest.mark.parametrize("case", range(32))
+def test_matches_scalar_reference(case):
+    topo, seed, k, palette, kwargs = _random_case(case)
+    want = reference_dynamo_complement(topo, seed, k, palette, **kwargs)
+    _assert_same(find_dynamo_complement(topo, seed, k, palette, **kwargs), want)
+
+
+@pytest.mark.parametrize("max_rounds", [0, 1, 2, 3, None])
+@pytest.mark.parametrize("kind", ["mesh", "cordalis"])
+def test_round_cap_parity(kind, max_rounds):
+    topo = make_torus(kind, 4, 4)
+    seed = diagonal_seed(topo)
+    for palette in ([1, 2], [1, 2, 3]):
+        kwargs = dict(max_nodes=20_000, max_rounds=max_rounds)
+        want = reference_dynamo_complement(topo, seed, 0, palette, **kwargs)
+        _assert_same(find_dynamo_complement(topo, seed, 0, palette, **kwargs), want)
+
+
+def test_random_parity_cases_include_witnesses():
+    found = 0
+    for case in range(32):
+        topo, seed, k, palette, kwargs = _random_case(case)
+        found += find_dynamo_complement(topo, seed, k, palette, **kwargs) is not None
+    assert 3 <= found < 32
+
+
+def _reference_trace(topo, seed, k, palette, max_nodes, require_monotone=True):
+    """Run the reference DFS and log its visits in order: ``None`` for each
+    child it enters (a prune that did not fire), the verdict for each leaf."""
+    events = []
+    real_prune, real_run = helpers.prune_to_core, helpers.run_synchronous
+
+    def prune(*args, **kwargs):
+        core = real_prune(*args, **kwargs)
+        if not core.any():
+            events.append(None)
+        return core
+
+    def run(*args, **kwargs):
+        res = real_run(*args, **kwargs)
+        ok = res.is_dynamo_run(k) and (not require_monotone or bool(res.monotone))
+        events.append(ok)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helpers, "prune_to_core", prune)
+        mp.setattr(helpers, "run_synchronous", run)
+        result = reference_dynamo_complement(
+            topo, seed, k, palette, max_nodes=max_nodes,
+            require_monotone=require_monotone,
+        )
+    return result, events
+
+
+def _budget_through_leaf(events, leaf):
+    """The node budget that ends exactly on the ``leaf``-th leaf (1-based)."""
+    seen = 0
+    for i, event in enumerate(events):
+        if event is not None:
+            seen += 1
+            if seen == leaf:
+                # the root plus every child entered up to this leaf
+                return 1 + events[:i].count(None)
+    raise AssertionError(f"trace holds only {seen} leaves")
+
+
+def _leaf_pass_positions(events):
+    leaves = [e for e in events if e is not None]
+    return [i + 1 for i, ok in enumerate(leaves) if ok]
+
+
+@pytest.fixture(scope="module")
+def open_cell_trace():
+    """The open cell (cordalis 6x6 diagonal, palette {1,2,3}): no witness
+    within reach, and a leaf at about every other node."""
+    topo = make_torus("cordalis", 6, 6)
+    seed = diagonal_seed(topo)
+    result, events = _reference_trace(topo, seed, 0, [1, 2, 3], max_nodes=1500)
+    assert result is None and not _leaf_pass_positions(events)
+    return topo, seed, events
+
+
+@pytest.mark.parametrize("leaves", [1, 100, 255, 256, 257, 300])
+def test_budget_parity_at_block_edges(monkeypatch, open_cell_trace, leaves):
+    topo, seed, events = open_cell_trace
+    budget = _budget_through_leaf(events, leaves)
+    blocks = []
+    real = batch_module.run_batch
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        blocks.append(res.batch_size)
+        return res
+
+    monkeypatch.setattr(batch_module, "run_batch", counting)
+    assert find_dynamo_complement(topo, seed, 0, [1, 2, 3], max_nodes=budget) is None
+    # every leaf is verified, in fixed-height blocks
+    assert blocks == [LEAF_BLOCK] * -(-leaves // LEAF_BLOCK)
+
+
+#: inputs whose first passing leaf sits on a block edge (found by scanning
+#: random seeds; the trace re-derives the position every run)
+EDGE_WITNESSES = {
+    "last-row-of-block": (
+        ("serpentinus", 5, [0, 1, 2, 3, 7, 13, 24], [1, 2, 3]), LEAF_BLOCK,
+    ),
+    "first-row-of-block": (
+        ("mesh", 5, [2, 6, 8, 15, 16, 18, 20, 22, 24], [1, 2, 3, 4]),
+        LEAF_BLOCK + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_WITNESSES))
+def test_witness_on_block_edge(edge):
+    (kind, n, seed, palette), position = EDGE_WITNESSES[edge]
+    topo = make_torus(kind, n, n)
+    want, events = _reference_trace(topo, seed, 0, palette, max_nodes=20_000)
+    assert want is not None
+    assert _leaf_pass_positions(events)[0] == position
+    _assert_same(find_dynamo_complement(topo, seed, 0, palette, max_nodes=20_000), want)
+    # a budget ending on the witness leaf still finds it; one node less cannot
+    budget = _budget_through_leaf(events, position)
+    for nodes, expect in ((budget, want), (budget - 1, None)):
+        _assert_same(
+            reference_dynamo_complement(topo, seed, 0, palette, max_nodes=nodes),
+            expect,
+        )
+        _assert_same(
+            find_dynamo_complement(topo, seed, 0, palette, max_nodes=nodes),
+            expect,
+        )
+
+
+def test_disagreeing_engines_raise(monkeypatch):
+    # a leaf run_batch passes but run_synchronous rejects is never returned
+    topo = ToroidalMesh(3, 3)
+    diag = [topo.vertex_index(i, i) for i in range(3)]
+    real = complement_module.run_synchronous
+
+    def rejecting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.converged = False
+        return res
+
+    monkeypatch.setattr(complement_module, "run_synchronous", rejecting)
+    with pytest.raises(RuntimeError, match="disagree"):
+        find_dynamo_complement(topo, diag, 0, [1, 2])
+
+
+# ---------------------------------------------------------------------------
+# plan cache: fixed-height blocks compile one stepper per topology
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_plan_cache():
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
+
+
+def test_leaf_blocks_compile_one_stepper_per_topology(fresh_plan_cache):
+    topo = make_torus("cordalis", 6, 6)
+    seed = diagonal_seed(topo)
+    # final blocks of different heights, all padded to LEAF_BLOCK rows
+    for budget in (300, 700, 1500):
+        assert find_dynamo_complement(topo, seed, 0, [1, 2, 3], max_nodes=budget) is None
+    stats = plan_cache_stats()
+    assert (stats.misses, stats.evictions) == (1, 0)
+
+
+def test_cold_census_evicts_no_stepper(fresh_plan_cache, tmp_path):
+    below_bound_census(sizes=(3, 4, 5), db=tmp_path / "w.jsonl")
+    stats = plan_cache_stats()
+    assert stats.evictions == 0 and stats.size == stats.misses
+    widths = [key[-1] for key in plans_module._STEPPER_CACHE._data]
+    # cordalis and serpentinus 4x4 and 5x5 run the DFS; mesh serves cached
+    # complements
+    assert widths.count(LEAF_BLOCK) == 4
+
+
+# ---------------------------------------------------------------------------
+# cancellation and telemetry
+# ---------------------------------------------------------------------------
+
+
+def _tripping_probe(after):
+    calls = []
+
+    def probe():
+        calls.append(None)
+        return len(calls) >= after
+
+    return probe, calls
+
+
+def test_cancel_stops_the_open_cell():
+    topo = make_torus("cordalis", 6, 6)
+    probe, calls = _tripping_probe(3)
+    with pytest.raises(RunCancelled):
+        find_dynamo_complement(
+            topo, diagonal_seed(topo), 0, [1, 2, 3], max_nodes=8_000_000,
+            cancel=probe,
+        )
+    assert len(calls) == 3
+
+
+def test_census_cancel_reaches_the_complement_search(monkeypatch):
+    probe, calls = _tripping_probe(4)
+    real = census_module.diagonal_dynamo
+    seen = []
+
+    def bounded(n, kind, **kwargs):
+        seen.append(kwargs["cancel"])
+        # keep the open cell's search short should cancellation not trip
+        return real(n, kind, **{**kwargs, "max_nodes": 50_000})
+
+    monkeypatch.setattr(census_module, "diagonal_dynamo", bounded)
+    with pytest.raises(RunCancelled):
+        below_bound_census(
+            kinds=("cordalis",), sizes=(6,), settings=ExecutionSettings(cancel=probe)
+        )
+    # one check at the cell boundary, the rest inside the DFS
+    assert seen == [probe] and len(calls) == 4
+
+
+def test_telemetry_counts_nodes_and_leaves_without_changing_results(tmp_path):
+    topo = TorusCordalis(4, 4)
+    diag = [topo.vertex_index(i, i) for i in range(4)]
+    plain = [
+        find_dynamo_complement(topo, diag, 0, p, max_nodes=600)
+        for p in ([1], [1, 2], [1, 2, 3])
+    ]
+    path = tmp_path / "dfs.tel"
+    with obs.telemetry_session(path, command="unit"):
+        traced = [
+            find_dynamo_complement(topo, diag, 0, p, max_nodes=600)
+            for p in ([1], [1, 2], [1, 2, 3])
+        ]
+    for got, want in zip(traced, plain):
+        _assert_same(got, want)
+    counters = summarize_stream(path)["counters"]
+    assert 0 < counters["complement.leaves"] <= counters["complement.nodes"] <= 1800

@@ -201,15 +201,16 @@ class TestMergeDeterminism:
 
 
 CENSUS_ARGS = [
-    "census", "--kinds", "mesh", "--sizes", "3", "4", "--trials", "64",
+    "census", "--sizes", "3", "4", "--trials", "64",
     "--batch-size", "16", "--shard-size", "16", "--seed", "11",
 ]
 
 
-def _census(tmp_path, capsys, tag, processes, telemetry):
+def _census(tmp_path, capsys, tag, processes, telemetry, kind="mesh"):
     db = tmp_path / f"{tag}.db"
     ledger = tmp_path / f"{tag}.ledger"
     args = CENSUS_ARGS + [
+        "--kinds", kind,
         "--processes", processes, "--db", db, "--run-ledger", ledger,
     ]
     if telemetry:
@@ -220,15 +221,28 @@ def _census(tmp_path, capsys, tag, processes, telemetry):
     return out, db.read_bytes(), ledger.read_bytes()
 
 
-@pytest.mark.parametrize("processes", [1, 4])
-def test_census_parity_with_and_without_telemetry(tmp_path, capsys, processes):
-    plain = _census(tmp_path, capsys, f"plain{processes}", processes, False)
-    telem = _census(tmp_path, capsys, f"telem{processes}", processes, True)
+def _assert_census_parity(tmp_path, capsys, processes, kind="mesh"):
+    plain = _census(tmp_path, capsys, f"plain{processes}", processes, False, kind)
+    telem = _census(tmp_path, capsys, f"telem{processes}", processes, True, kind)
     assert telem[0] == plain[0], "stdout must be byte-identical"
     assert telem[1] == plain[1], "witness db must be byte-identical"
     assert telem[2] == plain[2], "run ledger must be byte-identical"
     stream = tmp_path / f"telem{processes}.tel"
     assert stream.exists() and not (tmp_path / f"telem{processes}.tel.spool").exists()
+    return summarize_stream(stream)["counters"]
+
+
+@pytest.mark.parametrize("processes", [1, 4])
+def test_census_parity_with_and_without_telemetry(tmp_path, capsys, processes):
+    _assert_census_parity(tmp_path, capsys, processes)
+
+
+@pytest.mark.parametrize("processes", [1, 4])
+def test_dfs_census_parity_with_and_without_telemetry(tmp_path, capsys, processes):
+    # the cordalis 4x4 cell runs the complement DFS (the mesh cells serve
+    # cached complements), so its progress counters are under test too
+    counters = _assert_census_parity(tmp_path, capsys, processes, "cordalis")
+    assert 0 < counters["complement.leaves"] <= counters["complement.nodes"]
 
 
 def test_census_stream_report_contents(tmp_path, capsys):
