@@ -1,4 +1,4 @@
-"""Kernel-backend throughput: reference vs stencil vs (optional) numba.
+"""Kernel-backend throughput: reference vs stencil.
 
 Two entry points:
 
@@ -9,7 +9,7 @@ Two entry points:
   always), and records every ratio in ``extra_info``;
 * **standalone emitter** (``python benchmarks/bench_backends.py
   [--out BENCH_backends.json]``) — runs the same workloads across every
-  available backend and writes the machine-readable comparison CI
+  registered backend and writes the machine-readable comparison CI
   archives.  The JSON never asserts: it *records* (timings move with the
   hardware; the parity matrix in ``tests/test_engine_backends.py`` is
   the correctness gate).
@@ -34,7 +34,7 @@ import pytest
 _RELAX_SPEEDUP = os.environ.get("REPRO_BENCH_RELAX", "") not in ("", "0")
 
 from repro import obs
-from repro.engine import available_backend_names, run_batch, select_backend
+from repro.engine import backend_names, run_batch, select_backend
 from repro.obs.report import summarize_stream
 from repro.rules import GeneralizedPluralityRule, SMPRule
 from repro.topology import ToroidalMesh
@@ -133,7 +133,7 @@ def test_run_batch_backend_speedup(benchmark, rng, workload):
 
 
 def collect_backend_timings(rounds: int = 20) -> dict:
-    """Measure every available backend on the census-sized workloads.
+    """Measure every registered backend on the census-sized workloads.
 
     Returns the ``BENCH_backends.json`` payload: per-workload stepper
     times (best-of-``rounds`` milliseconds per round over the full
@@ -142,7 +142,7 @@ def collect_backend_timings(rounds: int = 20) -> dict:
     """
     rng = np.random.default_rng(0xD1CE)
     topo = ToroidalMesh(TORUS_SIZE, TORUS_SIZE)
-    backends = list(available_backend_names())
+    backends = list(backend_names())
     payload = {
         "workload": {
             "torus": f"mesh {TORUS_SIZE}x{TORUS_SIZE}",

@@ -1,29 +1,26 @@
 #!/usr/bin/env python
-"""The witness corpus over HTTP: every endpoint, no network socket.
+"""The witness corpus over HTTP: every endpoint, on a loopback socket.
 
 `repro-dynamo serve` puts the witness database behind an HTTP API and
 runs search/census jobs in the background, appending records that are
-bitwise-identical to what the CLI writes.  This example drives the full
-endpoint surface in-process:
-
-* with the `[service]` extra installed, through the real ASGI app via
-  the repo's own dependency-free test client (`repro.service.testing`);
-* without it, through `ServiceState` — the framework-free object every
-  route delegates to — so the walkthrough works in a bare checkout.
-
-Either way no socket is opened and no third-party client is needed.
+bitwise-identical to what the CLI writes.  This example boots the same
+server on a free loopback port and walks the endpoint surface with
+`urllib.request` — the standard library on both ends.
 
 Run:  python examples/query_service.py
 """
 
 import json
 import tempfile
+import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 from repro.experiments import below_bound_census
 from repro.io import WitnessDB
-from repro.service import ServiceState, service_available
+from repro.service.app import make_server, run_server
 
 
 def show(label, status, payload) -> None:
@@ -32,10 +29,21 @@ def show(label, status, payload) -> None:
     print()
 
 
-def wait_done(get_job, job_id, timeout=60.0):
+def call(base, path, body=None):
+    """One request; returns ``(status, payload)`` for errors too."""
+    data = None if body is None else json.dumps(body).encode()
+    try:
+        with urllib.request.urlopen(base + path, data=data) as resp:
+            return resp.status, json.load(resp)
+    except urllib.error.HTTPError as err:
+        with err:
+            return err.code, json.load(err)
+
+
+def wait_done(base, job_id, timeout=60.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        status, payload = get_job(job_id)
+        status, payload = call(base, f"/jobs/{job_id}")
         if payload["status"] in ("done", "failed", "cancelled"):
             return payload
         time.sleep(0.1)
@@ -50,62 +58,41 @@ def main() -> None:
     below_bound_census(kinds=["mesh"], sizes=[3], random_trials=400,
                        db=WitnessDB(db_path))
 
-    if service_available():
-        # Real ASGI app, driven by the in-repo lifespan-aware client.
-        from repro.service import create_app
-        from repro.service.testing import AsgiClient
-
-        print("[service] extra installed - driving the FastAPI app\n")
-        with AsgiClient(create_app(db_path)) as client:
-            run_walkthrough(
-                health=lambda: client.get("/health"),
-                witnesses=lambda q: client.get(f"/witnesses?{q}"),
-                witness=lambda i: client.get(f"/witnesses/{i}"),
-                cells=lambda q: client.get(f"/census-cells?{q}"),
-                submit=lambda body: client.post("/jobs/search", json=body),
-                get_job=lambda i: client.get(f"/jobs/{i}"),
-            )
-    else:
-        # No extra: the framework-free core behind every route.
-        print("[service] extra absent - driving ServiceState directly\n")
-        state = ServiceState(db_path)
-        try:
-            run_walkthrough(
-                health=state.health,
-                witnesses=lambda q: state.list_witnesses(dict(
-                    kv.split("=") for kv in q.split("&") if kv)),
-                witness=state.get_witness,
-                cells=lambda q: state.list_census_cells(dict(
-                    kv.split("=") for kv in q.split("&") if kv)),
-                submit=lambda body: state.submit_job("search", body),
-                get_job=state.get_job,
-            )
-        finally:
-            state.close()
+    server = make_server(db_path, port=0)  # any free port
+    host, port = server.server_address[:2]
+    base = f"http://{host}:{port}"
+    print(f"serving {db_path} on {base}\n")
+    thread = threading.Thread(target=run_server, args=(server,))
+    thread.start()
+    try:
+        walkthrough(base)
+    finally:
+        server.shutdown()
+        thread.join()
 
 
-def run_walkthrough(*, health, witnesses, witness, cells, submit, get_job):
-    show("GET /health", *health())
+def walkthrough(base) -> None:
+    show("GET /health", *call(base, "/health"))
 
-    status, page = witnesses("kind=mesh&limit=3")
+    status, page = call(base, "/witnesses?kind=mesh&limit=3")
     show("GET /witnesses?kind=mesh&limit=3", status, page)
 
     first = page["items"][0]["id"]
-    show(f"GET /witnesses/{first}", *witness(first))
+    show(f"GET /witnesses/{first}", *call(base, f"/witnesses/{first}"))
 
-    show("GET /census-cells?kind=mesh", *cells("kind=mesh"))
+    show("GET /census-cells?kind=mesh", *call(base, "/census-cells?kind=mesh"))
 
     # Launch the same random search the CLI would run; the appended
     # records are bitwise-identical to `repro-dynamo search ... --db`.
     spec = {"kind": "mesh", "m": 3, "n": 3, "seed_size": 3,
             "colors": 3, "trials": 400}
-    status, job = submit(spec)
+    status, job = call(base, "/jobs/search", spec)
     show("POST /jobs/search", status, job)
 
-    done = wait_done(get_job, job["id"])
+    done = wait_done(base, job["id"])
     show(f"GET /jobs/{job['id']} (final)", 200, done)
 
-    status, payload = health()
+    status, payload = call(base, "/health")
     print(f"corpus after the job: {payload['witnesses']} witnesses, "
           f"{payload['searches']} recorded searches")
 

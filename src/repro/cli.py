@@ -28,6 +28,9 @@ Subcommands
 ``telemetry``  aggregate a telemetry stream recorded with ``--telemetry``
                into a run report: slowest shards, plan-cache hit rate,
                retry counts, time per phase (``--json`` for machines)
+``serve``      the witness database and background search/census jobs
+               over HTTP (standard-library server; ``--port 0`` binds a
+               free port, named on stderr)
 
 Examples
 --------
@@ -54,6 +57,7 @@ Examples
     repro-dynamo census --sizes 3 --processes 4 --telemetry runs/census.tel
     repro-dynamo telemetry report runs/census.tel
     repro-dynamo telemetry report runs/census.tel --json
+    repro-dynamo serve --db results/witnesses.jsonl --port 0
 """
 
 from __future__ import annotations
@@ -119,34 +123,24 @@ def _positive_arg(flag: str):
 
 def _backend_arg(value: str) -> str:
     """argparse type for ``--backend``: reject unknown names at the
-    prompt.  Availability of optional dependencies is checked at
-    dispatch time (:func:`_check_backend_available`), keeping parsing
-    side-effect-free — the docs smoke checker parses every documented
-    invocation, including ``--backend numba``, on machines without
-    numba."""
-    from .engine.backends import BackendUnavailableError, select_backend
+    prompt."""
+    from .engine.backends import select_backend
 
     try:
         select_backend(value)
-    except BackendUnavailableError:
-        pass  # known name, missing optional dependency: defer
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
-def _check_backend_available(parser, args) -> None:
-    """Fail fast (clean parser error) when the requested backend's
-    optional dependency is missing — before any work is sharded."""
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        return
-    from .engine.backends import BackendUnavailableError, select_backend
-
-    try:
-        select_backend(backend)
-    except BackendUnavailableError as exc:
-        parser.error(str(exc))
+def _port_arg(value: str) -> int:
+    """argparse type for ``serve --port``: 0 (any free port) to 65535."""
+    port = int(value) if value.isdigit() else -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in 0..65535, got {value!r}"
+        )
+    return port
 
 
 def _add_plan_args(sp, what: str) -> None:
@@ -606,15 +600,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "serve",
-        help="serve the witness corpus over HTTP (requires the "
-        "[service] extra: FastAPI + uvicorn)",
+        help="serve the witness corpus and background jobs over HTTP",
     )
     sp.add_argument("--db", metavar="FILE", default=_DEFAULT_DB,
                     help=f"witness database to serve (default: {_DEFAULT_DB})")
     sp.add_argument("--host", default="127.0.0.1",
                     help="bind address (default: 127.0.0.1)")
-    sp.add_argument("--port", type=int, default=8711,
-                    help="bind port (default: 8711)")
+    sp.add_argument("--port", type=_port_arg, default=8711,
+                    help="bind port; 0 picks a free one (default: 8711)")
     sp.add_argument("--jobs-dir", metavar="DIR", default=None,
                     help="directory for per-job run ledgers (default: "
                     "<db>.jobs/ next to the database)")
@@ -779,7 +772,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_backend_available(parser, args)
     _check_ledger_args(parser, args)
 
     path = getattr(args, "telemetry", None)
@@ -1064,18 +1056,22 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if args.command == "serve":
-        from .service import ServiceUnavailableError, run_server
+        from .service.app import make_server, run_server
 
         try:
-            run_server(
+            server = make_server(
                 args.db,
                 host=args.host,
                 port=args.port,
                 jobs_dir=args.jobs_dir,
             )
-        except ServiceUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except OSError as exc:  # port in use, unknown host, ...
+            print(f"error: cannot listen on {args.host}:{args.port}: {exc}",
+                  file=sys.stderr)
             return 2
+        host, port = server.server_address[:2]
+        print(f"serving {args.db} on http://{host}:{port}", file=sys.stderr)
+        run_server(server)
         return 0
 
     if args.command == "witness":

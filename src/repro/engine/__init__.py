@@ -7,9 +7,7 @@ from .metrics import (
     wavefront_speed,
 )
 from .backends import (
-    BackendUnavailableError,
     KernelBackend,
-    available_backend_names,
     backend_names,
     register_backend,
     select_backend,
@@ -63,9 +61,7 @@ __all__ = [
     "resolve_processes",
     "validate_positive",
     "validate_processes",
-    "BackendUnavailableError",
     "KernelBackend",
-    "available_backend_names",
     "backend_names",
     "register_backend",
     "select_backend",

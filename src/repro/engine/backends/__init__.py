@@ -3,7 +3,7 @@
 Every experiment in this reproduction bottoms out in per-rule
 ``step_batch`` kernels; this registry decouples *what* a rule computes
 (its declarative :class:`~repro.rules.base.KernelSpec`) from *how* the
-neighbor reduction executes.  Three backends ship:
+neighbor reduction executes.  Two backends ship:
 
 ``reference``
     Each rule's own ``step_batch`` kernel, unmodified — the semantic
@@ -13,14 +13,7 @@ neighbor reduction executes.  Three backends ship:
     Optimized pure NumPy: per-topology gather indices precomputed once,
     sorting networks instead of ``np.sort``, fused per-color counting
     instead of ``np.add.at``, and preallocated scratch — zero allocations
-    per round.  Always available; what ``"auto"`` selects.
-
-``numba``
-    Optional JIT row-parallel kernels (``prange`` over replicas).  Lazy
-    import; selecting it without numba installed raises
-    :class:`BackendUnavailableError` with an actionable message.  Never
-    chosen by ``"auto"``: JIT warm-up dominates short runs, so it is an
-    explicit opt-in for long many-core workloads.
+    per round.  ``"auto"`` selects it.
 
 The determinism contract (PR 2/3) makes this layer safe: any backend that
 passes the parity matrix is bitwise-interchangeable, so backend choice is
@@ -39,16 +32,13 @@ import numpy as np
 from ... import obs
 from ...rules.base import Rule
 from ...topology.base import Topology
-from .base import BackendUnavailableError, KernelBackend, Stepper, fallback_stepper
-from .numba_backend import NumbaBackend
+from .base import KernelBackend, Stepper, fallback_stepper
 from .reference import ReferenceBackend
 from .stencil import StencilBackend
 
 __all__ = [
-    "BackendUnavailableError",
     "KernelBackend",
     "Stepper",
-    "available_backend_names",
     "backend_names",
     "fallback_stepper",
     "instrumented_stepper",
@@ -59,7 +49,7 @@ __all__ = [
 ]
 
 #: name the engine resolves when no backend is requested; ``"auto"``
-#: currently means ``"stencil"`` (fastest always-available backend)
+#: currently means ``"stencil"`` (the fastest shipped backend)
 DEFAULT_BACKEND = "auto"
 
 #: registered backend singletons, in registration (= preference) order
@@ -79,21 +69,11 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 register_backend(ReferenceBackend())
 register_backend(StencilBackend())
-register_backend(NumbaBackend())
 
 
 def backend_names() -> Tuple[str, ...]:
-    """All registered backend names (including unavailable optional ones)."""
+    """All registered backend names, in registration order."""
     return tuple(_REGISTRY)
-
-
-def available_backend_names() -> Tuple[str, ...]:
-    """Backend names whose dependencies are importable right now."""
-    return tuple(
-        name
-        for name, backend in _REGISTRY.items()
-        if backend.availability_error() is None
-    )
 
 
 def select_backend(
@@ -113,8 +93,6 @@ def select_backend(
     ------
     ValueError
         Unknown backend name (the message lists the choices).
-    BackendUnavailableError
-        The backend exists but its optional dependency is missing.
     """
     if isinstance(spec, KernelBackend):
         return spec
@@ -127,9 +105,6 @@ def select_backend(
             f"unknown kernel backend {name!r}; choose from "
             f"{('auto',) + backend_names()}"
         )
-    unavailable = backend.availability_error()
-    if unavailable is not None:
-        raise BackendUnavailableError(unavailable)
     return backend
 
 
@@ -143,7 +118,7 @@ def resolve_backend_ref(
     sharded paths (pool workers resolve it locally; backend objects
     never cross process boundaries), the instance itself otherwise.
 
-    Raises early on unknown or unavailable backends, and — with
+    Raises early on unknown backends, and — with
     ``sharded=True`` — on a :class:`KernelBackend` instance that a pool
     would have to pickle, before any work fans out.
     """

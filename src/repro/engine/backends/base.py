@@ -34,7 +34,6 @@ from ...rules.base import KernelSpec, Rule
 from ...topology.base import Topology
 
 __all__ = [
-    "BackendUnavailableError",
     "KernelBackend",
     "Stepper",
     "fallback_stepper",
@@ -48,10 +47,6 @@ __all__ = [
 #: engine consumes it fully before stepping again and callers must do the
 #: same (copy what you keep).
 Stepper = Callable[[np.ndarray], np.ndarray]
-
-
-class BackendUnavailableError(RuntimeError):
-    """A backend's optional dependency is not installed."""
 
 
 def _definer(rule: Rule, attr: str) -> "type | None":
@@ -102,23 +97,11 @@ def fallback_stepper(rule: Rule, topo: Topology) -> Stepper:
 
 
 class KernelBackend(abc.ABC):
-    """One way of executing rule kernels (pure NumPy, JIT, ...)."""
+    """One way of executing rule kernels."""
 
     #: registry name; also what the CLI ``--backend`` flag and witness
     #: provenance record
     name: str = "?"
-
-    def availability_error(self) -> "str | None":
-        """Why this backend cannot run here, or ``None`` when it can.
-
-        Backends gated on optional dependencies override this;
-        :func:`~repro.engine.backends.select_backend` raises the message
-        as :class:`BackendUnavailableError` and
-        :func:`~repro.engine.backends.available_backend_names` filters
-        on it, so third-party backends get the same unavailability
-        handling as the shipped ``numba`` one.
-        """
-        return None
 
     @abc.abstractmethod
     def compile(self, rule: Rule, topo: Topology, max_batch: int) -> Stepper:

@@ -31,8 +31,7 @@ one; the five shipped rules override it with flat vectorized kernels.
 How a round actually executes is delegated to a pluggable **kernel
 backend** (:mod:`repro.engine.backends`): the default ``stencil`` backend
 compiles each rule's declarative kernel spec into a zero-allocation
-NumPy plan, ``reference`` runs the rule's own ``step_batch``, and the
-optional ``numba`` backend JIT-compiles row-parallel kernels.  Backends
+NumPy plan and ``reference`` runs the rule's own ``step_batch``.  Backends
 are bitwise-interchangeable (the parity matrix in
 ``tests/test_engine_backends.py`` pins it), so the choice never affects
 results, seeds, or witness-database cache keys.

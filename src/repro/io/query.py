@@ -11,8 +11,7 @@ the complete invalidation signal.
 The layer is deliberately framework-free and read-only: writes keep
 going through :class:`WitnessDB` (one writer semantics stay with the
 drivers), and nothing here imports an HTTP stack, so the query surface
-is testable and usable in-process without the optional ``[service]``
-extra.
+is testable and usable in-process.
 """
 
 from __future__ import annotations

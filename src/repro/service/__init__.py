@@ -1,4 +1,4 @@
-"""HTTP serving layer for the witness corpus (optional ``[service]`` extra).
+"""HTTP serving layer for the witness corpus.
 
 ``repro.service`` puts the witness database behind a small read-mostly
 HTTP API so a browser, notebook, or collaborator can query the corpus
@@ -18,23 +18,17 @@ and launch the existing drivers without shelling into the repo:
 * ``GET /jobs/{id}`` — job status with shard-level progress fed from
   the job's run ledger; ``DELETE /jobs/{id}`` cancels cooperatively.
 
-The package splits framework-free from framework-bound code the same
-way :mod:`repro.engine.backends.numba_backend` gates numba:
-:mod:`repro.service.state` and :mod:`repro.service.jobs` import no HTTP
-stack and are importable (and testable) everywhere, while
-:mod:`repro.service.app` gates its FastAPI/uvicorn imports behind
-:func:`service_available` and raises :class:`ServiceUnavailableError`
-with an install hint when the extra is missing.
+:mod:`repro.service.state` answers every endpoint as a plain
+``(status, payload)`` method and :mod:`repro.service.jobs` runs the
+jobs; both are usable in-process.  :mod:`repro.service.app` serves
+them over a standard-library ``ThreadingHTTPServer``
+(:func:`~repro.service.app.make_server`,
+:func:`~repro.service.app.run_server`).  It is imported on demand, so
+in-process users do not load ``http.server``.
 """
 
 from __future__ import annotations
 
-from .app import (
-    ServiceUnavailableError,
-    create_app,
-    run_server,
-    service_available,
-)
 from .jobs import Job, JobManager
 from .state import ServiceState
 
@@ -42,8 +36,4 @@ __all__ = [
     "Job",
     "JobManager",
     "ServiceState",
-    "ServiceUnavailableError",
-    "create_app",
-    "run_server",
-    "service_available",
 ]

@@ -1,172 +1,167 @@
-"""ASGI application factory — the only module that touches FastAPI.
+"""The HTTP front-end, on the standard library alone.
 
-Mirrors the optional-dependency pattern of
-:mod:`repro.engine.backends.numba_backend`: module import is always
-safe (no HTTP stack at module scope), availability is probed with
-:func:`service_available`, and the gated imports happen inside
-:func:`create_app` / :func:`run_server`, raising
-:class:`ServiceUnavailableError` with a pip hint when the ``[service]``
-extra is missing.
+:func:`make_server` binds a :class:`~http.server.ThreadingHTTPServer`
+whose one handler routes the service's eight endpoints to a
+:class:`~repro.service.state.ServiceState` method and writes the
+``(status, payload)`` it returns as JSON.  Errors are JSON too: 404 for
+an unknown path, 405 for a known path under the wrong method, 400 for a
+POST body that is not valid JSON, and whatever the stdlib itself
+answers (a malformed request line, an unsupported method) goes through
+the same writer instead of an HTML error page.
 
-The app itself is a thin routing shell: every endpoint delegates to a
-:class:`~repro.service.state.ServiceState` method and wraps its
-``(status, payload)`` return in a ``JSONResponse``.  The state is
-created on lifespan startup and closed (job worker drained) on
-shutdown, so one server process owns one witnessdb writer queue.
+One server owns one ``ServiceState``, and so one witnessdb writer
+queue; :func:`run_server` serves until interrupted and then closes
+both.
 """
 
 from __future__ import annotations
 
-from importlib.util import find_spec
+import json
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from urllib.parse import parse_qsl, unquote, urlsplit
 
 from .. import obs
+from .state import Response, ServiceState
 
-__all__ = [
-    "ServiceUnavailableError",
-    "create_app",
-    "run_server",
-    "service_available",
-]
+__all__ = ["ServiceServer", "make_server", "run_server"]
 
 PathLike = Union[str, Path]
 
-#: the one message every missing-extra failure carries, so users always
-#: see the same actionable hint
-_MISSING_SERVICE = (
-    "the HTTP service requires the optional [service] extra "
-    "(FastAPI + uvicorn), which is not installed; "
-    "install it with: pip install 'repro-dynamo[service]'"
+#: an endpoint: (state, query params, raw body, captured path segments)
+Endpoint = Callable[[ServiceState, Dict[str, str], bytes, List[str]], Response]
+
+
+def _health(state: ServiceState, query, body, args) -> Response:
+    obs.count("service.health")
+    return state.health()
+
+
+def _submit(kind: str) -> Endpoint:
+    def submit(state: ServiceState, query, body, args) -> Response:
+        try:
+            parsed = json.loads(body) if body else {}
+        except ValueError:
+            return 400, {"error": "request body is not valid JSON"}
+        return state.submit_job(kind, parsed)
+
+    return submit
+
+
+#: path pattern -> {method: endpoint}; a ``None`` segment matches any
+#: one path segment and is passed to the endpoint (literal routes come
+#: first, so ``POST /jobs/search`` is a submit, ``GET /jobs/search`` a
+#: lookup of a job with that id)
+_ROUTES: Tuple[Tuple[Tuple[Optional[str], ...], Dict[str, Endpoint]], ...] = (
+    (("health",), {"GET": _health}),
+    (("witnesses",), {"GET": lambda s, q, b, a: s.list_witnesses(q)}),
+    (("witnesses", None), {"GET": lambda s, q, b, a: s.get_witness(*a)}),
+    (("census-cells",), {"GET": lambda s, q, b, a: s.list_census_cells(q)}),
+    (("jobs", "search"), {"POST": _submit("search")}),
+    (("jobs", "census"), {"POST": _submit("census")}),
+    (("jobs", None), {
+        "GET": lambda s, q, b, a: s.get_job(*a),
+        "DELETE": lambda s, q, b, a: s.cancel_job(*a),
+    }),
 )
 
 
-class ServiceUnavailableError(RuntimeError):
-    """The ``[service]`` extra (FastAPI/uvicorn) is not installed."""
+def _match(pattern: Tuple[Optional[str], ...], parts: List[str]):
+    """The captured segments when ``parts`` fits ``pattern``, else None."""
+    if len(pattern) != len(parts):
+        return None
+    captured = []
+    for want, got in zip(pattern, parts):
+        if want is None:
+            captured.append(got)
+        elif want != got:
+            return None
+    return captured
 
 
-def service_available() -> bool:
-    """Cheap availability probe — true when FastAPI is importable."""
-    return find_spec("fastapi") is not None
+class _Handler(BaseHTTPRequestHandler):
+    server: "ServiceServer"
 
-
-def create_app(db_path: PathLike, jobs_dir: Optional[PathLike] = None):
-    """Build the ASGI app serving one witness database.
-
-    Raises :class:`ServiceUnavailableError` when FastAPI is missing;
-    uvicorn is only needed by :func:`run_server`, so test clients can
-    drive the returned app without it.
-    """
-    if not service_available():
-        raise ServiceUnavailableError(_MISSING_SERVICE)
-    from contextlib import asynccontextmanager
-
-    from fastapi import FastAPI, Request
-    from fastapi.responses import JSONResponse
-
-    from .state import ServiceState
-
-    @asynccontextmanager
-    async def lifespan(app: "FastAPI"):
-        app.state.service = ServiceState(db_path, jobs_dir)
+    def _dispatch(self) -> None:
+        url = urlsplit(self.path)
+        parts = [unquote(p) for p in url.path.strip("/").split("/")]
+        # repeated keys keep the last value
+        query = dict(parse_qsl(url.query, keep_blank_values=True))
         try:
-            yield
-        finally:
-            app.state.service.close()
-
-    app = FastAPI(
-        title="repro-dynamo witness service",
-        description="query the dynamo witness corpus and launch driver jobs",
-        lifespan=lifespan,
-    )
-
-    def respond(result) -> JSONResponse:
-        status, payload = result
-        return JSONResponse(status_code=status, content=payload)
-
-    @app.get("/health")
-    async def health(request: Request) -> JSONResponse:
-        obs.count("service.health")
-        return respond(request.app.state.service.health())
-
-    @app.get("/witnesses")
-    async def witnesses(request: Request) -> JSONResponse:
-        return respond(
-            request.app.state.service.list_witnesses(
-                dict(request.query_params)
-            )
-        )
-
-    @app.get("/witnesses/{witness_id}")
-    async def witness(request: Request, witness_id: str) -> JSONResponse:
-        return respond(request.app.state.service.get_witness(witness_id))
-
-    @app.get("/census-cells")
-    async def census_cells(request: Request) -> JSONResponse:
-        return respond(
-            request.app.state.service.list_census_cells(
-                dict(request.query_params)
-            )
-        )
-
-    @app.post("/jobs/search")
-    async def submit_search(request: Request) -> JSONResponse:
-        return respond(
-            request.app.state.service.submit_job(
-                "search", await _json_body(request)
-            )
-        )
-
-    @app.post("/jobs/census")
-    async def submit_census(request: Request) -> JSONResponse:
-        return respond(
-            request.app.state.service.submit_job(
-                "census", await _json_body(request)
-            )
-        )
-
-    @app.get("/jobs/{job_id}")
-    async def job_status(request: Request, job_id: str) -> JSONResponse:
-        return respond(request.app.state.service.get_job(job_id))
-
-    @app.delete("/jobs/{job_id}")
-    async def job_cancel(request: Request, job_id: str) -> JSONResponse:
-        return respond(request.app.state.service.cancel_job(job_id))
-
-    async def _json_body(request: Request) -> Any:
-        body = await request.body()
-        if not body:
-            return {}
-        import json
-
-        try:
-            return json.loads(body)
+            length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            # a non-dict value; the state layer answers 400 for it
-            return "<invalid json>"
+            length = -1
+        if length < 0:
+            self._send(400, {"error": "invalid Content-Length header"})
+            return
+        body = self.rfile.read(length)
+        path_known = False
+        for pattern, methods in _ROUTES:
+            captured = _match(pattern, parts)
+            if captured is None:
+                continue
+            path_known = True
+            endpoint = methods.get(self.command)
+            if endpoint is not None:
+                self._send(*endpoint(self.server.state, query, body, captured))
+                return
+        if path_known:
+            self._send(405, {"error": f"method {self.command} not allowed "
+                                      f"on {url.path}"})
+        else:
+            self._send(404, {"error": f"no route for {url.path}"})
 
-    return app
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _dispatch
+
+    def _send(self, status: int, payload: Dict[str, Any]) -> None:
+        data = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        # the stdlib's own rejections answer in JSON, like every route
+        self._send(code, {"error": message or self.responses[code][0]})
+
+    def log_message(self, format, *args) -> None:
+        pass  # no per-request access log on stderr
 
 
-def run_server(
+class ServiceServer(ThreadingHTTPServer):
+    """A threaded HTTP server (one daemon thread per request) that
+    answers from one :class:`ServiceState`."""
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], state: ServiceState):
+        super().__init__(address, _Handler)
+        self.state = state
+
+
+def make_server(
     db_path: PathLike,
     *,
     host: str = "127.0.0.1",
     port: int = 8711,
     jobs_dir: Optional[PathLike] = None,
-) -> None:
-    """Serve the app with uvicorn (blocking).
+) -> ServiceServer:
+    """Bind the service for one witness database (port 0 binds any
+    free port; read it back from ``server.server_address``).
 
-    Raises :class:`ServiceUnavailableError` when either half of the
-    ``[service]`` extra is missing.
+    Raises :class:`OSError` when the address cannot be bound.
     """
-    if find_spec("uvicorn") is None:
-        raise ServiceUnavailableError(_MISSING_SERVICE)
-    import uvicorn
+    return ServiceServer((host, port), ServiceState(db_path, jobs_dir))
 
-    uvicorn.run(
-        create_app(db_path, jobs_dir),
-        host=host,
-        port=port,
-        log_level="warning",
-    )
+
+def run_server(server: ServiceServer) -> None:
+    """Serve until interrupted, then close the server and its state."""
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
+        server.state.close()

@@ -2,10 +2,9 @@
 
 :class:`ServiceState` owns the read-side query index and the job
 manager, and exposes every endpoint as a plain method returning
-``(status_code, payload)`` — no FastAPI types anywhere.  The ASGI app
-in :mod:`repro.service.app` is a thin routing shell over these
-methods, which keeps the whole service logic importable and testable
-without the optional ``[service]`` extra installed.
+``(status_code, payload)``.  The HTTP server in
+:mod:`repro.service.app` is a thin routing shell over these methods,
+so the whole service logic is usable and testable in-process.
 
 Query-string values arrive as strings; this layer owns their parsing
 and turns every client mistake into a ``400`` with a message (unknown

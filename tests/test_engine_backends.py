@@ -7,10 +7,6 @@ engine flag — that is what makes backend choice safe to exclude from
 witness-database cache keys.  The parity matrix below pins it; the
 seed-stability tests pin that searches and censuses (including their
 recorded witness ids) do not depend on ``backend``.
-
-The ``numba`` backend participates automatically when the optional
-package is installed (CI runs a dedicated leg with it); without numba the
-matrix covers the two NumPy backends and the unavailability error path.
 """
 
 from dataclasses import replace
@@ -21,14 +17,11 @@ import pytest
 from repro.core.search import random_dynamo_search
 from repro.engine import ExecutionSettings, run_batch
 from repro.engine.backends import (
-    BackendUnavailableError,
     KernelBackend,
-    available_backend_names,
     backend_names,
     fallback_stepper,
     select_backend,
 )
-from repro.engine.backends.numba_backend import numba_available
 from repro.experiments import below_bound_census
 from repro.io.witnessdb import WitnessDB
 from repro.rules import (
@@ -76,9 +69,9 @@ def rule_case(request):
     return request.param
 
 
-@pytest.fixture(params=[n for n in available_backend_names() if n != "reference"])
+@pytest.fixture(params=[n for n in backend_names() if n != "reference"])
 def fast_backend(request):
-    """Every registered non-reference backend that can run here."""
+    """Every registered non-reference backend."""
     return request.param
 
 
@@ -325,9 +318,7 @@ def test_custom_rule_without_spec_falls_back(rng, fast_backend):
 # registry / selection
 # ----------------------------------------------------------------------
 def test_registry_names():
-    assert backend_names() == ("reference", "stencil", "numba")
-    assert "reference" in available_backend_names()
-    assert "stencil" in available_backend_names()
+    assert backend_names() == ("reference", "stencil")
 
 
 def test_select_backend_auto_is_stencil():
@@ -354,44 +345,6 @@ def test_select_backend_instance_passthrough():
     batch = np.zeros((2, 9), dtype=np.int32)
     res = run_batch(topo, batch, SMPRule(), max_rounds=5, backend=backend)
     assert res.converged.all()
-
-
-@pytest.mark.skipif(numba_available(), reason="numba is installed here")
-def test_numba_unavailable_raises_actionable_error():
-    with pytest.raises(BackendUnavailableError, match="pip install numba"):
-        select_backend("numba")
-    assert "numba" not in available_backend_names()
-    assert "numba" in backend_names()  # registered, just not runnable
-
-
-def test_third_party_backend_availability_hook():
-    """A custom backend reports its own unavailability through the same
-    hook the shipped numba backend uses."""
-
-    class Gated(KernelBackend):
-        name = "gated"
-
-        def __init__(self, error):
-            self._error = error
-
-        def availability_error(self):
-            return self._error
-
-        def compile(self, rule, topo, max_batch):
-            return fallback_stepper(rule, topo)
-
-    from repro.engine.backends import _REGISTRY, register_backend
-
-    register_backend(Gated("needs the frobnicator"))
-    try:
-        assert "gated" in backend_names()
-        assert "gated" not in available_backend_names()
-        with pytest.raises(BackendUnavailableError, match="frobnicator"):
-            select_backend("gated")
-        register_backend(Gated(None))
-        assert select_backend("gated").availability_error() is None
-    finally:
-        _REGISTRY.pop("gated", None)
 
 
 def test_backend_instance_cannot_cross_process_boundaries():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.engine import clear_plan_cache, plan_cache_stats, run_batch, run_synchronous
-from repro.engine.backends import available_backend_names
+from repro.engine.backends import backend_names
 from repro.engine.plans import topology_token
 from repro.rules import (
     GeneralizedPluralityRule,
@@ -64,7 +64,7 @@ def rule_case(request):
     return request.param
 
 
-@pytest.fixture(params=[n for n in available_backend_names() if n != "reference"])
+@pytest.fixture(params=[n for n in backend_names() if n != "reference"])
 def fast_backend(request):
     return request.param
 

@@ -36,7 +36,7 @@ from repro.engine import (
     run_temporal,
     validate_round_cap,
 )
-from repro.engine.backends import available_backend_names
+from repro.engine.backends import backend_names
 from repro.engine.plans import rule_plan_token, stepper_cache_key, topology_token
 from repro.experiments import below_bound_census, convergence_sweep
 from repro.io.witnessdb import WitnessDB
@@ -100,7 +100,7 @@ def _assert_results_equal(res, ref, context):
 # ----------------------------------------------------------------------
 # the escalation parity matrix: plans on/off x backends x kinds x flags
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", available_backend_names())
+@pytest.mark.parametrize("backend", backend_names())
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("case", sorted(RULE_CASES))
 def test_escalation_parity_matrix(rng, torus_kind, case, variant, backend):
@@ -246,7 +246,7 @@ def test_run_synchronous_backend_and_plan_are_bitwise_invisible(rng):
         colors = rng.integers(low, low + palette, size=20).astype(np.int32)
         ref = run_synchronous(topo, colors, rule, target_color=target,
                               plan=NO_PLAN)
-        for backend in available_backend_names():
+        for backend in backend_names():
             res = run_synchronous(topo, colors, rule, target_color=target,
                                   backend=backend)
             assert np.array_equal(res.final, ref.final), (case, backend)

@@ -245,8 +245,7 @@ class TestBackendContract:
         src = (
             "from repro.engine.backends.base import KernelBackend\n\n\n"
             "class HalfBackend(KernelBackend):\n"
-            "    def availability_error(self):\n"
-            "        return None\n"
+            "    pass\n"
         )
         findings = lint_source(src, path=LIB)
         assert rules_of(findings) == ["RPL-B001"]

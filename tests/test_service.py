@@ -1,19 +1,23 @@
-"""HTTP service tests: framework-free core everywhere, ASGI when present.
+"""HTTP service tests: the in-process core, then the server over a socket.
 
-The service splits into a framework-free layer (``repro.io.query``,
-``repro.service.state``, ``repro.service.jobs``) that every environment
-tests, and a FastAPI shell (``repro.service.app``) that only runs where
-the optional ``[service]`` extra is installed — those tests
-``importorskip`` FastAPI and drive the app through the in-repo ASGI
-client (:class:`repro.service.testing.AsgiClient`), no network, no
-httpx.
+The service splits into an in-process layer (``repro.io.query``,
+``repro.service.state``, ``repro.service.jobs``) tested directly, and
+the standard-library HTTP server (``repro.service.app``), which these
+tests start on an ephemeral loopback port and drive with
+``urllib.request``.
 
 The load-bearing contract pinned here: records appended by a service
 job are **byte-identical** to the records the equivalent ``repro-dynamo``
 CLI invocation appends.
 """
 
+import json
+import shutil
+import socket
+import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -21,7 +25,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.io import WitnessDB, WitnessQueryIndex
 from repro.io.query import MAX_PAGE_LIMIT, QueryError
-from repro.service import ServiceUnavailableError, service_available
+from repro.service.app import make_server, run_server
 from repro.service.jobs import JobValidationError
 from repro.service.state import ServiceState
 
@@ -88,8 +92,6 @@ class TestQueryIndex:
 
     def test_payloads_are_on_disk_bytes(self):
         """Served items are exactly the persisted payload dicts."""
-        import json
-
         idx = WitnessQueryIndex(SHIPPED)
         item = idx.witnesses(limit=1).items[0]
         on_disk = None
@@ -118,7 +120,7 @@ class TestQueryIndex:
 
 
 # ---------------------------------------------------------------------------
-# framework-free state handlers
+# in-process state handlers
 # ---------------------------------------------------------------------------
 
 
@@ -280,55 +282,62 @@ class TestJobs:
 
 
 # ---------------------------------------------------------------------------
-# optional-extra gating
+# the HTTP server, over a real loopback socket
 # ---------------------------------------------------------------------------
 
 
-class TestGating:
-    def test_core_imports_without_fastapi(self):
-        """repro.service itself must import with no extra installed."""
-        import repro.service  # noqa: F401
-        import repro.service.app  # noqa: F401
+class HttpClient:
+    """JSON requests against a running server; 4xx/5xx come back as
+    ``(status, payload)`` like 2xx, so every error body must be JSON."""
 
-    def test_create_app_gates_cleanly(self):
-        from repro.service import create_app
+    #: bypass any proxy configured in the environment
+    _opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
 
-        if service_available():
-            pytest.skip("fastapi installed; gating covered by no-extra CI leg")
-        with pytest.raises(ServiceUnavailableError, match=r"\[service\]"):
-            create_app(SHIPPED)
+    def __init__(self, server):
+        host, port = server.server_address[:2]
+        self.base = f"http://{host}:{port}"
 
-    def test_serve_cli_fails_cleanly(self, capsys):
-        if service_available():
-            pytest.skip("fastapi installed; gating covered by no-extra CI leg")
-        rc = cli_main(["serve", "--db", str(SHIPPED)])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "pip install 'repro-dynamo[service]'" in captured.err
+    def request(self, method, path, body=None):
+        req = urllib.request.Request(self.base + path, data=body, method=method)
+        try:
+            with self._opener.open(req, timeout=30) as resp:
+                status, raw = resp.status, resp.read()
+                content_type = resp.headers["Content-Type"]
+        except urllib.error.HTTPError as err:
+            with err:
+                status, raw = err.code, err.read()
+                content_type = err.headers["Content-Type"]
+        assert content_type == "application/json", (path, content_type)
+        return status, json.loads(raw)
 
+    def get(self, path):
+        return self.request("GET", path)
 
-# ---------------------------------------------------------------------------
-# ASGI surface (needs the fastapi half of the [service] extra)
-# ---------------------------------------------------------------------------
+    def post(self, path, json_body=None, body=None):
+        if json_body is not None:
+            body = json.dumps(json_body).encode()
+        return self.request("POST", path, body)
+
+    def delete(self, path):
+        return self.request("DELETE", path)
 
 
 @pytest.fixture
 def client(tmp_path):
-    pytest.importorskip("fastapi")
-    import shutil
-
-    from repro.service import create_app
-    from repro.service.testing import AsgiClient
-
     db = tmp_path / "w.jsonl"
     shutil.copyfile(SHIPPED, db)
-    with AsgiClient(
-        create_app(db, jobs_dir=tmp_path / "jobs")
-    ) as asgi_client:
-        yield asgi_client
+    server = make_server(db, port=0, jobs_dir=tmp_path / "jobs")
+    thread = threading.Thread(target=run_server, args=(server,), daemon=True)
+    thread.start()
+    try:
+        yield HttpClient(server)
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
-class TestAsgiApp:
+class TestHttpServer:
     def test_health(self, client):
         status, payload = client.get("/health")
         assert status == 200
@@ -341,6 +350,11 @@ class TestAsgiApp:
         expected = WitnessDB(SHIPPED).witnesses(kind="mesh", colors=4)
         assert page["total"] == len(expected)
         assert {i["id"] for i in page["items"]} == {r.id for r in expected}
+        # a repeated key keeps its last value
+        status, last = client.get(
+            "/witnesses?kind=cordalis&kind=mesh&colors=4&limit=500"
+        )
+        assert status == 200 and last == page
 
     def test_pagination_and_errors(self, client):
         status, first = client.get("/witnesses?limit=2")
@@ -352,18 +366,20 @@ class TestAsgiApp:
         assert client.get("/witnesses?bogus=1")[0] == 400
         assert client.get("/witnesses/no-such-id")[0] == 404
         assert client.get("/census-cells?kind=mesh")[0] == 200
+        # path segments are unquoted before the lookup
+        wid = ids[0]
+        status, payload = client.get(f"/witnesses/%{ord(wid[0]):02X}{wid[1:]}")
+        assert status == 200 and payload["id"] == wid
 
     def test_job_lifecycle_appends_cli_identical_records(
         self, client, tmp_path
     ):
         cli_db = tmp_path / "cli-ref.jsonl"
-        import shutil
-
         shutil.copyfile(SHIPPED, cli_db)
         rc = cli_main(SEARCH_CLI + ["--db", str(cli_db)])
         assert rc in (0, 1)
 
-        status, job = client.post("/jobs/search", json=SEARCH_JOB)
+        status, job = client.post("/jobs/search", json_body=SEARCH_JOB)
         assert status == 202
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
@@ -378,8 +394,64 @@ class TestAsgiApp:
         )
 
     def test_job_validation_and_404(self, client):
-        assert client.post("/jobs/search", json={})[0] == 400
-        assert client.post("/jobs/search", body=b"not json")[0] == 400
+        assert client.post("/jobs/search", json_body={})[0] == 400
+        status, payload = client.post("/jobs/search", json_body=[1, 2])
+        assert status == 400 and "JSON object" in payload["error"]
         assert client.get("/jobs/job-99")[0] == 404
         status, payload = client.delete("/jobs/job-99")
         assert status == 404
+
+    def test_malformed_requests_get_json_4xx(self, client, capsys):
+        status, payload = client.post("/jobs/search", body=b"not json")
+        assert status == 400
+        assert payload["error"] == "request body is not valid JSON"
+        status, payload = client.get("/no/such/route")
+        assert status == 404 and "/no/such/route" in payload["error"]
+        status, payload = client.delete("/witnesses")
+        assert status == 405 and "DELETE" in payload["error"]
+        assert client.request("PUT", "/jobs/search")[0] == 405
+        # no stdlib access log for any of them
+        assert capsys.readouterr().err == ""
+
+
+class TestServeCli:
+    def test_port_out_of_range_is_a_parse_error(self, capsys):
+        for bad in ("70000", "http"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["serve", "--db", str(SHIPPED), "--port", bad])
+            assert exc.value.code == 2
+            assert "0..65535" in capsys.readouterr().err
+
+    def test_port_in_use_fails_cleanly(self, tmp_path, capsys):
+        db = tmp_path / "w.jsonl"
+        shutil.copyfile(SHIPPED, db)
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            rc = cli_main(["serve", "--db", str(db), "--port", str(port)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cannot listen on 127.0.0.1:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_serve_announces_the_bound_port(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.service.app as app
+
+        served = []
+
+        def fake_run_server(server):  # bind only; do not block
+            served.append(server.server_address)
+            server.server_close()
+            server.state.close()
+
+        monkeypatch.setattr(app, "run_server", fake_run_server)
+        db = tmp_path / "w.jsonl"
+        rc = cli_main(["serve", "--db", str(db), "--port", "0"])
+        host, port = served[0][:2]
+        assert rc == 0 and port != 0
+        assert capsys.readouterr().err == (
+            f"serving {db} on http://{host}:{port}\n"
+        )

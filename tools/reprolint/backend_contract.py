@@ -83,8 +83,7 @@ class BackendContractChecker(Checker):
                     (
                         f"backend class {info.name} does not define "
                         f"{', '.join(missing)} — the KernelBackend registry "
-                        "surface is name + compile (+ optional "
-                        "availability_error)"
+                        "surface is name + compile"
                     ),
                 )
 
