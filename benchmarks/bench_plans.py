@@ -19,8 +19,9 @@ Two entry points, mirroring ``bench_backends.py``:
 The headline numbers come from escalation: in the search regime
 (``detect_cycles=False``) two thirds of random rows cycle and — without
 plans — simulate every round to the ``4N + 64`` bound even though their
-period is 2.  Shadow detection retires them within a few rounds of the
-first escalation stage, bitwise-identically.  The stepper cache rides
+period is 2.  Lockstep Brent detection, armed from round 1, finds each
+period within a few rounds of the row entering its cycle and retires
+the row with its state fast-forwarded to the cap, bitwise-identically.  The stepper cache rides
 along, paying off on scalar loops and expensive-compile backends.
 """
 
@@ -141,7 +142,7 @@ def collect_plan_timings(rounds: int = 5) -> dict:
             f"calls of ({SMALL_BATCH}, N) random rows, detect_cycles=False",
             "census": f"mesh {CENSUS_TORUS}x{CENSUS_TORUS}, one "
             f"({CENSUS_BATCH}, N) block, detect_cycles=False",
-            "note": "plans = stepper cache + adaptive round escalation; "
+            "note": "plans = stepper cache + Brent cycle retirement; "
             "results are bitwise-identical on/off (tests/test_engine_plans"
             ".py), so these ratios are pure speed",
         },

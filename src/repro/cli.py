@@ -144,11 +144,11 @@ def _port_arg(value: str) -> int:
 
 
 def _add_plan_args(sp, what: str) -> None:
-    """``--plan-cache/--no-plan-cache`` and ``--initial-rounds``: the
-    execution-plan knobs (:mod:`repro.engine.plans`).  Plans are
+    """``--plan-cache/--no-plan-cache``: the stepper-cache knob of the
+    execution plan (:mod:`repro.engine.plans`).  Plans are
     bitwise-invisible — results, witness ids, and cached cells are
-    identical under every setting; the flags only trade compile reuse
-    and round escalation for speed."""
+    identical under every setting; the flag only trades compile reuse
+    for speed."""
     sp.add_argument(
         "--plan-cache",
         dest="plan_cache",
@@ -163,29 +163,6 @@ def _add_plan_args(sp, what: str) -> None:
         action="store_false",
         help="compile a fresh stepper on every engine call",
     )
-    sp.add_argument(
-        "--initial-rounds",
-        type=_positive_arg("--initial-rounds"),
-        default=None,
-        metavar="R",
-        help="first-stage round budget of the adaptive escalation "
-        "(default: N/4 + 8); budgets grow geometrically up to the "
-        "proven bound, and results are bitwise-identical whatever "
-        "the value",
-    )
-
-
-def _plan_from_args(args):
-    """Build the ExecutionPlan the plan flags describe (None = default)."""
-    from .engine.plans import ExecutionPlan
-
-    if getattr(args, "plan_cache", True) and getattr(
-        args, "initial_rounds", None
-    ) is None:
-        return None  # the default plan
-    return ExecutionPlan(
-        cache=args.plan_cache, initial_rounds=args.initial_rounds
-    )
 
 
 def _settings_from_args(args):
@@ -195,13 +172,17 @@ def _settings_from_args(args):
     ``None`` so the driver applies its own default.
     """
     from .engine.context import ExecutionSettings
+    from .engine.plans import ExecutionPlan
 
     return ExecutionSettings(
         processes=args.processes,
         shard_size=getattr(args, "shard_size", None),
         batch_size=getattr(args, "batch_size", None),
         backend=args.backend,
-        plan=_plan_from_args(args),
+        plan=(
+            None if getattr(args, "plan_cache", True)
+            else ExecutionPlan(cache=False)
+        ),
         ledger=args.run_ledger,
         resume=args.resume,
     )
@@ -800,7 +781,6 @@ def _dispatch(parser, args) -> int:
             "--batch-size": args.batch_size,
             "--shard-size": args.shard_size,
             "--backend": args.backend,
-            "--initial-rounds": args.initial_rounds,
             "--no-plan-cache": None if args.plan_cache else True,
             "--run-ledger": args.run_ledger,
             "--resume": True if args.resume else None,

@@ -324,7 +324,7 @@ def exhaustive_dynamo_search(
     so it affects speed only — the name lands in witness provenance but
     never in the cached search definition.  ``settings.plan`` selects the
     execution plan (:mod:`repro.engine.plans`: stepper caching +
-    adaptive round escalation); plans are likewise bitwise-invisible and
+    early retirement of cycling rows); plans are likewise bitwise-invisible and
     excluded from the definition.
 
     ``k`` defaults to 0 and the other colors are ``1..num_colors-1``; by

@@ -20,8 +20,6 @@ from .plans import (
     ExecutionPlan,
     PlanCacheStats,
     clear_plan_cache,
-    default_initial_rounds,
-    escalation_budgets,
     plan_cache_stats,
     resolve_plan,
 )
@@ -71,8 +69,6 @@ __all__ = [
     "NO_PLAN",
     "plan_cache_stats",
     "clear_plan_cache",
-    "default_initial_rounds",
-    "escalation_budgets",
     "resolve_plan",
     "default_round_cap",
     "validate_round_cap",

@@ -16,10 +16,11 @@ Semantics mirror :func:`~repro.engine.runner.run_synchronous` row for row:
   is converged; it is dropped from the live set so a batch costs
   (rounds of the slowest member) x (live rows) work, not B x cap;
 * **cycle detection** — synchronous deterministic dynamics are eventually
-  periodic; each live row's state is digested every round (two independent
-  64-bit polynomial hashes computed vectorized over the batch) and a row
-  whose digest repeats retires with the cycle length reported, exactly as
-  the scalar runner's blake2b table does;
+  periodic; a row retires at the first round its state repeats, with the
+  cycle length reported, exactly as the scalar runner's blake2b table
+  does.  A 128-bit digest history (one array over the live rows, compared
+  in one vectorized operation per round) triggers the check, and a stored
+  state history decides it, so the verdict is exact;
 * **frozen / irreversible vertices** — stubborn-entity pinning and the
   Chang-Lyuu irreversible variant, applied batch-wide;
 * **monotonicity monitoring** w.r.t. a target color (Definition 3).
@@ -80,16 +81,12 @@ def _digest_rows(colors: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """128-bit polynomial digest of each row, vectorized over the batch.
 
     ``mult`` is a ``(2, N)`` uint64 array of fixed odd multipliers; the
-    digest of a row is the pair of dot products mod 2**64.  Unlike the
-    scalar runner's blake2b this is not collision-*resistant*, but two
-    independent 64-bit channels make an accidental repeat-state collision
-    astronomically unlikely for simulation workloads, and the whole batch
-    hashes in two fused numpy reductions.
+    digest of a row is the pair of dot products mod 2**64, computed as
+    one wrapping integer matrix product.  Not collision-resistant:
+    :func:`run_batch` uses a digest match only as a trigger and decides
+    every repeat by comparing the states themselves.
     """
-    c = colors.astype(np.uint64, copy=False)
-    with np.errstate(over="ignore"):
-        h = c[:, None, :] * mult[None, :, :]
-    return h.sum(axis=2, dtype=np.uint64)  # (B, 2), wrapping mod 2**64
+    return colors.astype(np.uint64, copy=False) @ mult.T  # (B, 2)
 
 
 def _digest_multipliers(num_vertices: int) -> np.ndarray:
@@ -98,6 +95,24 @@ def _digest_multipliers(num_vertices: int) -> np.ndarray:
     # which default_rng rejects as a seed
     rng = np.random.default_rng(0x9E3779B97F4A7C15 + num_vertices)
     return rng.integers(1, 2**63, size=(2, num_vertices), dtype=np.uint64) * 2 + 1
+
+
+#: rounds of state history a ``detect_cycles`` run allocates up front;
+#: the history doubles whenever a run outlives it
+_HISTORY_ROUNDS = 15
+
+
+def _history_dtype(colors: np.ndarray) -> type:
+    """The narrowest exact dtype for a state history of ``colors``."""
+    fits = not colors.size or (colors.min() >= 0 and colors.max() <= 255)
+    return np.uint8 if fits else np.int32
+
+
+def _widen(history: np.ndarray, width: int) -> np.ndarray:
+    """A copy of ``history`` with room for ``width`` rounds per row."""
+    wider = np.empty((history.shape[0], width) + history.shape[2:], history.dtype)
+    wider[:, : history.shape[1]] = history
+    return wider
 
 
 @dataclass
@@ -169,9 +184,9 @@ def run_batch(
     (a name, a :class:`~repro.engine.backends.KernelBackend` instance,
     or ``None``/``"auto"`` for the default) and ``plan`` selects the
     :class:`~repro.engine.plans.ExecutionPlan` (stepper caching +
-    adaptive round escalation; ``None`` uses the default plan with both
-    enabled) — backends and plans are bitwise-interchangeable, so they
-    only affect speed.
+    early retirement of cycling rows; ``None`` uses the default plan
+    with both enabled) — backends and plans are bitwise-interchangeable,
+    so they only affect speed.
 
     ``schedule`` switches the *update model*: instead of synchronous
     lockstep rounds, each row evolves under its own sequential
@@ -184,12 +199,16 @@ def run_batch(
     of the synchronous engine are not available.
 
     Execution walks a *compact* working set: retired rows leave it, so a
-    batch costs (rounds of the slowest member) x (live rows).  Under an
-    escalating plan, ``detect_cycles=False`` runs additionally arm
-    shadow cycle detection once the plan's initial budget is spent:
-    a row whose state digest repeats is snapshot-verified over one
-    period and, if genuinely cycling, retires with its state
-    fast-forwarded to the cap — bitwise what full simulation would
+    batch costs (rounds of the slowest member) x (live rows), and every
+    per-row bookkeeping array is compacted with it — no step of a round
+    loops over rows in Python.  With ``detect_cycles=True`` a row whose
+    digest matches an earlier round's is compared with that round's
+    stored state and retires at its first repeat, so no row is stepped
+    past it.  Under an escalating plan, ``detect_cycles=False`` runs
+    use lockstep Brent detection from round 1 instead: a row that
+    returns to its snapshot (retaken at rounds 1, 2, 4, ...) has a known
+    period and retires at the round congruent to the cap, with its
+    state fast-forwarded to the cap — bitwise what full simulation would
     report, at a fraction of the rounds (see :mod:`repro.engine.plans`).
     """
     if schedule is not None:
@@ -228,27 +247,33 @@ def run_batch(
 
     # Compact working set: ``work[j]`` is the current state of original
     # row ``ids[j]``.  A retiring row's final state is written to
-    # ``colors`` as it leaves; survivors flush at loop exit.
+    # ``colors`` as it leaves; survivors flush at loop exit.  Every
+    # per-row detection array below is compacted together with them.
     ids = np.arange(b)
     work = colors  # rebound to a fresh compact array every round
 
-    mult: Optional[np.ndarray] = None
-    seen: Optional[list] = None  # per-work-row digest dicts (real detection)
     if detect_cycles:
+        # exact first-repeat detection: ``digests[j, s]`` digests row
+        # j's state at round s and is compacted with ``work``; the
+        # states themselves live in ``states[slot[j], s]`` and are only
+        # compacted when the history grows.  A digest hit is a trigger,
+        # the state comparison is the verdict.
         mult = _digest_multipliers(n)
-        d0 = _digest_rows(work, mult)
-        seen = [{(int(d0[i, 0]), int(d0[i, 1])): 0} for i in range(b)]
-
-    # Shadow detection (escalation): armed at the plan's first stage
-    # boundary for detect_cycles=False runs, re-armed (flushed) at each
-    # later boundary so its memory is bounded by one stage's rounds.
-    budgets = plan.budgets(topo, max_rounds)
-    shadow_seen: Optional[list] = None  # per-work-row digest dicts
-    pending: Optional[list] = None  # per-work-row [t0, L, e, snap, final]
-    boundary_iter = (
-        iter(budgets[:-1]) if not detect_cycles and len(budgets) > 1 else iter(())
-    )
-    next_boundary = next(boundary_iter, None)
+        width = min(max_rounds, _HISTORY_ROUNDS) + 1
+        digests = np.empty((b, width, 2), dtype=np.uint64)
+        digests[:, 0] = _digest_rows(work, mult)
+        states = np.empty((b, width, n), dtype=_history_dtype(work))
+        states[:, 0] = work
+        slot = np.arange(b)
+    brent = not detect_cycles and plan.escalate
+    if brent:
+        # lockstep Brent detection: one snapshot per row, retaken at
+        # rounds 1, 2, 4, 8, ...; a row that returns to its snapshot
+        # has period exactly ``t - snap_t`` and is due to retire at the
+        # round congruent to the cap modulo that period
+        snap: Optional[np.ndarray] = None
+        snap_t = 0
+        due = np.full(b, max_rounds + 1)  # > max_rounds: no deadline yet
 
     for t in range(1, max_rounds + 1):
         if not ids.size:
@@ -259,110 +284,71 @@ def run_batch(
         if irreversible_color is not None:
             np.copyto(new, irreversible_color, where=work == irreversible_color)
         changed = new != work
-        changed_rows = changed.any(axis=1)
-        rounds[ids] = np.where(changed_rows, t, t - 1)
+        moved = changed.any(axis=1)
+        rounds[ids] = np.where(moved, t, t - 1)
         if monotone is not None:
             left = (changed & (work == target_color)).any(axis=1)
             monotone[ids[left]] = False
-        if changed_rows.all():
-            work = new.copy()  # the scratch is reused by the next call
-        else:
-            # fixed-point retirement: the state did not change, so the
-            # pre-step row is already the final state
-            done = ids[~changed_rows]
+        # fixed-point retirement: the state did not change, so the
+        # pre-step row is already the final state
+        leave = ~moved
+        if leave.any():
+            done = ids[leave]
             converged[done] = True
             cycle_length[done] = 1
             fixed_point_round[done] = t - 1
-            colors[done] = work[~changed_rows]
-            ids = ids[changed_rows]
-            work = new[changed_rows]  # copies out of the stepper scratch
-            keep = changed_rows.tolist()
-            if seen is not None:
-                seen = [s for s, k in zip(seen, keep) if k]
-            if shadow_seen is not None:
-                shadow_seen = [s for s, k in zip(shadow_seen, keep) if k]
-                pending = [p for p, k in zip(pending, keep) if k]
-        retired: list = []
-        if seen is not None and ids.size:
-            # Digests are computed vectorized over the batch; the
-            # remaining per-row work is one dict lookup each (tolist()
-            # converts the whole block to Python ints in one C pass).
-            # Per-row dicts keep detection O(1) per round regardless of
-            # how long a run gets, unlike an all-history comparison
-            # matrix whose per-round cost grows with the round number.
-            digests = _digest_rows(work, mult).tolist()
-            for j in range(len(seen)):
-                key = (digests[j][0], digests[j][1])
-                prev = seen[j].get(key)
-                if prev is not None:
-                    i = ids[j]
-                    cycle_length[i] = t - prev
-                    colors[i] = work[j]
-                    retired.append(j)
-                else:
-                    seen[j][key] = t
-        elif shadow_seen is not None and ids.size:
-            digests = _digest_rows(work, mult).tolist()
-            for j in range(len(shadow_seen)):
-                p = pending[j]
-                if p is not None:
-                    # verification in flight: one period after the
-                    # suspected repeat, compare states exactly — the
-                    # digest is a trigger, never a verdict
-                    t0, period, offset, snap = p[0], p[1], p[2], p[3]
-                    k = t - t0
-                    if k == offset:
-                        p[4] = work[j].copy()
-                    if k == period:
-                        if np.array_equal(work[j], snap):
-                            # genuine cycle: the row changes every round
-                            # through the cap, so its final state is the
-                            # cycle state (cap - t0) mod period past the
-                            # snapshot and its round count is the cap —
-                            # bitwise what full simulation reports
-                            i = ids[j]
-                            colors[i] = snap if offset == 0 else p[4]
-                            rounds[i] = max_rounds
-                            retired.append(j)
-                            obs.count("plan.shadow-cycle-retire")
-                        else:
-                            pending[j] = None  # digest collision: resume
-                    continue
-                key = (digests[j][0], digests[j][1])
-                prev = shadow_seen[j].get(key)
-                if prev is not None:
-                    period = t - prev
-                    pending[j] = [
-                        t, period, (max_rounds - t) % period, work[j].copy(), None,
-                    ]
-                else:
-                    shadow_seen[j][key] = t
-        if retired:
-            keep2 = np.ones(ids.size, dtype=bool)
-            keep2[retired] = False
-            ids = ids[keep2]
-            work = work[keep2]
-            keep = keep2.tolist()
-            if seen is not None:
-                seen = [s for s, k in zip(seen, keep) if k]
-            if shadow_seen is not None:
-                shadow_seen = [s for s, k in zip(shadow_seen, keep) if k]
-                pending = [p for p, k in zip(pending, keep) if k]
-        if next_boundary is not None and t == next_boundary:
-            # stage boundary: (re)arm shadow detection over the
-            # survivors; in-flight verifications carry across (their
-            # snapshots are exact, not digest-dependent)
-            next_boundary = next(boundary_iter, None)
-            if ids.size:
-                obs.count("plan.escalation")
-                if mult is None:
-                    mult = _digest_multipliers(n)
-                d = _digest_rows(work, mult)
-                shadow_seen = [
-                    {(int(d[j, 0]), int(d[j, 1])): t} for j in range(ids.size)
-                ]
-                if pending is None:
-                    pending = [None] * ids.size
+            colors[done] = work[leave]
+        if detect_cycles:
+            if t == digests.shape[1]:
+                wider = min(2 * t, max_rounds + 1)
+                digests = _widen(digests, wider)
+                states = _widen(states[slot], wider)
+                slot = np.arange(ids.size)
+            if states.dtype == np.uint8 and _history_dtype(new) is not np.uint8:
+                states = states.astype(np.int32)
+            d = _digest_rows(new, mult)
+            past = digests[:, :t]
+            hit = (past[..., 0] == d[:, None, 0]) & (past[..., 1] == d[:, None, 1])
+            hit = hit.any(axis=1) & moved
+            if hit.any():
+                rows = np.flatnonzero(hit)
+                same = (states[slot[rows], :t] == new[rows, None]).all(axis=2)
+                found = same.any(axis=1)
+                rows = rows[found]
+                cycle_length[ids[rows]] = t - same[found].argmax(axis=1)
+                colors[ids[rows]] = new[rows]
+                leave[rows] = True
+            digests[:, t] = d
+            states[slot, t] = new
+        elif brent:
+            if snap is not None:
+                hit = moved & (due > max_rounds) & (new == snap).all(axis=1)
+                period = t - snap_t
+                due[hit] = t + (max_rounds - t) % period
+            ready = due == t
+            if ready.any():
+                # genuine cycle: the row changes every round through the
+                # cap and is now in the cap's state, so this is bitwise
+                # what full simulation to the cap reports
+                colors[ids[ready]] = new[ready]
+                rounds[ids[ready]] = max_rounds
+                leave |= ready
+                obs.count("plan.shadow-cycle-retire", int(ready.sum()))
+        if leave.any():
+            keep = ~leave
+            ids = ids[keep]
+            work = new[keep]  # copies out of the stepper scratch
+            if detect_cycles:
+                digests = digests[keep]
+                slot = slot[keep]
+            elif brent:
+                due = due[keep]
+                if snap is not None:
+                    snap = snap[keep]
+        else:
+            work = new.copy()  # the scratch is reused by the next call
+        if brent and t & (t - 1) == 0:
+            snap, snap_t = work, t  # ``work`` is rebound, never mutated
 
     if ids.size and work is not colors:
         colors[ids] = work

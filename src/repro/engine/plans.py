@@ -1,4 +1,4 @@
-"""Execution plans: compiled-stepper caching + adaptive round escalation.
+"""Execution plans: compiled-stepper caching + early cycle retirement.
 
 Two engine-wide costs named in ROADMAP.md live here:
 
@@ -20,22 +20,20 @@ compiled fresh every call — caching is an opt-in contract, never a guess.
 :func:`~repro.engine.runner.default_round_cap` (``4N + 64``).  Rows that
 reach a fixed point retire early, but search workloads run with
 ``detect_cycles=False`` and their *cycling* rows (two thirds of random
-configurations in the census regime) pay the full bound.  With
-escalation enabled, rows first run under a small initial budget
-(:func:`default_initial_rounds`, ``N/4 + 8``); survivors are compacted
-and escalated through geometrically growing budgets
-(:func:`escalation_budgets`) up to the proven bound, and from the first
-escalation onward the engine arms *shadow cycle detection*: row digests
-are tracked, a repeat triggers an exact snapshot verification over one
-period, and a verified cycling row retires immediately with its state
-**fast-forwarded to the cap** (``final = S[t + (cap - t) mod L]``, one
-extra simulated period at most).  Because the fast-forward is
-snapshot-verified (never trusted to the hash) and a cycling row changes
-every round, the retired row's ``final``, ``rounds`` (= the cap),
-``converged``, ``cycle_length`` and ``monotone`` fields are *bitwise*
-what full simulation to the cap would produce — escalation is a pure
-optimization, proven by the parity matrix in
-``tests/test_engine_plans.py``.
+configurations in the census regime) would pay the full bound.  With
+``escalate`` enabled, such runs use lockstep Brent detection from round
+1: every live row keeps one snapshot, retaken at rounds 1, 2, 4, 8, ...,
+and a row equal to its snapshot at round ``t`` has period exactly
+``L = t - snap_t``.  It is simulated on to the round ``t + (cap - t) mod
+L``, where its state is the cap's state, and retires there with
+``rounds`` = the cap.  The verdict compares whole states, never a hash,
+and a cycling row changes every round, so the retired row's ``final``,
+``rounds``, ``converged``, ``cycle_length`` and ``monotone`` fields are
+*bitwise* what full simulation to the cap would produce — escalation is
+a pure optimization, proven by the parity matrix in
+``tests/test_engine_plans.py``.  ``detect_cycles=True`` runs stop at
+their first repeated state under every plan (see :func:`~repro.engine.
+batch.run_batch`), so the switch does not apply to them.
 
 Determinism contract: plans never change results.  Witness ids, census
 rows, and per-row round counts are identical under any cache/escalation
@@ -76,8 +74,6 @@ __all__ = [
     "DEFAULT_PLAN",
     "NO_PLAN",
     "clear_plan_cache",
-    "default_initial_rounds",
-    "escalation_budgets",
     "plan_cache_stats",
     "resolve_plan",
     "rule_plan_token",
@@ -266,52 +262,13 @@ def clear_plan_cache(maxsize: Optional[int] = None) -> None:
 
 
 # ----------------------------------------------------------------------
-# round budgets
-# ----------------------------------------------------------------------
-def default_initial_rounds(topo: Topology) -> int:
-    """First-stage round budget: ``N/4 + 8``.
-
-    Census/search batches overwhelmingly settle (or enter their cycle)
-    within a few rounds; a quarter of the vertex count plus slack keeps
-    the first stage detection-free for them while staying tiny next to
-    the ``4N + 64`` worst case.
-    """
-    return topo.num_vertices // 4 + 8
-
-
-def escalation_budgets(initial: int, cap: int, growth: int = 4) -> list:
-    """The stage schedule: strictly increasing round budgets ending at
-    ``cap``.
-
-    ``[b0, b0*g, b0*g^2, ..., cap]`` with ``b0 = min(initial, cap)``.
-    Stage boundaries are where the batched engine compacts survivors and
-    (re)arms shadow cycle detection; flushing detection state at each
-    boundary bounds its memory to one stage's rounds, and a missed
-    detection only ever falls back to full (exact) simulation.
-    """
-    if initial < 1:
-        raise ValueError(f"initial budget must be >= 1, got {initial}")
-    if growth < 2:
-        raise ValueError(f"growth must be >= 2, got {growth}")
-    if cap <= 0:
-        return [cap] if cap == 0 else []
-    budgets = []
-    b = min(initial, cap)
-    while b < cap:
-        budgets.append(b)
-        b = min(b * growth, cap)
-    budgets.append(cap)
-    return budgets
-
-
-# ----------------------------------------------------------------------
 # the plan
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """How the batched engine executes a run: stepper caching + round
-    escalation.  Results are bitwise-identical under every setting; a
-    plan only chooses how fast they arrive.
+    """How the batched engine executes a run: stepper caching + early
+    retirement of cycling rows.  Results are bitwise-identical under
+    every setting; a plan only chooses how fast they arrive.
 
     Parameters
     ----------
@@ -319,12 +276,9 @@ class ExecutionPlan:
         Serve compiled steppers from the process-local registry when the
         rule/topology pair is cacheable (see :func:`stepper_cache_key`).
     escalate:
-        Enable staged round budgets with shadow cycle detection for
-        ``detect_cycles=False`` runs (see the module docstring).
-    initial_rounds:
-        First-stage budget; ``None`` uses :func:`default_initial_rounds`.
-    growth:
-        Geometric factor between stage budgets (>= 2).
+        Retire the cycling rows of ``detect_cycles=False`` runs as soon
+        as Brent detection has found their period, with their state
+        fast-forwarded to the cap (see the module docstring).
 
     Plans are small frozen settings objects: pickle them into pool
     shards freely — compiled steppers live in each process's own
@@ -333,16 +287,6 @@ class ExecutionPlan:
 
     cache: bool = True
     escalate: bool = True
-    initial_rounds: Optional[int] = None
-    growth: int = 4
-
-    def __post_init__(self) -> None:
-        if self.initial_rounds is not None and int(self.initial_rounds) < 1:
-            raise ValueError(
-                f"initial_rounds must be >= 1 or None, got {self.initial_rounds!r}"
-            )
-        if int(self.growth) < 2:
-            raise ValueError(f"growth must be >= 2, got {self.growth!r}")
 
     # ------------------------------------------------------------------
     def stepper_for(
@@ -371,17 +315,6 @@ class ExecutionPlan:
             stepper = timed_compile(resolved, rule, topo, max_batch)
             _STEPPER_CACHE.put(key, stepper)
         return stepper
-
-    def budgets(self, topo: Topology, cap: int) -> list:
-        """Stage schedule for one run (``[cap]`` when not escalating)."""
-        if not self.escalate:
-            return [cap]
-        initial = (
-            default_initial_rounds(topo)
-            if self.initial_rounds is None
-            else int(self.initial_rounds)
-        )
-        return escalation_budgets(initial, cap, self.growth)
 
 
 #: the plan every engine entry point resolves when none is given:

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.complement import _wavefront_order
 from repro.engine.runner import run_synchronous
+from repro.rules.base import Rule
 from repro.rules.smp import SMPRule
 from repro.structures.blocks import prune_to_core
 from repro.topology import ToroidalMesh, TorusCordalis, TorusSerpentinus
@@ -131,3 +132,33 @@ def reference_dynamo_complement(
     if dfs(0):
         return colors.astype(np.int32)
     return None
+
+
+class CyclicRule(Rule):
+    """The cyclic cellular automaton on ``num_colors`` colors: a vertex
+    of color ``c`` advances to ``c + 1 (mod K)`` when some neighbor
+    already shows that color.
+
+    Random colorings settle into waves that travel around the torus, so
+    its cycles have period ``>= K`` — longer than the period-2 blinking
+    the shipped rules produce — which pins cycle detection's modular
+    arithmetic beyond the two-state case.
+    """
+
+    def __init__(self, num_colors: int = 3):
+        self.num_colors = num_colors
+
+    def step_batch(self, colors, topo, out=None):
+        succ = (colors + 1) % self.num_colors
+        advance = (colors[:, topo.neighbors] == succ[:, :, None]).any(axis=2)
+        if out is None:
+            out = np.empty_like(colors)
+        np.copyto(out, np.where(advance, succ, colors))
+        return out
+
+    def update_vertex(self, current, neighbor_colors):
+        succ = (current + 1) % self.num_colors
+        return succ if succ in neighbor_colors else current
+
+    def plan_token(self):
+        return (self.num_colors,)

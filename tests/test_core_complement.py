@@ -317,9 +317,11 @@ def test_disagreeing_engines_raise(monkeypatch):
 
 @pytest.fixture
 def fresh_plan_cache():
-    clear_plan_cache()
+    """An empty stepper registry of the default size, whatever bound an
+    earlier test left behind."""
+    clear_plan_cache(maxsize=plans_module._DEFAULT_CACHE_SIZE)
     yield
-    clear_plan_cache()
+    clear_plan_cache(maxsize=plans_module._DEFAULT_CACHE_SIZE)
 
 
 def test_leaf_blocks_compile_one_stepper_per_topology(fresh_plan_cache):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import batch as batch_module
 from repro.engine import run_batch, run_synchronous
 from repro.engine.batch import as_color_batch
 from repro.rules import (
@@ -27,7 +28,7 @@ from repro.rules import (
 )
 from repro.topology import GraphTopology, ToroidalMesh
 
-from helpers import TORUS_KINDS
+from helpers import TORUS_KINDS, CyclicRule
 
 #: (name, rule factory, palette low, palette size, target color) — one per
 #: rule family; palettes respect each rule's domain (bi-colored majority
@@ -40,6 +41,8 @@ RULE_CASES = {
     "plurality": (lambda: GeneralizedPluralityRule(4), 0, 4, 0),
     "ordered": (lambda: OrderedIncrementRule(4), 0, 4, 3),
     "threshold": (lambda: LinearThresholdRule("simple"), 0, 2, 1),
+    # not a registry rule: its cycles have period 3 and longer
+    "cyclic": (lambda: CyclicRule(3), 0, 3, 0),
 }
 
 
@@ -182,6 +185,95 @@ def test_run_batch_cycle_detection(rng):
     assert res.converged[1] and int(res.cycle_length[1]) == 1
     ref = run_synchronous(topo, blink, rule, max_rounds=50, target_color=2)
     assert ref.cycle_length == 2 and np.array_equal(res.final[0], ref.final)
+
+
+# ----------------------------------------------------------------------
+# cycle detection: exact verdicts, retirement at the first repeat
+# ----------------------------------------------------------------------
+def _colliding_digests(colors, mult):
+    """Every state gets the same digest: each round triggers a check."""
+    return np.zeros((colors.shape[0], 2), dtype=np.uint64)
+
+
+def test_cycle_verdict_does_not_trust_the_digest(monkeypatch, rng, torus_kind):
+    """With every digest colliding, each live row is checked against its
+    whole state history every round; results must still be the scalar
+    runner's, row for row — the digest triggers, the states decide."""
+    monkeypatch.setattr(batch_module, "_digest_rows", _colliding_digests)
+    topo = TORUS_KINDS[torus_kind](4, 5)
+    for name in ("smp", "plurality", "cyclic"):
+        factory, low, palette, target = RULE_CASES[name]
+        rule = factory()
+        batch = _random_batch(rng, topo, low, palette, 24)
+        res = run_batch(topo, batch, rule, max_rounds=120, target_color=target)
+        _assert_rows_match(res, topo, batch, rule, target, max_rounds=120)
+
+
+def test_history_widening_keeps_parity(monkeypatch, rng, torus_kind):
+    """A history with room for one round is widened at rounds 1, 2, 4,
+    8, ... while rows retire around it; results must not notice."""
+    monkeypatch.setattr(batch_module, "_HISTORY_ROUNDS", 1)
+    topo = TORUS_KINDS[torus_kind](4, 5)
+    for name in ("smp", "cyclic"):
+        factory, low, palette, target = RULE_CASES[name]
+        rule = factory()
+        batch = _random_batch(rng, topo, low, palette, 32)
+        res = run_batch(topo, batch, rule, max_rounds=120, target_color=target)
+        _assert_rows_match(res, topo, batch, rule, target, max_rounds=120)
+
+
+def test_state_history_widens_past_the_uint8_range(monkeypatch, rng):
+    """Colors start below 256 and leave that range mid-run: the history
+    must switch to an exact dtype.  Truncated to uint8, the all-256
+    state a counter from 200 stores at round 56 would read back as the
+    all-0 state it reaches at round 200 — a false period-144 cycle."""
+
+    class Counter(Rule):
+        """Every vertex advances one color per round, mod ``k``."""
+
+        def __init__(self, k):
+            self.k = k
+
+        def step_batch(self, colors, topo, out=None):
+            if out is None:
+                out = np.empty_like(colors)
+            np.remainder(colors + 1, self.k, out=out)
+            return out
+
+        def update_vertex(self, current, neighbor_colors):
+            return (current + 1) % self.k
+
+        def plan_token(self):
+            return (self.k,)
+
+    monkeypatch.setattr(batch_module, "_digest_rows", _colliding_digests)
+    topo = ToroidalMesh(3, 3)
+    batch = np.stack([np.full(9, 200), _random_batch(rng, topo, 0, 3, 1)[0]])
+    res = run_batch(topo, batch, Counter(400), max_rounds=450, target_color=0)
+    assert (res.cycle_length == 400).all() and (res.rounds == 400).all()
+    assert np.array_equal(res.final, batch)
+    _assert_rows_match(res, topo, batch, Counter(400), 0, max_rounds=450)
+
+
+def test_cycle_detection_steps_each_row_to_its_first_repeat(rng, torus_kind):
+    """No replay and no late retirement: the row-rounds stepped are
+    exactly what each row's outcome implies — ``r + 1`` for a fixed
+    point at round ``r``, ``rounds`` for a first repeat or the cap."""
+    stepped = []
+
+    class CountingCyclic(CyclicRule):
+        def step_batch(self, colors, topo, out=None):
+            stepped.append(colors.shape[0])
+            return CyclicRule.step_batch(self, colors, topo, out=out)
+
+    topo = TORUS_KINDS[torus_kind](4, 5)
+    batch = _random_batch(rng, topo, 0, 3, 64)
+    batch[0] = 0  # a fixed point from round 0
+    res = run_batch(topo, batch, CountingCyclic(3), max_rounds=12, target_color=0)
+    assert res.converged.any() and (res.cycle_length > 1).any()
+    assert (res.cycle_length == 0).any()  # some rows run to the cap
+    implied = np.where(res.converged, res.fixed_point_round + 1, res.rounds)
+    assert sum(stepped) == int(implied.sum())
 
 
 def test_run_batch_retires_converged_rows_early(rng):

@@ -26,9 +26,7 @@ from repro.engine import (
     ExecutionPlan,
     ExecutionSettings,
     clear_plan_cache,
-    default_initial_rounds,
     default_round_cap,
-    escalation_budgets,
     plan_cache_stats,
     resolve_plan,
     run_batch,
@@ -37,7 +35,12 @@ from repro.engine import (
     validate_round_cap,
 )
 from repro.engine.backends import backend_names
-from repro.engine.plans import rule_plan_token, stepper_cache_key, topology_token
+from repro.engine.plans import (
+    _DEFAULT_CACHE_SIZE,
+    rule_plan_token,
+    stepper_cache_key,
+    topology_token,
+)
 from repro.experiments import below_bound_census, convergence_sweep
 from repro.io.witnessdb import WitnessDB
 from repro.rules import (
@@ -55,7 +58,7 @@ from repro.topology import (
     ToroidalMesh,
 )
 
-from helpers import TORUS_KINDS
+from helpers import TORUS_KINDS, CyclicRule
 
 RESULT_FIELDS = (
     "final", "rounds", "converged", "cycle_length", "fixed_point_round",
@@ -69,6 +72,8 @@ RULE_CASES = {
     "plurality": (lambda: GeneralizedPluralityRule(5), 0, 5, 0),
     "ordered": (lambda: OrderedIncrementRule(4), 0, 4, 3),
     "threshold": (lambda: LinearThresholdRule("simple"), 0, 2, 1),
+    # cycles of period 3 and longer (the others blink with period 2)
+    "cyclic": (lambda: CyclicRule(3), 0, 3, 0),
 }
 
 #: engine-flag variants: cycle detection on/off x frozen/irreversible
@@ -82,10 +87,11 @@ VARIANTS = {
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    """Each test starts from an empty stepper registry."""
+    """Each test starts from an empty stepper registry and leaves one of
+    the default size behind."""
     clear_plan_cache()
     yield
-    clear_plan_cache()
+    clear_plan_cache(maxsize=_DEFAULT_CACHE_SIZE)
 
 
 def _assert_results_equal(res, ref, context):
@@ -125,26 +131,27 @@ def test_escalation_parity_matrix(rng, torus_kind, case, variant, backend):
 
 
 def test_escalation_parity_across_round_caps(rng):
-    """Sweep the cap through every phase of the shadow fast-forward
-    (before arming, mid-verification, deep cycling) — the modular
-    arithmetic of the cap state must hold at every value."""
+    """Sweep the cap through every phase of the Brent fast-forward
+    (before the first snapshot, between a detection and its deadline,
+    deep cycling) — the modular arithmetic of the cap state must hold at
+    every value, for period-2 blinkers and for longer cycles alike."""
     topo = ToroidalMesh(4, 4)
-    rule = SMPRule()
-    batch = rng.integers(0, 5, size=(48, 16)).astype(np.int32)
-    plan = ExecutionPlan(initial_rounds=3, growth=2)
-    for cap in list(range(0, 24)) + [33, 48, 80, 101]:
-        ref = run_batch(topo, batch, rule, max_rounds=cap, target_color=0,
-                        detect_cycles=False, plan=NO_PLAN)
-        res = run_batch(topo, batch, rule, max_rounds=cap, target_color=0,
-                        detect_cycles=False, plan=plan)
-        _assert_results_equal(res, ref, cap)
-        assert not res.converged.all()  # the pin is meaningful: rows cycle
+    for case in ("smp", "cyclic"):
+        factory, low, palette, target = RULE_CASES[case]
+        rule = factory()
+        batch = rng.integers(low, low + palette, size=(48, 16)).astype(np.int32)
+        for cap in list(range(0, 24)) + [33, 48, 80, 101]:
+            kw = dict(max_rounds=cap, target_color=target, detect_cycles=False)
+            ref = run_batch(topo, batch, rule, plan=NO_PLAN, **kw)
+            res = run_batch(topo, batch, rule, plan=DEFAULT_PLAN, **kw)
+            _assert_results_equal(res, ref, (case, cap))
+            assert not res.converged.all()  # the pin is meaningful: rows cycle
 
 
 def test_escalation_retires_cycling_rows_early(rng):
     """The point of the exercise: a cycling-heavy search batch under an
     escalating plan must not simulate every row to the cap.  Proxy: the
-    escalated run is must faster in rounds actually stepped — asserted
+    escalated run is much faster in rounds actually stepped — asserted
     through a counting stepper."""
     calls = {"on": 0, "off": 0}
 
@@ -163,7 +170,8 @@ def test_escalation_retires_cycling_rows_early(rng):
     res = run_batch(topo, batch, CountingSMP("on"), plan=DEFAULT_PLAN, **kw)
     _assert_results_equal(res, ref, "counting")
     assert not ref.converged.all()
-    # cycling rows retire after verification instead of running to 80
+    # cycling rows retire once their period is known instead of running
+    # to 80
     assert calls["on"] < calls["off"] / 2, calls
 
 
@@ -179,7 +187,7 @@ def test_random_search_is_plan_independent():
     )
     out = random_dynamo_search(
         topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
-        settings=replace(settings, plan=ExecutionPlan(initial_rounds=4)),
+        settings=replace(settings, plan=DEFAULT_PLAN),
     )
     assert out.examined == ref.examined
     assert len(out.witnesses) == len(ref.witnesses)
@@ -217,7 +225,7 @@ def test_cached_census_serves_across_plans(tmp_path):
     )
     second = below_bound_census(
         db=WitnessDB(path),
-        settings=ExecutionSettings(plan=ExecutionPlan(initial_rounds=2)),
+        settings=ExecutionSettings(plan=DEFAULT_PLAN),
         **kwargs,
     )
     assert first == second
@@ -233,7 +241,7 @@ def test_convergence_sweep_is_plan_independent():
         ),
         convergence_sweep(
             pts, replicas=128,
-            settings=replace(settings, plan=ExecutionPlan(initial_rounds=3)),
+            settings=replace(settings, plan=DEFAULT_PLAN),
         ),
     )
 
@@ -295,6 +303,9 @@ def test_plan_cache_hit_miss_and_eviction(rng):
     assert s.evictions == 1 and s.size == 2 and s.maxsize == 2
     clear_plan_cache()
     assert plan_cache_stats().size == 0
+    # the bound survives a plain clear; restore the default for later tests
+    assert plan_cache_stats().maxsize == 2
+    clear_plan_cache(maxsize=_DEFAULT_CACHE_SIZE)
 
 
 def test_plan_cache_respects_cache_flag(rng):
@@ -463,7 +474,7 @@ def test_stepper_cache_key_components():
 # per-worker isolation and plan pickling
 # ----------------------------------------------------------------------
 def test_plans_pickle_as_settings_only():
-    plan = ExecutionPlan(cache=True, escalate=False, initial_rounds=7, growth=3)
+    plan = ExecutionPlan(cache=True, escalate=False)
     clone = pickle.loads(pickle.dumps(plan))
     assert clone == plan
 
@@ -492,34 +503,12 @@ def test_sharded_search_keeps_parent_cache_untouched():
 
 
 # ----------------------------------------------------------------------
-# plan settings validation and budgets
+# plan settings validation
 # ----------------------------------------------------------------------
 def test_execution_plan_validates_settings():
-    with pytest.raises(ValueError, match="initial_rounds"):
-        ExecutionPlan(initial_rounds=0)
-    with pytest.raises(ValueError, match="growth"):
-        ExecutionPlan(growth=1)
     with pytest.raises(TypeError, match="ExecutionPlan"):
         resolve_plan("fast")
     assert resolve_plan(None) is DEFAULT_PLAN
-
-
-def test_escalation_budgets_schedule():
-    assert escalation_budgets(8, 100) == [8, 32, 100]
-    assert escalation_budgets(8, 100, growth=2) == [8, 16, 32, 64, 100]
-    assert escalation_budgets(50, 20) == [20]  # clamped to the cap
-    assert escalation_budgets(8, 8) == [8]
-    assert escalation_budgets(8, 0) == [0]
-    with pytest.raises(ValueError):
-        escalation_budgets(0, 100)
-    with pytest.raises(ValueError):
-        escalation_budgets(8, 100, growth=1)
-    topo = ToroidalMesh(6, 6)
-    assert default_initial_rounds(topo) == 36 // 4 + 8
-    assert DEFAULT_PLAN.budgets(topo, default_round_cap(topo))[-1] == (
-        default_round_cap(topo)
-    )
-    assert NO_PLAN.budgets(topo, 50) == [50]
 
 
 # ----------------------------------------------------------------------
