@@ -1,18 +1,22 @@
-"""Kernel-backend throughput: reference vs stencil.
+"""Kernel throughput: the rules' own ``step_batch`` ("reference") vs the
+compiled kernel ("stencil", :func:`repro.engine.stencil.compile_stepper`).
 
 Two entry points:
 
 * **pytest-benchmark suite** (``pytest benchmarks/bench_backends.py``) —
-  times the compiled steppers and the end-to-end ``run_batch`` hot path
-  on the census-sized workload, asserts the stencil backend's >= 2x
-  acceptance floor (skipped under ``REPRO_BENCH_RELAX``, parity asserted
-  always), and records every ratio in ``extra_info``;
+  times both steppers and the end-to-end ``run_batch`` hot path on the
+  census-sized workload, asserts the compiled kernel's >= 2x acceptance
+  floor (skipped under ``REPRO_BENCH_RELAX``, parity asserted always),
+  and records every ratio in ``extra_info``;
 * **standalone emitter** (``python benchmarks/bench_backends.py
-  [--out BENCH_backends.json]``) — runs the same workloads across every
-  registered backend and writes the machine-readable comparison CI
-  archives.  The JSON never asserts: it *records* (timings move with the
-  hardware; the parity matrix in ``tests/test_engine_backends.py`` is
-  the correctness gate).
+  [--out BENCH_backends.json]``) — runs the same workloads on both
+  kernels and writes the machine-readable comparison CI archives.  The
+  JSON never asserts: it *records* (timings move with the hardware; the
+  parity matrix in ``tests/test_engine_backends.py`` is the correctness
+  gate).
+
+``run_batch`` reaches the rules' own kernels through
+:func:`helpers.rule_kernel_only`, the seam the parity suites use.
 
 The workload is the census/search regime the ROADMAP calls the hottest
 path: thousands of random replicas on a small torus (the below-bound
@@ -24,6 +28,7 @@ import json
 import os
 import tempfile
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +39,13 @@ import pytest
 _RELAX_SPEEDUP = os.environ.get("REPRO_BENCH_RELAX", "") not in ("", "0")
 
 from repro import obs
-from repro.engine import backend_names, run_batch, select_backend
+from repro.engine import compile_stepper, run_batch
+from repro.engine.stencil import fallback_stepper
 from repro.obs.report import summarize_stream
 from repro.rules import GeneralizedPluralityRule, SMPRule
 from repro.topology import ToroidalMesh
+
+from bench_helpers import rule_kernel_only
 
 #: the census-sized workloads: (label, rule factory, palette size)
 WORKLOADS = {
@@ -48,6 +56,14 @@ WORKLOADS = {
 #: census geometry: the 6x6 torus cell stepping full replica blocks
 TORUS_SIZE = 6
 BATCH = 8192
+
+#: the two kernels, by their names in BENCH_backends.json: a stepper
+#: factory and the engine context that routes ``run_batch`` through it
+KERNELS = {
+    "reference": (lambda rule, topo, b: fallback_stepper(rule, topo),
+                  rule_kernel_only),
+    "stencil": (compile_stepper, nullcontext),
+}
 
 
 def _tmin(fn, repeats=5):
@@ -77,7 +93,7 @@ def _census_batch(rng, topo, palette, batch=BATCH):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_stencil_stepper_speedup(benchmark, rng, workload):
-    """Compiled stencil stepper vs the reference kernel, parity included.
+    """Compiled stepper vs the rule's own kernel, parity included.
 
     This is the acceptance bar: >= 2x on the census-sized workload (the
     per-round kernel cost that dominates sweeps/censuses/searches).
@@ -86,8 +102,8 @@ def test_stencil_stepper_speedup(benchmark, rng, workload):
     rule = factory()
     topo = ToroidalMesh(TORUS_SIZE, TORUS_SIZE)
     batch = _census_batch(rng, topo, palette)
-    reference = select_backend("reference").compile(rule, topo, BATCH)
-    stencil = select_backend("stencil").compile(rule, topo, BATCH)
+    reference = fallback_stepper(rule, topo)
+    stencil = compile_stepper(rule, topo, BATCH)
     assert np.array_equal(stencil(batch), reference(batch))  # warm + parity
     speedup = _tmin(lambda: reference(batch)) / _tmin(lambda: stencil(batch))
     benchmark(stencil, batch)
@@ -99,14 +115,14 @@ def test_stencil_stepper_speedup(benchmark, rng, workload):
     )
     if not _RELAX_SPEEDUP:
         assert speedup >= 2.0, (
-            f"stencil backend only {speedup:.2f}x over reference on the "
+            f"compiled kernel only {speedup:.2f}x over reference on the "
             f"{workload} census workload"
         )
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_run_batch_backend_speedup(benchmark, rng, workload):
-    """End-to-end run_batch under each backend (census flags: no cycle
+    """End-to-end run_batch on each kernel (census flags: no cycle
     detection, target color 0), parity asserted, ratio recorded."""
     factory, palette = WORKLOADS[workload]
     rule = factory()
@@ -115,10 +131,11 @@ def test_run_batch_backend_speedup(benchmark, rng, workload):
     kwargs = dict(max_rounds=160, target_color=0, detect_cycles=False)
 
     def reference():
-        return run_batch(topo, batch, rule, backend="reference", **kwargs)
+        with rule_kernel_only():
+            return run_batch(topo, batch, rule, **kwargs)
 
     def stencil():
-        return run_batch(topo, batch, rule, backend="stencil", **kwargs)
+        return run_batch(topo, batch, rule, **kwargs)
 
     ref, res = reference(), stencil()  # warm + parity cross-check
     assert np.array_equal(ref.final, res.final)
@@ -133,16 +150,16 @@ def test_run_batch_backend_speedup(benchmark, rng, workload):
 
 
 def collect_backend_timings(rounds: int = 20) -> dict:
-    """Measure every registered backend on the census-sized workloads.
+    """Measure both kernels on the census-sized workloads.
 
     Returns the ``BENCH_backends.json`` payload: per-workload stepper
     times (best-of-``rounds`` milliseconds per round over the full
     ``(8192, 36)`` block), end-to-end ``run_batch`` seconds, and
-    speedups relative to the ``reference`` backend.
+    speedups relative to the rules' own kernels (``reference``).
     """
     rng = np.random.default_rng(0xD1CE)
     topo = ToroidalMesh(TORUS_SIZE, TORUS_SIZE)
-    backends = list(backend_names())
+    backends = list(KERNELS)
     payload = {
         "workload": {
             "torus": f"mesh {TORUS_SIZE}x{TORUS_SIZE}",
@@ -160,25 +177,26 @@ def collect_backend_timings(rounds: int = 20) -> dict:
         small = batch[:2048]
         entry = {}
         for name in backends:
-            stepper = select_backend(name).compile(rule, topo, BATCH)
-            reference = stepper(batch)  # warm (includes any JIT cost)
+            make_stepper, engine = KERNELS[name]
+            stepper = make_stepper(rule, topo, BATCH)
+            reference = stepper(batch)  # warm
             step_ms = 1e3 * _tmin(lambda: stepper(batch), repeats=rounds)
-            t0 = time.perf_counter()
-            run_batch(
-                topo, small, rule, max_rounds=160, target_color=0,
-                detect_cycles=False, backend=name,
-            )
-            run_seconds = time.perf_counter() - t0
-            # cache effectiveness: the timed call above compiled and
-            # cached this (rule, backend) stepper, so a repeat must be
-            # served entirely from the plan cache — compare_bench.py
-            # gates the hit rate against the committed baseline
-            cache = _plan_cache_counters(
-                lambda: run_batch(
+
+            def run():
+                return run_batch(
                     topo, small, rule, max_rounds=160, target_color=0,
-                    detect_cycles=False, backend=name,
+                    detect_cycles=False,
                 )
-            )
+
+            with engine():
+                t0 = time.perf_counter()
+                run()
+                run_seconds = time.perf_counter() - t0
+                # cache effectiveness: the timed call above compiled and
+                # cached this rule's stepper, so a repeat must be served
+                # entirely from the plan cache — compare_bench.py gates
+                # the hit rate against the committed baseline
+                cache = _plan_cache_counters(run)
             entry[name] = {
                 "step_ms_per_round": round(step_ms, 3),
                 "run_batch_seconds": round(run_seconds, 3),
@@ -203,7 +221,7 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="emit the backend-comparison JSON (BENCH_backends.json)"
+        description="emit the kernel-comparison JSON (BENCH_backends.json)"
     )
     parser.add_argument("--out", default="BENCH_backends.json", metavar="FILE")
     parser.add_argument("--rounds", type=int, default=20,

@@ -1,13 +1,14 @@
 """Irregular-graph throughput: batched run_batch vs a scalar replica loop.
 
 The scale-free census advances every replica of a BA graph as one
-``(R, N)`` block through :func:`repro.engine.run_batch` on the stencil
-backend, whose plurality plan histograms irregular tables in CSR form
+``(R, N)`` block through :func:`repro.engine.run_batch` on the compiled
+kernel, whose plurality plan histograms irregular tables in CSR form
 (``O(edges)`` per round).  Before the rewiring, ``ext/scale_free``
-looped :func:`run_synchronous` one replica at a time over the reference
-kernels — the irregular-graph path the stencil backend did not yet
-serve, paying the padded ``O(N * max_degree)`` per-slot ``np.add.at``
-scatter that a scale-free hub makes pathological.  This benchmark pins
+looped :func:`run_synchronous` one replica at a time over the rule's own
+kernel (reached here through :func:`helpers.rule_kernel_only`) — the
+irregular-graph path the compiled kernel did not yet serve, paying the
+padded ``O(N * max_degree)`` per-slot ``np.add.at`` scatter that a
+scale-free hub makes pathological.  This benchmark pins
 that the rewiring is worth its complexity on the graphs the census
 actually runs:
 
@@ -41,6 +42,8 @@ _RELAX_SPEEDUP = os.environ.get("REPRO_BENCH_RELAX", "") not in ("", "0")
 from repro.engine import run_batch, run_synchronous
 from repro.rules import GeneralizedPluralityRule
 from repro.topology import GraphTopology
+
+from bench_helpers import rule_kernel_only
 
 #: the census-shaped workloads: label -> (vertices, replicas)
 WORKLOADS = {
@@ -83,16 +86,17 @@ def _paths(topo, block, rule):
     kwargs = dict(max_rounds=MAX_ROUNDS, target_color=0, detect_cycles=False)
 
     def batched():
-        return run_batch(topo, block, rule, backend="stencil", **kwargs)
+        return run_batch(topo, block, rule, **kwargs)
 
     def scalar_loop():
         # the pre-refactor census path: one replica at a time on the
-        # reference kernels (the stencil backend did not serve irregular
+        # rule's own kernel (the compiled kernel did not serve irregular
         # graphs before the generalization)
-        return [
-            run_synchronous(topo, block[i], rule, backend="reference", **kwargs)
-            for i in range(block.shape[0])
-        ]
+        with rule_kernel_only():
+            return [
+                run_synchronous(topo, block[i], rule, **kwargs)
+                for i in range(block.shape[0])
+            ]
 
     return batched, scalar_loop
 

@@ -8,6 +8,14 @@ both directories are collected in one pytest session.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
+# the "rule's own kernel" seam is shared with the parity suites in tests/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from helpers import rule_kernel_only  # noqa: E402,F401  (re-exported)
+
 
 def once(benchmark, fn, *args, **kwargs):
     """Time a heavy computation exactly once (rounds=1, iterations=1)."""

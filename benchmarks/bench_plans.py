@@ -21,8 +21,9 @@ The headline numbers come from escalation: in the search regime
 plans — simulate every round to the ``4N + 64`` bound even though their
 period is 2.  Lockstep Brent detection, armed from round 1, finds each
 period within a few rounds of the row entering its cycle and retires
-the row with its state fast-forwarded to the cap, bitwise-identically.  The stepper cache rides
-along, paying off on scalar loops and expensive-compile backends.
+the row with its state fast-forwarded to the cap, bitwise-identically.
+The stepper cache rides along, paying off on scalar loops and on
+compiles of large tables.
 """
 
 import json

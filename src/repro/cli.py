@@ -43,7 +43,6 @@ Examples
     repro-dynamo sweep mesh 6 8 --convergence --rule majority --batch-size 128
     repro-dynamo sweep mesh 8 10 --convergence --processes 4 --shard-size 64
     repro-dynamo census --sizes 3 4 --batch-size 4096 --processes 4
-    repro-dynamo census --sizes 3 4 --backend stencil
     repro-dynamo census --db results/witnesses.jsonl
     repro-dynamo census --sizes 3 4 --run-ledger results/census.ledger
     repro-dynamo census --sizes 3 4 --run-ledger results/census.ledger --resume
@@ -121,18 +120,6 @@ def _positive_arg(flag: str):
     return parse
 
 
-def _backend_arg(value: str) -> str:
-    """argparse type for ``--backend``: reject unknown names at the
-    prompt."""
-    from .engine.backends import select_backend
-
-    try:
-        select_backend(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
 def _port_arg(value: str) -> int:
     """argparse type for ``serve --port``: 0 (any free port) to 65535."""
     port = int(value) if value.isdigit() else -1
@@ -178,7 +165,6 @@ def _settings_from_args(args):
         processes=args.processes,
         shard_size=getattr(args, "shard_size", None),
         batch_size=getattr(args, "batch_size", None),
-        backend=args.backend,
         plan=(
             None if getattr(args, "plan_cache", True)
             else ExecutionPlan(cache=False)
@@ -215,20 +201,6 @@ def _check_ledger_args(parser, args) -> None:
     """``--resume`` is meaningless without a ledger to resume from."""
     if getattr(args, "resume", False) and getattr(args, "run_ledger", None) is None:
         parser.error("--resume requires --run-ledger")
-
-
-def _add_backend_arg(sp, what: str) -> None:
-    from .engine.backends import backend_names
-
-    sp.add_argument(
-        "--backend",
-        type=_backend_arg,
-        default=None,
-        metavar="NAME",
-        help=f"kernel backend for {what}: auto, "
-        f"{', '.join(backend_names())} (results are bitwise-identical "
-        "under every backend; this only affects speed)",
-    )
 
 
 def _add_telemetry_args(sp, what: str) -> None:
@@ -331,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the batch size); results are identical at any --processes "
         "count but depend on this value",
     )
-    _add_backend_arg(sp, "--convergence replica blocks")
     _add_plan_args(sp, "--convergence replica blocks")
     _add_ledger_args(sp, "--convergence sweeps")
     _add_telemetry_args(sp, "the sweep")
@@ -371,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="random trials per process shard (default: the batch size)",
     )
-    _add_backend_arg(sp, "the census searches")
     _add_plan_args(sp, "the census searches")
     sp.add_argument(
         "--seed",
@@ -422,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--shard-size", type=_positive_arg("--shard-size"),
                     default=None, metavar="S")
-    _add_backend_arg(sp, "the search batches")
     _add_plan_args(sp, "the search batches")
     sp.add_argument("--max-configs", type=int, default=20_000_000)
     sp.add_argument("--db", metavar="FILE",
@@ -479,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P",
         help="worker processes, one BA graph per shard (0 runs inline)",
     )
-    _add_backend_arg(sp, "the replica blocks")
     sp.add_argument(
         "--db",
         metavar="FILE",
@@ -569,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("ids", nargs="*", help="witness ids (unique prefixes)")
     wp.add_argument("--all", action="store_true", dest="verify_all",
                     help="verify every stored witness")
-    _add_backend_arg(wp, "the replay")
 
     wp = wsub.add_parser(
         "export", help="write one witness as a configuration JSON"
@@ -672,7 +639,7 @@ def _witness_main(args) -> int:
             return 2
         failures = 0
         for rec in targets:
-            outcome = db.verify(rec, backend=args.backend)
+            outcome = db.verify(rec)
             size = f"{rec.m}x{rec.n}"
             if outcome.ok:
                 print(f"{rec.id} {rec.rule} {rec.kind} {size} "
@@ -780,7 +747,6 @@ def _dispatch(parser, args) -> int:
             "--colors": args.colors,
             "--batch-size": args.batch_size,
             "--shard-size": args.shard_size,
-            "--backend": args.backend,
             "--no-plan-cache": None if args.plan_cache else True,
             "--run-ledger": args.run_ledger,
             "--resume": True if args.resume else None,

@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # runtime import stays lazy: io.serialize imports core
     from ..io.witnessdb import WitnessDB
 
 from .. import obs
-from ..engine.backends import KernelBackend, resolve_backend_ref
 from ..engine.batch import DYNAMICS_VERSION, run_batch
 from ..engine.context import ExecutionSettings, LedgerSetting
 from ..engine.plans import ExecutionPlan, resolve_plan
@@ -48,7 +47,6 @@ from ..rules.smp import SMPRule
 from ..topology.base import Topology
 
 __all__ = [
-    "BackendSpec",
     "SearchOutcome",
     "exhaustive_dynamo_search",
     "exhaustive_min_dynamo_size",
@@ -56,16 +54,10 @@ __all__ = [
     "count_configs",
 ]
 
-#: how callers name a kernel backend: a registry name, an instance, or
-#: ``None``/"auto" for the default.  Bitwise-interchangeable by contract,
-#: so the choice is recorded in witness provenance but never enters a
-#: search definition (cache keys are backend-independent).
-BackendSpec = Union[str, KernelBackend, None]
-
 #: how callers select an execution plan (:mod:`repro.engine.plans`):
 #: an :class:`~repro.engine.plans.ExecutionPlan` or ``None`` for the
-#: default.  Like backends, plans are bitwise-invisible — they never
-#: enter search definitions or witness ids.
+#: default.  Plans are bitwise-invisible — they never enter search
+#: definitions or witness ids.
 PlanSpec = Optional[ExecutionPlan]
 
 
@@ -209,7 +201,6 @@ def _db_record_outcome(
     outcome: SearchOutcome,
     method: str,
     shard_of: Optional[List[int]] = None,
-    backend: Optional[str] = None,
 ) -> None:
     """Persist a finished search: its witnesses (up to ``_DB_RECORD_CAP``)
     and, when a definition identifies it, the summary the cache matches."""
@@ -248,10 +239,6 @@ def _db_record_outcome(
             "recorded": len(indices),
             "engine": __version__,
         }
-        if backend is not None:
-            # provenance only: backends are bitwise-interchangeable, so
-            # the name never enters the search definition / cache key
-            provenance["backend"] = backend
         if summary_id is not None:
             provenance["search_id"] = summary_id
         if shard_of is not None:
@@ -319,13 +306,10 @@ def exhaustive_dynamo_search(
     parent driver (the census) passes instead — mutually exclusive with
     ``settings.ledger``.
 
-    ``settings.backend`` selects the kernel backend batches run under
-    (:mod:`repro.engine.backends`); backends are bitwise-interchangeable,
-    so it affects speed only — the name lands in witness provenance but
-    never in the cached search definition.  ``settings.plan`` selects the
-    execution plan (:mod:`repro.engine.plans`: stepper caching +
-    early retirement of cycling rows); plans are likewise bitwise-invisible and
-    excluded from the definition.
+    ``settings.plan`` selects the execution plan
+    (:mod:`repro.engine.plans`: stepper caching + early retirement of
+    cycling rows); plans are bitwise-invisible and excluded from the
+    definition.
 
     ``k`` defaults to 0 and the other colors are ``1..num_colors-1``; by
     color symmetry of the SMP rule this loses no generality.  ``rule``
@@ -347,7 +331,6 @@ def exhaustive_dynamo_search(
     batch_size = settings.resolved_batch_size(8192)
     ledger = settings.ledger
     validate_positive(batch_size, flag="batch_size")
-    backend_name, backend_ref = resolve_backend_ref(settings.backend)
     plan = resolve_plan(settings.plan)
     n = topo.num_vertices
     total = count_configs(n, seed_size, num_colors)
@@ -398,7 +381,7 @@ def exhaustive_dynamo_search(
             # the db writes and the ledger commit (both are idempotent)
             _db_record_outcome(
                 db, definition, spec, rule, num_colors, k, replayed,
-                "exhaustive", backend=backend_name,
+                "exhaustive",
             )
             if top_scope is not None:
                 top_scope.ledger.finish(top_scope.run_id)
@@ -415,7 +398,7 @@ def exhaustive_dynamo_search(
         """
         _db_record_outcome(
             db, definition, spec, rule, num_colors, k, finished,
-            "exhaustive", backend=backend_name,
+            "exhaustive",
         )
         if ledger_scope is not None:
             ledger_scope.put(_outcome_payload(finished), "outcome")
@@ -440,7 +423,6 @@ def exhaustive_dynamo_search(
             max_rounds=max_rounds,
             target_color=k,
             detect_cycles=False,
-            backend=backend_ref,
             plan=plan,
         )
         hits = np.flatnonzero(
@@ -564,7 +546,6 @@ def _random_trials(
     max_rounds: int,
     batch_size: int,
     monotone_only: bool,
-    backend: BackendSpec = None,
     plan: PlanSpec = None,
 ) -> List[Tuple[np.ndarray, bool]]:
     """Run ``trials`` random configurations; return the witnesses found.
@@ -590,7 +571,6 @@ def _random_trials(
             max_rounds=max_rounds,
             target_color=k,
             detect_cycles=False,
-            backend=backend,
             plan=plan,
         )
         hits = np.flatnonzero(
@@ -605,8 +585,7 @@ def _random_search_shard(shard: tuple) -> List[Tuple[np.ndarray, bool]]:
     """Pool worker: one replica block of a sharded random search.
 
     The shard is a small picklable tuple; the topology is rebuilt locally
-    from its spec (tori), the kernel backend is resolved locally from its
-    *name*, and the RNG is derived from the shard *index*, so any process
+    from its spec (tori) and the RNG is derived from the shard *index*, so any process
     count draws identical streams.  The execution plan travels as plain
     settings (compiled steppers never cross process boundaries — each
     worker fills its own plan cache).
@@ -624,7 +603,6 @@ def _random_search_shard(shard: tuple) -> List[Tuple[np.ndarray, bool]]:
         max_rounds,
         batch_size,
         monotone_only,
-        backend,
         plan,
     ) = shard
     topo = build_topology(spec, topo_obj)
@@ -640,7 +618,6 @@ def _random_search_shard(shard: tuple) -> List[Tuple[np.ndarray, bool]]:
         max_rounds,
         batch_size,
         monotone_only,
-        backend=backend,
         plan=plan,
     )
 
@@ -677,12 +654,6 @@ def random_dynamo_search(
     passes instead — mutually exclusive with ``settings.ledger``.  Both
     require the deterministic seed-material path (a ``Generator`` stream
     is not reconstructible after a crash).
-
-    ``settings.backend`` selects the kernel backend (a registry name
-    resolved locally by each pool worker); bitwise-interchangeable, so
-    it is recorded in witness provenance but excluded from the cached
-    search definition — a census computed under one backend serves cache
-    hits to every other.
 
     Used where exhaustion is infeasible; finding no witness in many trials
     is (only) statistical evidence for the lower bound — the benches report
@@ -729,10 +700,6 @@ def random_dynamo_search(
 
     entropy = _seed_entropy(rng)
     spec = topology_spec(topo)
-    backend_name, backend_ref = resolve_backend_ref(
-        settings.backend,
-        sharded=entropy is not None and (nproc is None or nproc > 0),
-    )
     if ledger is not None and ledger_scope is not None:
         raise ValueError("pass either ledger or ledger_scope, not both")
     if entropy is None:
@@ -751,14 +718,12 @@ def random_dynamo_search(
         outcome.witnesses.extend(
             _random_trials(
                 topo, rng, trials, seed_size, others, k, rule,
-                max_rounds, batch_size, monotone_only, backend=backend_ref,
-                plan=plan,
+                max_rounds, batch_size, monotone_only, plan=plan,
             )
         )
         outcome.examined = trials
         _db_record_outcome(
             db, None, spec, rule, num_colors, k, outcome, "random",
-            backend=backend_name,
         )
         return outcome
 
@@ -808,7 +773,6 @@ def random_dynamo_search(
             max_rounds,
             batch_size,
             monotone_only,
-            backend_ref,
             plan,
         )
         for i, count in enumerate(counts)
@@ -845,7 +809,7 @@ def random_dynamo_search(
     outcome.examined = trials
     _db_record_outcome(
         db, definition, spec, rule, num_colors, k, outcome, "random",
-        shard_of=shard_of, backend=backend_name,
+        shard_of=shard_of,
     )
     if top_scope is not None:
         top_scope.ledger.finish(top_scope.run_id)

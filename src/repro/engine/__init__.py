@@ -6,12 +6,6 @@ from .metrics import (
     takeover_summary,
     wavefront_speed,
 )
-from .backends import (
-    KernelBackend,
-    backend_names,
-    register_backend,
-    select_backend,
-)
 from .batch import BatchRunResult, as_color_batch, run_batch
 from .context import ExecutionSettings, RunStats
 from .plans import (
@@ -36,6 +30,7 @@ from .parallel import (
 from .result import RunResult
 from .runner import default_round_cap, run_synchronous, validate_round_cap
 from .schedulers import AsyncSchedule, run_asynchronous, run_asynchronous_batch
+from .stencil import compile_stepper
 from .temporal import run_temporal, run_temporal_batch
 
 __all__ = [
@@ -59,10 +54,7 @@ __all__ = [
     "resolve_processes",
     "validate_positive",
     "validate_processes",
-    "KernelBackend",
-    "backend_names",
-    "register_backend",
-    "select_backend",
+    "compile_stepper",
     "ExecutionPlan",
     "PlanCacheStats",
     "DEFAULT_PLAN",

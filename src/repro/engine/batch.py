@@ -29,26 +29,25 @@ The generic :meth:`step_batch` falls back to looping the rule's scalar
 :meth:`step` over rows, so *every* rule works with this driver from day
 one; the five shipped rules override it with flat vectorized kernels.
 
-How a round actually executes is delegated to a pluggable **kernel
-backend** (:mod:`repro.engine.backends`): the default ``stencil`` backend
-compiles each rule's declarative kernel spec into a zero-allocation
-NumPy plan and ``reference`` runs the rule's own ``step_batch``.  Backends
-are bitwise-interchangeable (the parity matrix in
-``tests/test_engine_backends.py`` pins it), so the choice never affects
-results, seeds, or witness-database cache keys.
+A round executes through one **compiled kernel**
+(:func:`~repro.engine.stencil.compile_stepper`, served by the plan
+cache): each rule's declarative kernel spec becomes a zero-allocation
+NumPy plan, and a rule without one runs its own ``step_batch``.  The
+compiled kernel is bitwise-identical to ``step_batch`` (the parity
+matrix in ``tests/test_engine_backends.py`` pins it), so it never
+affects results, seeds, or witness-database cache keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..rules.base import Rule
 from ..topology.base import Topology
-from .backends import KernelBackend
 from .plans import ExecutionPlan, resolve_plan
 from .result import RunResult
 from .runner import parse_frozen, validate_round_cap
@@ -171,7 +170,6 @@ def run_batch(
     frozen: Optional[Iterable[int]] = None,
     irreversible_color: Optional[int] = None,
     detect_cycles: bool = True,
-    backend: Union[str, KernelBackend, None] = None,
     plan: Optional[ExecutionPlan] = None,
     schedule: Optional["AsyncSchedule"] = None,
 ) -> BatchRunResult:
@@ -180,23 +178,20 @@ def run_batch(
     Parameters mirror :func:`~repro.engine.runner.run_synchronous`; the
     returned arrays are indexed by row.  ``detect_cycles=False`` lets
     cycling rows run to the cap (cheaper for searches that only consume
-    converged outcomes).  ``backend`` selects how rule kernels execute
-    (a name, a :class:`~repro.engine.backends.KernelBackend` instance,
-    or ``None``/``"auto"`` for the default) and ``plan`` selects the
+    converged outcomes).  ``plan`` selects the
     :class:`~repro.engine.plans.ExecutionPlan` (stepper caching +
     early retirement of cycling rows; ``None`` uses the default plan
-    with both enabled) — backends and plans are bitwise-interchangeable,
-    so they only affect speed.
+    with both enabled) — plans are bitwise-interchangeable, so they
+    only affect speed.
 
     ``schedule`` switches the *update model*: instead of synchronous
     lockstep rounds, each row evolves under its own sequential
     activation schedule (see :class:`~repro.engine.schedulers.
     AsyncSchedule`), with ``max_rounds`` counting sweeps.  Schedule mode
     delegates to :func:`~repro.engine.schedulers.run_asynchronous_batch`
-    — the backend name is still validated (a typo should not pass
-    silently), but kernels are compiled by the scheduler's own
-    vectorizer, and the frozen / irreversible / cycle-detection features
-    of the synchronous engine are not available.
+    — kernels are compiled by the scheduler's own vectorizer, and the
+    frozen / irreversible / cycle-detection features of the synchronous
+    engine are not available.
 
     Execution walks a *compact* working set: retired rows leave it, so a
     batch costs (rounds of the slowest member) x (live rows), and every
@@ -217,10 +212,8 @@ def run_batch(
                 "frozen / irreversible vertices are a synchronous-engine "
                 "feature; schedule mode does not support them"
             )
-        from .backends import select_backend
         from .schedulers import run_asynchronous_batch
 
-        select_backend(backend)  # validate the name, nothing else
         return run_asynchronous_batch(
             topo,
             batch,
@@ -232,7 +225,7 @@ def run_batch(
     colors = as_color_batch(batch, topo.num_vertices).copy()
     b = colors.shape[0]
     plan = resolve_plan(plan)
-    stepper = plan.stepper_for(rule, topo, b, backend)
+    stepper = plan.stepper_for(rule, topo, b)
     max_rounds = validate_round_cap(max_rounds, topo)
     n = topo.num_vertices
 

@@ -15,9 +15,9 @@ determinism contract:
 * **definitional** knobs (``shard_size``, ``batch_size``) shape RNG draw
   order and thus the results — they are part of an experiment's
   definition and cache key;
-* **bitwise-invisible** knobs (``processes``, ``backend``, ``plan``,
-  ``ledger``, ``resume``, ``telemetry``, ``cancel``) may change how fast
-  or how safely a run executes, never what it computes.
+* **bitwise-invisible** knobs (``processes``, ``plan``, ``ledger``,
+  ``resume``, ``telemetry``, ``cancel``) may change how fast or how
+  safely a run executes, never what it computes.
 
 A driver that has no use for an invisible knob ignores it; a driver
 that has no use for a *definitional* knob refuses it (silently dropping
@@ -47,17 +47,12 @@ from .. import obs
 
 if TYPE_CHECKING:  # type-only: avoid runtime engine -> io import cycles
     from ..io.ledger import RunLedger
-    from .backends.base import KernelBackend
     from .plans import ExecutionPlan
 
 __all__ = [
     "ExecutionSettings",
     "RunStats",
 ]
-
-#: how drivers accept a kernel backend: a registry name, an instance, or
-#: ``None`` for the automatic choice
-BackendSetting = Union[str, "KernelBackend", None]
 
 #: how drivers accept a run ledger: an open ledger, a path to one, or
 #: ``None`` for no checkpointing
@@ -89,9 +84,6 @@ class ExecutionSettings:
     batch_size:
         Replica rows advanced per engine step (``None`` = the driver's
         default).  **Definitional.**
-    backend:
-        Kernel backend name or instance (``None`` = auto).
-        Bitwise-invisible — backends are parity-pinned.
     plan:
         An :class:`~repro.engine.plans.ExecutionPlan` tuning memory/
         layout.  Bitwise-invisible.
@@ -122,7 +114,6 @@ class ExecutionSettings:
     processes: Optional[int] = 0
     shard_size: Optional[int] = None
     batch_size: Optional[int] = None
-    backend: BackendSetting = None
     plan: Optional["ExecutionPlan"] = None
     ledger: LedgerSetting = None
     resume: bool = False

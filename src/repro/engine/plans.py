@@ -3,18 +3,23 @@
 Two engine-wide costs named in ROADMAP.md live here:
 
 **Stepper recompilation.**  Every :func:`~repro.engine.batch.run_batch`
-call used to compile its kernel backend stepper from scratch — harmless
-for one census-sized block, real money for many-small-batch search loops
-that issue thousands of calls against the same ``(rule, topology)``.
-:class:`ExecutionPlan` routes compilation through a bounded, process-local
-LRU registry keyed by ``(backend name, rule identity, topology identity,
-max_batch)``.  Rule identity is ``(type, plan_token())`` — rules publish a
+call used to compile its stepper (:func:`~repro.engine.stencil.
+compile_stepper`) from scratch — harmless for one census-sized block,
+real money for many-small-batch search loops that issue thousands of
+calls against the same ``(rule, topology)``.  :class:`ExecutionPlan`
+routes compilation through a bounded, process-local LRU registry keyed
+by ``(rule identity, topology identity, max_batch)``.  Rule identity is
+``(type, plan_token())`` — rules publish a
 :meth:`~repro.rules.base.Rule.plan_token` that changes whenever any state
 their compiled kernel depends on changes (tie policy, palette size,
 threshold spec), so mutating a rule invalidates its cache entries on the
 next call.  Rules that publish no token (custom rules, subclasses whose
 kernel overrides are not covered by their inherited token) are simply
 compiled fresh every call — caching is an opt-in contract, never a guess.
+The registry holds raw steppers only: the ``debug``-level per-step
+timing shim (below) wraps a stepper each time it is served, so a
+telemetry session never changes what the cache holds and always times
+the steps it runs.
 
 **The Theorem-8 worst-case round bound.**  ``run_batch`` caps runs at
 :func:`~repro.engine.runner.default_round_cap` (``4N + 64``).  Rows that
@@ -37,14 +42,14 @@ batch.run_batch`), so the switch does not apply to them.
 
 Determinism contract: plans never change results.  Witness ids, census
 rows, and per-row round counts are identical under any cache/escalation
-setting, so plan settings — like backend names — are excluded from
-witness-database cache definitions.
+setting, so plan settings are excluded from witness-database cache
+definitions.
 
 Process model: the stepper registry is **process-local** (module state).
 :class:`ExecutionPlan` itself is a small frozen dataclass of settings —
 safe to pickle into pool shards — and workers resolve compilations
 against their own local registry, so nothing compiled ever crosses a
-process boundary (the plan analogue of names-only backend pickling).
+process boundary.
 Steppers own preallocated scratch, so a cached stepper must not be
 driven from two threads at once; use ``ExecutionPlan(cache=False)`` for
 thread-per-engine setups.
@@ -53,20 +58,22 @@ thread-per-engine setups.
 from __future__ import annotations
 
 import itertools
+import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional, Union
 
+import numpy as np
+
 from .. import obs
 from ..rules.base import Rule
 from ..topology.base import Topology
-from .backends import KernelBackend, Stepper, select_backend, timed_compile
-from .backends.base import _definer
 from .parallel import topology_spec
 from .runner import validate_round_cap  # noqa: F401  (re-exported: the
 # shared budget validator lives next to default_round_cap and is part of
 # this module's public face)
+from .stencil import Stepper, _definer, compile_stepper
 
 __all__ = [
     "ExecutionPlan",
@@ -91,7 +98,7 @@ def rule_plan_token(rule: Rule) -> Optional[Hashable]:
     ``None`` when the rule is not safely cacheable.
 
     Wraps :meth:`~repro.rules.base.Rule.plan_token` with the same
-    MRO-authority check :func:`~repro.engine.backends.base.rule_spec`
+    MRO-authority check :func:`~repro.engine.stencil.rule_spec`
     applies to kernel specs: a subclass (or mixin) that overrides
     ``step_batch`` or ``kernel_spec`` without republishing
     ``plan_token`` inherits a token that describes *another class's*
@@ -168,7 +175,7 @@ def topology_token(topo: Topology) -> Optional[Hashable]:
 
 
 def stepper_cache_key(
-    backend_name: str, rule: Rule, topo: Topology, max_batch: int
+    rule: Rule, topo: Topology, max_batch: int
 ) -> Optional[tuple]:
     """The registry key for one compiled stepper, or ``None`` when any
     component is uncacheable (the caller then compiles fresh)."""
@@ -178,7 +185,7 @@ def stepper_cache_key(
     ttok = topology_token(topo)
     if ttok is None:
         return None
-    return (backend_name, rtok, ttok, int(max_batch))
+    return (rtok, ttok, int(max_batch))
 
 
 # ----------------------------------------------------------------------
@@ -289,32 +296,75 @@ class ExecutionPlan:
     escalate: bool = True
 
     # ------------------------------------------------------------------
-    def stepper_for(
-        self,
-        rule: Rule,
-        topo: Topology,
-        max_batch: int,
-        backend: Union[str, KernelBackend, None] = None,
-    ) -> Stepper:
+    def stepper_for(self, rule: Rule, topo: Topology, max_batch: int) -> Stepper:
         """A compiled stepper for ``(rule, topo)``, served from the
         registry when allowed and possible.
 
-        Never cached: ``cache=False`` plans, :class:`KernelBackend`
-        *instances* passed by object (their name may not identify them),
-        rules without an authoritative :func:`rule_plan_token`, and
-        topologies without a :func:`topology_token`.
+        Never cached: ``cache=False`` plans, rules without an
+        authoritative :func:`rule_plan_token`, and topologies without a
+        :func:`topology_token`.  The registry stores the raw stepper; the
+        ``debug`` timing shim is applied on every serve.
         """
-        resolved = select_backend(backend)
-        if not self.cache or isinstance(backend, KernelBackend):
-            return timed_compile(resolved, rule, topo, max_batch)
-        key = stepper_cache_key(resolved.name, rule, topo, max_batch)
+        key = stepper_cache_key(rule, topo, max_batch) if self.cache else None
         if key is None:
-            return timed_compile(resolved, rule, topo, max_batch)
+            return instrumented_stepper(timed_compile(rule, topo, max_batch))
         stepper = _STEPPER_CACHE.get(key)
         if stepper is None:
-            stepper = timed_compile(resolved, rule, topo, max_batch)
+            stepper = timed_compile(rule, topo, max_batch)
             _STEPPER_CACHE.put(key, stepper)
+        return instrumented_stepper(stepper)
+
+
+# ----------------------------------------------------------------------
+# telemetry hooks (repro.obs side channel; bitwise-invisible)
+# ----------------------------------------------------------------------
+def timed_compile(rule: Rule, topo: Topology, max_batch: int) -> Stepper:
+    """:func:`~repro.engine.stencil.compile_stepper` under a ``compile``
+    telemetry span: one span per build, plus a ``backend.compile``
+    counter.  With telemetry off it is exactly ``compile_stepper(...)``.
+    """
+    if not obs.enabled("detailed"):
+        return compile_stepper(rule, topo, max_batch)
+    obs.count("backend.compile")
+    with obs.span(
+        "compile",
+        level="detailed",
+        rule=type(rule).__name__,
+        vertices=topo.num_vertices,
+        max_batch=int(max_batch),
+    ):
+        return compile_stepper(rule, topo, max_batch)
+
+
+class _TimedStepper:
+    """Per-step timing shim (``debug`` level only).
+
+    Wraps a compiled stepper to accumulate ``backend.steps`` /
+    ``backend.step-us`` counters — aggregate totals, not per-round
+    events, so a thousand-round run adds two counter deltas, not a
+    thousand lines.  :meth:`ExecutionPlan.stepper_for` applies it to
+    each stepper it serves and never caches it, so turning telemetry on
+    or off cannot change what the cache serves.
+    """
+
+    __slots__ = ("stepper",)
+
+    def __init__(self, stepper: Stepper):
+        self.stepper = stepper
+
+    def __call__(self, batch: np.ndarray) -> np.ndarray:
+        t0 = time.perf_counter()
+        out = self.stepper(batch)
+        obs.count("backend.steps")
+        obs.count("backend.step-us", int(1e6 * (time.perf_counter() - t0)))
+        return out
+
+
+def instrumented_stepper(stepper: Stepper) -> Stepper:
+    """Wrap ``stepper`` with per-step timing when debug telemetry is on."""
+    if not obs.enabled("debug"):
         return stepper
+    return _TimedStepper(stepper)
 
 
 #: the plan every engine entry point resolves when none is given:

@@ -13,6 +13,10 @@ unit.  :func:`run_synchronous` executes that loop with:
 * monotonicity monitoring w.r.t. a target color (Definition 3),
 * optional freezing of a vertex subset (irreversible/stubborn variants).
 
+Each round runs the same compiled kernel as the batched engine
+(:func:`~repro.engine.stencil.compile_stepper` on a ``(1, N)`` view,
+served by the plan cache) unless the rule overrides its scalar ``step``.
+
 ``max_rounds`` defaults to a generous bound derived from Theorem 8 — the
 slowest construction in the paper needs ``O(m * n)`` rounds, so we cap at
 ``4 * m * n + 64`` table slots for grid topologies and ``4 * N + 64``
@@ -31,7 +35,6 @@ from ..topology.base import Topology
 from .result import RunResult
 
 if TYPE_CHECKING:  # type-only: runner must stay importable before plans
-    from .backends import KernelBackend
     from .plans import ExecutionPlan
 
 __all__ = [
@@ -106,7 +109,6 @@ def run_synchronous(
     track_changes: bool = True,
     detect_cycles: bool = True,
     record: bool = False,
-    backend: "str | KernelBackend | None" = None,
     plan: "ExecutionPlan | None" = None,
 ) -> RunResult:
     """Run the synchronous dynamics to a fixed point, cycle, or round cap.
@@ -138,16 +140,16 @@ def run_synchronous(
         benchmarks.
     record:
         Keep a copy of every state in ``result.trajectory`` (index = round).
-    backend, plan:
-        Kernel backend and :class:`~repro.engine.plans.ExecutionPlan`
-        for the per-round kernel, exactly as in
+    plan:
+        The :class:`~repro.engine.plans.ExecutionPlan` for the per-round
+        kernel, exactly as in
         :func:`~repro.engine.batch.run_batch` (the compiled stepper runs
         on a ``(1, N)`` view and is served from the plan's cache, so
-        repeated scalar runs skip recompilation too).  Both are honored
+        repeated scalar runs skip recompilation too).  It is honored
         only while the rule's scalar :meth:`~repro.rules.base.Rule.step`
         is the stock batched delegation — a rule overriding ``step``
         keeps its own kernel, mirroring how inherited kernel specs are
-        withheld from backends.
+        withheld from the compiler.
     """
     # lazy import: plans imports this module for the shared validators
     from .plans import resolve_plan
@@ -156,7 +158,7 @@ def run_synchronous(
     max_rounds = validate_round_cap(max_rounds, topo)
     stepper = None
     if type(rule).step is Rule.step:
-        stepper = resolve_plan(plan).stepper_for(rule, topo, 1, backend)
+        stepper = resolve_plan(plan).stepper_for(rule, topo, 1)
 
     frozen_idx = parse_frozen(frozen, topo.num_vertices)
     frozen_values = colors[frozen_idx].copy() if frozen_idx is not None else None

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..rules.base import Rule, as_color_array
 from ..topology.base import Topology
-from .backends.base import _definer, rule_spec
+from .stencil import _definer, rule_spec
 from .result import RunResult
 from .runner import default_round_cap
 

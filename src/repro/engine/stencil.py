@@ -1,11 +1,17 @@
-"""The stencil backend: precomputed gathers + preallocated scratch.
+"""The compiled kernel: precomputed gathers + preallocated scratch.
 
-The reference kernels are already vectorized, but they re-derive their
-index arithmetic and allocate every intermediate array on *every round* —
-for a census-sized workload (thousands of replicas on a small torus,
+Every experiment in this reproduction bottoms out in one local step —
+each vertex takes its neighbours' majority or plurality colour — and
+:func:`compile_stepper` is the one place that step is compiled.  It
+turns a rule's declarative :class:`~repro.rules.base.KernelSpec` into a
+*plan* and falls back to the rule's own ``step_batch``
+(:func:`fallback_stepper`) when :func:`rule_spec` withholds a spec.
+
+The rule kernels are already vectorized, but they re-derive their index
+arithmetic and allocate every intermediate array on *every round* — for
+a census-sized workload (thousands of replicas on a small torus,
 thousands of rounds across batches) the allocator and the generic
-``np.sort``/``np.add.at`` paths dominate.  This backend compiles a
-:class:`~repro.rules.base.KernelSpec` into a *plan* that:
+``np.sort``/``np.add.at`` paths dominate.  A compiled plan instead:
 
 * gathers neighbor colors through per-slot index vectors with
   ``np.take(..., out=..., mode="clip")`` into preallocated buffers (one
@@ -23,10 +29,21 @@ thousands of rounds across batches) the allocator and the generic
   **zero allocations per round** once compiled (the CSR histogram's one
   ``bincount`` output is the sole exception).
 
-Every plan reproduces its reference kernel bit for bit: all operations
-are exact integer/boolean arithmetic, sorted values do not depend on the
-sorting algorithm, and adoption masks are the same boolean formulas.  The
-parity matrix in ``tests/test_engine_backends.py`` holds the proof.
+Contract:
+
+* **bitwise determinism** — every plan reproduces the rule's own
+  :meth:`~repro.rules.base.Rule.step_batch` bit for bit: all operations
+  are exact integer/boolean arithmetic, sorted values do not depend on
+  the sorting algorithm, and adoption masks are the same boolean
+  formulas.  The parity matrix in ``tests/test_engine_backends.py``
+  holds the proof, so the compiled kernel is invisible to seeds,
+  witness ids and cache keys;
+* **error fidelity** — invalid inputs raise the same :class:`ValueError`
+  the rule itself raises (specs carry the rule's validator; structurally
+  unsupported topologies make :meth:`~repro.rules.base.Rule.kernel_spec`
+  return ``None``, and the fallback surfaces the rule's own error);
+* **graceful fallback** — a rule without a spec (custom rules) compiles
+  to a stepper that simply calls its ``step_batch``, so every rule runs.
 """
 
 from __future__ import annotations
@@ -35,13 +52,72 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ...rules.base import KernelSpec, Rule
-from ...rules.majority import BLACK, WHITE
-from ...rules.threshold import ACTIVE
-from ...topology.base import Topology
-from .base import KernelBackend, Stepper, fallback_stepper, rule_spec
+from ..rules.base import KernelSpec, Rule
+from ..rules.majority import BLACK, WHITE
+from ..rules.threshold import ACTIVE
+from ..topology.base import Topology
 
-__all__ = ["StencilBackend"]
+__all__ = [
+    "Stepper",
+    "compile_stepper",
+    "fallback_stepper",
+    "rule_spec",
+]
+
+#: a compiled one-round kernel: ``stepper(colors)`` takes a ``(b, N)`` int32
+#: batch (``b`` may vary between calls, up to the compile-time ``max_batch``;
+#: larger batches reallocate) and returns the next state.  The returned
+#: array may be an internal scratch buffer reused by the *next* call — the
+#: engine consumes it fully before stepping again and callers must do the
+#: same (copy what you keep).
+Stepper = Callable[[np.ndarray], np.ndarray]
+
+
+def _definer(rule: Rule, attr: str) -> "type | None":
+    """The MRO class providing ``attr`` for this rule instance."""
+    for cls in type(rule).__mro__:
+        if attr in cls.__dict__:
+            return cls
+    return None
+
+
+def rule_spec(rule: Rule, topo: Topology) -> "KernelSpec | None":
+    """``rule.kernel_spec(topo)``, but only when the spec speaks for the
+    rule's actual kernel.
+
+    A subclass (or mixin) that overrides ``step_batch`` without
+    republishing ``kernel_spec`` inherits a spec describing *another
+    class's* kernel; compiling that spec would silently run the stock
+    dynamics instead of the override.  The spec is therefore withheld
+    (``None``) whenever the class providing ``step_batch`` precedes the
+    one providing ``kernel_spec`` in the MRO — the override wins and
+    :func:`compile_stepper` falls back to it, unless the overriding
+    class explicitly publishes its own spec.
+    """
+    mro = type(rule).__mro__
+    spec_owner = _definer(rule, "kernel_spec")
+    kernel_owner = _definer(rule, "step_batch")
+    if (
+        spec_owner is not None
+        and kernel_owner is not None
+        and mro.index(kernel_owner) < mro.index(spec_owner)
+    ):
+        return None
+    return rule.kernel_spec(topo)
+
+
+def fallback_stepper(rule: Rule, topo: Topology) -> Stepper:
+    """The universal stepper: delegate to the rule's own ``step_batch``.
+
+    What :func:`compile_stepper` returns when no authoritative spec
+    exists — including a structurally unsupported topology, where the
+    rule's kernel raises its own error.
+    """
+
+    def stepper(colors: np.ndarray) -> np.ndarray:
+        return rule.step_batch(colors, topo)
+
+    return stepper
 
 
 def _cmpswap(a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
@@ -341,19 +417,22 @@ _PLANS = {
 }
 
 
-class StencilBackend(KernelBackend):
-    """Optimized pure-NumPy execution of the declarative kernel specs."""
+def compile_stepper(rule: Rule, topo: Topology, max_batch: int) -> Stepper:
+    """Build a one-round stepper for ``(rule, topo)``.
 
-    name = "stencil"
-
-    def compile(self, rule: Rule, topo: Topology, max_batch: int) -> Stepper:
-        spec = rule_spec(rule, topo)
-        plan_cls = None if spec is None else _PLANS.get(spec.kind)
-        if plan_cls is None:
-            # no (authoritative) spec — custom rule, subclassed kernel,
-            # unsupported topology, or a spec kind from a newer rule:
-            # the rule's own kernel decides
-            return fallback_stepper(rule, topo)
-        plan = plan_cls(spec, topo)
-        plan._ensure(max(int(max_batch), 1))
-        return plan
+    ``max_batch`` sizes the preallocated scratch; steppers accept
+    smaller batches (sliced views) and transparently grow for larger
+    ones.  Compilation is cheap (index copies, buffer allocation), and
+    :meth:`~repro.engine.plans.ExecutionPlan.stepper_for` caches it, so
+    per-round work allocates nothing.
+    """
+    spec = rule_spec(rule, topo)
+    plan_cls = None if spec is None else _PLANS.get(spec.kind)
+    if plan_cls is None:
+        # no (authoritative) spec — custom rule, subclassed kernel,
+        # unsupported topology, or a spec kind from a newer rule:
+        # the rule's own kernel decides
+        return fallback_stepper(rule, topo)
+    plan = plan_cls(spec, topo)
+    plan._ensure(max(int(max_batch), 1))
+    return plan

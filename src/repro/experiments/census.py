@@ -37,7 +37,6 @@ from ..core.bounds import lower_bound
 from ..core.diagonal import diagonal_dynamo
 from ..core.search import exhaustive_min_dynamo_size, random_dynamo_search
 from ..core.verify import is_monotone_dynamo
-from ..engine.backends import resolve_backend_ref
 from ..engine.batch import DYNAMICS_VERSION
 from ..engine.context import ExecutionSettings, RunStats
 from ..engine.parallel import (
@@ -193,14 +192,10 @@ def below_bound_census(
     from the store without running any search, and freshly computed
     cells store their witness and summary on the way out.
 
-    ``settings.backend`` selects the kernel backend
-    (:mod:`repro.engine.backends`) the searches run under.  Backends are
-    bitwise-interchangeable, so the census table, the witnesses, and the
-    cache definition are identical under every backend — the chosen name
-    is recorded in witness provenance only.  ``settings.plan`` selects
-    the execution plan (:mod:`repro.engine.plans`) the searches run under;
-    plans are bitwise-invisible too, so cached cells serve identically
-    whatever the plan settings.
+    ``settings.plan`` selects the execution plan
+    (:mod:`repro.engine.plans`) the searches run under; plans are
+    bitwise-invisible, so cached cells serve identically whatever the
+    plan settings.
 
     ``settings.ledger`` (a :class:`~repro.io.ledger.RunLedger` or a
     path) makes the census crash-safe: the run — identified by a digest
@@ -211,23 +206,18 @@ def below_bound_census(
     mid-grid; the resumed run's rows, witness ids, and db contents are
     identical to an uninterrupted run at any process count.  Worker
     death inside the sharded searches is retried (bounded) before a
-    structured error surfaces.  ``processes``/``backend``/``plan`` stay
+    structured error surfaces.  ``processes``/``plan`` stay
     excluded from the run identity — they are bitwise-invisible.
     """
     from ..engine.plans import resolve_plan
 
     plan = resolve_plan(settings.plan)  # reject junk before any cell runs
-    nproc = validate_processes(settings.processes)
+    validate_processes(settings.processes)
     batch_size = settings.resolved_batch_size(8192)
     validate_positive(batch_size, flag="batch_size")
     shard_size = settings.shard_size
     if shard_size is not None:
         shard_size = validate_positive(shard_size, flag="shard_size")
-    # same sharded-instance rejection the searches apply, but *before*
-    # any cell runs — a mid-census failure would waste finished cells
-    backend_name, _ = resolve_backend_ref(
-        settings.backend, sharded=nproc is None or nproc > 0
-    )
     # what the inner searches see: geometry fully resolved (the random
     # search's own batch default must never apply), ledger handed down
     # as explicit scopes instead of a second top-level run
@@ -279,7 +269,7 @@ def below_bound_census(
         an uninterrupted run would.
         """
         rows.append(row)
-        _record_cell(store, definition, row, witness, backend_name)
+        _record_cell(store, definition, row, witness)
         if cell_scope is not None:
             cell_scope.put({"row": asdict(row), "witness": witness}, "cell")
 
@@ -307,8 +297,7 @@ def below_bound_census(
                             row = CensusRow(**stored["row"])
                             rows.append(row)
                             _record_cell(
-                                store, definition, row, stored["witness"],
-                                backend_name,
+                                store, definition, row, stored["witness"]
                             )
                             continue
                     bound = lower_bound(kind, n, n)
@@ -418,12 +407,9 @@ def _record_cell(
     definition: dict,
     row: CensusRow,
     witness: _CellWitness,
-    backend_name: str,
 ) -> None:
     """Persist one freshly computed cell: its witness (when the searches
-    have not already recorded it) and the census-cell summary.  The
-    backend name lands in provenance only — the cell's cache definition
-    stays backend-independent."""
+    have not already recorded it) and the census-cell summary."""
     if store is None:
         return
     from .. import __version__
@@ -448,7 +434,6 @@ def _record_cell(
                 "census": definition,
                 "paper_bound": row.paper_bound,
                 "engine": __version__,
-                "backend": backend_name,
             },
         )
         store.add(record)

@@ -143,7 +143,7 @@ def _convergence_shard(shard: tuple) -> Tuple[int, int, int, int, int]:
     from ..topology.tori import make_torus
 
     (kind, m, n, rule_name, num_colors, count, shard_idx, seed, batch_size,
-     max_rounds, backend, plan) = shard
+     max_rounds, plan) = shard
     topo = make_torus(kind, m, n)
     rule = make_rule(rule_name, num_colors=num_colors)
     low, palette, target = replica_palette(rule_name, num_colors)
@@ -164,8 +164,7 @@ def _convergence_shard(shard: tuple) -> Tuple[int, int, int, int, int]:
             low, low + palette, size=(b, topo.num_vertices)
         ).astype(np.int32)
         res = run_batch(
-            topo, batch, rule, max_rounds=cap, target_color=target,
-            backend=backend, plan=plan,
+            topo, batch, rule, max_rounds=cap, target_color=target, plan=plan,
         )
         converged += int(res.converged.sum())
         monochromatic += int(res.k_monochromatic.sum())
@@ -202,12 +201,9 @@ def convergence_sweep(
     partials are reduced in shard order, so the records are
     bitwise-identical at any process count.
 
-    ``settings.backend`` names the kernel backend
-    (:mod:`repro.engine.backends`) each worker resolves locally;
-    backends are bitwise-interchangeable, so records never depend on it.
     ``settings.plan`` is the :class:`~repro.engine.plans.ExecutionPlan`
     each worker executes under (settings travel; compiled steppers stay
-    per-process) — plans are likewise bitwise-invisible.
+    per-process) — plans are bitwise-invisible.
 
     ``settings.ledger`` (a :class:`~repro.io.ledger.RunLedger` or a
     path) commits each ``(point, shard)`` partial durably as it
@@ -216,10 +212,9 @@ def convergence_sweep(
     bitwise-identically at any process count.
     The run identity pins the sweep definition (rule, grid, replicas,
     seed, batch/shard geometry, ``max_rounds``, dynamics version) and
-    excludes ``processes``/``backend``/``plan``.
+    excludes ``processes``/``plan``.
     """
     from ..engine.batch import DYNAMICS_VERSION
-    from ..engine.backends import resolve_backend_ref
     from ..engine.plans import resolve_plan
     from ..rules import make_rule  # validate the rule name before forking
 
@@ -232,17 +227,11 @@ def convergence_sweep(
         validate_positive(shard_size, flag="shard_size")
     make_rule(rule_name, num_colors=num_colors)
     nproc = validate_processes(settings.processes)
-    # shards carry the backend *name* whenever a pool could spin up
-    # (workers resolve it locally) and the instance itself only inline;
-    # unpicklable instances are rejected here, before forking
-    _, backend_ref = resolve_backend_ref(
-        settings.backend, sharded=nproc is None or nproc > 0
-    )
     pts: List[SweepPoint] = list(points)
     counts = shard_counts(replicas, shard_size if shard_size is not None else batch_size)
     shards = [
         (kind, m, n, rule_name, num_colors, count, si, seed, batch_size,
-         max_rounds, backend_ref, plan)
+         max_rounds, plan)
         for kind, m, n in pts
         for si, count in enumerate(counts)
     ]

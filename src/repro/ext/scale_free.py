@@ -113,7 +113,6 @@ def run_scale_free_experiment(
     num_colors: int = 4,
     rng: Optional[np.random.Generator] = None,
     max_rounds: int = 400,
-    backend=None,
     plan=None,
 ) -> ScaleFreeOutcome:
     """Seed color-k vertices on a BA graph, run plurality SMP, report.
@@ -121,10 +120,10 @@ def run_scale_free_experiment(
     Non-seed vertices get uniform random colors from the rest of the
     palette (the multi-colored analogue of the torus experiments).  The
     run executes as a one-row block through
-    :func:`~repro.engine.batch.run_batch` — backends and plans are
-    bitwise-interchangeable, so ``backend``/``plan`` only affect speed,
-    and the RNG draw order (graph, then colors, then seeds) is exactly
-    the historical one.
+    :func:`~repro.engine.batch.run_batch` — plans are
+    bitwise-interchangeable, so ``plan`` only affects speed, and the RNG
+    draw order (graph, then colors, then seeds) is exactly the
+    historical one.
     """
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
     topo = barabasi_albert_topology(n, m_attach, rng)
@@ -142,7 +141,6 @@ def run_scale_free_experiment(
         rule,
         max_rounds=max_rounds,
         target_color=k,
-        backend=backend,
         plan=plan,
     )
     final = res.final[0]
@@ -228,10 +226,8 @@ def _fraction_tag(seed_fraction: float) -> int:
 
 #: one shard = one BA graph of one cell:
 #: (seed, n, m_attach, num_colors, strategy, fraction, graph, replicas,
-#:  max_rounds, backend_name, plan)
-_GraphShard = Tuple[
-    int, int, int, int, str, float, int, int, int, Optional[str], object
-]
+#:  max_rounds, plan)
+_GraphShard = Tuple[int, int, int, int, str, float, int, int, int, object]
 
 
 def _scale_free_graph_worker(shard: _GraphShard) -> dict:
@@ -245,7 +241,7 @@ def _scale_free_graph_worker(shard: _GraphShard) -> dict:
     """
     (
         seed, n, m_attach, num_colors, strategy, fraction,
-        graph, replicas, max_rounds, backend, plan,
+        graph, replicas, max_rounds, plan,
     ) = shard
     rng = np.random.default_rng(
         np.random.SeedSequence(
@@ -271,7 +267,6 @@ def _scale_free_graph_worker(shard: _GraphShard) -> dict:
         max_rounds=max_rounds,
         target_color=k,
         detect_cycles=False,
-        backend=backend,
         plan=plan,
     )
     return {
@@ -310,9 +305,9 @@ def scale_free_takeover_census(
     shard (its replicas advance as one ``(R, N)`` block), so cells fan
     out over the pool via :func:`~repro.engine.parallel.run_sharded`.
     Shard RNGs derive from coordinates, so the census is
-    **bitwise-identical at any process count** — and the kernel
-    ``backend`` / ``processes`` are therefore excluded from the cell
-    definition (they cannot change outcomes, only speed).
+    **bitwise-identical at any process count** — and ``processes`` is
+    therefore excluded from the cell definition (it cannot change
+    outcomes, only speed).
 
     With ``db`` (a :class:`~repro.io.witnessdb.WitnessDB`), every
     computed cell is recorded as a ``scale-free-cell`` row and later
@@ -325,7 +320,7 @@ def scale_free_takeover_census(
     census's run id; ``settings.resume`` replays committed shards after
     a crash and computes only the rest, bitwise-identically at any
     process count.  The run identity pins the census definition (grid,
-    seed, dynamics version) and excludes ``processes``/``backend``.
+    seed, dynamics version) and excludes ``processes``.
     """
     from ..io.witnessdb import ScaleFreeCellRecord
 
@@ -345,11 +340,6 @@ def scale_free_takeover_census(
                 f"unknown strategy {strategy!r}; expected one of "
                 f"{sorted(SCALE_FREE_STRATEGIES)}"
             )
-    backend_name = None
-    if settings.backend is not None:
-        from ..engine.backends import select_backend
-
-        backend_name = select_backend(settings.backend).name
     from ..engine.plans import resolve_plan
 
     plan = resolve_plan(settings.plan)
@@ -414,7 +404,7 @@ def scale_free_takeover_census(
                         (
                             int(seed), n, int(m_attach), int(num_colors),
                             strategy, fraction, g, replicas, int(max_rounds),
-                            backend_name, plan,
+                            plan,
                         )
                         for g in range(graphs)
                     ]

@@ -280,10 +280,8 @@ class WitnessRecord:
     #: ``"legacy"`` / ``"manual"``
     method: str = "manual"
     #: free-form discovery context: RNG entropy words, shard index, trial
-    #: counts, engine version, the kernel-backend name the discovery ran
-    #: under (informational only — backends are bitwise-interchangeable,
-    #: so the name is never part of a cache key), the exact search
-    #: definition (used by the consult-before-recompute cache), ...
+    #: counts, engine version, the exact search definition (used by the
+    #: consult-before-recompute cache), ...
     provenance: dict = field(default_factory=dict)
     #: stamped by :func:`repro.io.witnessdb.verify_witness` replay
     verified: bool = False

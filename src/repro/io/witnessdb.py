@@ -32,10 +32,9 @@ Three record types share the file:
     A configuration + provenance + verification status
     (:class:`~repro.io.serialize.WitnessRecord`).  Provenance carries the
     *search definition* (mode, entropy words, trial counts, batch and
-    shard geometry) under which the configuration was first discovered,
-    plus the kernel backend name it ran under — recorded for forensics
-    only, since backends are bitwise-interchangeable and therefore
-    deliberately excluded from every cache-definition key.
+    shard geometry) under which the configuration was first discovered.
+    Nothing about *how* the run executed (process count, plan, telemetry)
+    is recorded or keyed: those knobs are bitwise-invisible.
 
 ``"search"``
     One search invocation's summary: its definition, the ordered ids of
@@ -69,7 +68,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterator,
     List,
@@ -86,8 +84,6 @@ from ..engine.batch import run_batch
 from ..rules import make_rule
 from ..rules.base import Rule
 
-if TYPE_CHECKING:  # type-only: keep io importable without the backends
-    from ..engine.backends import KernelBackend
 from ..topology.tori import make_torus
 from .jsonl import JsonlStore
 from .serialize import (
@@ -271,9 +267,8 @@ class ScaleFreeCellRecord:
     :func:`repro.ext.scale_free.scale_free_takeover_census`: its
     aggregated takeover statistics (``row``) plus the exact experiment
     definition they were computed under.  Like census cells, hits
-    require an exact definition match, and the kernel backend / plan /
-    process count are recorded in provenance only — they are
-    bitwise-invisible to outcomes, so they never join the cache key.
+    require an exact definition match, and the plan / process count
+    never join the cache key — they are bitwise-invisible to outcomes.
     """
 
     strategy: str
@@ -480,7 +475,6 @@ def verify_witness(
     record: WitnessRecord,
     *,
     max_rounds: Optional[int] = None,
-    backend: "str | KernelBackend | None" = None,
 ) -> WitnessVerification:
     """Replay a stored witness through :func:`repro.engine.batch.run_batch`.
 
@@ -498,12 +492,6 @@ def verify_witness(
     max_rounds:
         Round cap for the replay; defaults to the search drivers'
         ``4 * N + 16``.
-    backend:
-        Kernel backend for the replay
-        (:func:`repro.engine.backends.select_backend` spec).  Backends
-        are bitwise-interchangeable, so a witness verifies identically
-        under all of them — including witnesses whose provenance records
-        a *different* discovery backend.
 
     Returns
     -------
@@ -533,7 +521,6 @@ def verify_witness(
         max_rounds=max_rounds,
         target_color=record.k,
         detect_cycles=False,
-        backend=backend,
     )
     rounds = int(res.rounds[0])
     if not bool(res.k_monochromatic[0]):
@@ -864,7 +851,6 @@ class WitnessDB:
         *,
         max_rounds: Optional[int] = None,
         update: bool = True,
-        backend: "str | KernelBackend | None" = None,
     ) -> WitnessVerification:
         """Re-verify one witness and (by default) stamp the outcome.
 
@@ -880,7 +866,7 @@ class WitnessDB:
             if isinstance(record_or_id, WitnessRecord)
             else self.resolve(record_or_id)
         )
-        outcome = verify_witness(record, max_rounds=max_rounds, backend=backend)
+        outcome = verify_witness(record, max_rounds=max_rounds)
         stored = record.id in self._records
         if update and stored and record.verified != outcome.ok:
             stamped = WitnessRecord(

@@ -15,7 +15,7 @@ The contract, enforced by ``tests/test_obs.py`` and reprolint RPL-O001:
   and ledger contents to a run without it, at any process count.
 * **Never identity material.**  Telemetry settings and telemetry values
   (timestamps, durations, counters) are excluded from run ids, cache
-  keys, and witness definitions exactly as backends and plans are.
+  keys, and witness definitions exactly as plans are.
   RPL-O001 statically forbids ``repro.obs`` values from reaching digest
   sinks or record payload codecs.
 * **Deterministic merge.**  Pool workers append events to per-worker
@@ -36,7 +36,7 @@ Event taxonomy (``kind`` field):
     A timed region — ``run`` (whole command), ``phase`` (driver stage),
     ``cell`` (census/scale-free cell), ``pool`` (one ``run_sharded``
     fan-out), ``shard`` (one shard execution), ``compile`` (kernel
-    backend compile).  Carries ``t_wall`` (start stamp) + ``perf_s``
+    compile).  Carries ``t_wall`` (start stamp) + ``perf_s``
     (duration).
 ``event``
     A point occurrence — ``shard-retry``, ``pool-rebuild``,

@@ -21,10 +21,10 @@ falls back to looping :meth:`step` over rows.  Overriding neither raises
 
 Rules additionally publish a :class:`KernelSpec` via :meth:`Rule.kernel_spec`
 — a declarative description of their neighbor reduction (sorted gather,
-histogram, threshold count, ...) that the pluggable kernel backends in
-:mod:`repro.engine.backends` compile into optimized steppers.  A rule
-without a spec (``None``) still works everywhere: backends fall back to its
-:meth:`step_batch`.
+histogram, threshold count, ...) that
+:func:`repro.engine.stencil.compile_stepper` compiles into an optimized
+stepper.  A rule without a spec (``None``) still works everywhere: the
+compiler falls back to its :meth:`step_batch`.
 
 Colors are small non-negative integers stored in ``int32`` vectors (the
 paper's ``C = {1..k}``; 0 is also a legal color id — nothing in the engine
@@ -59,11 +59,11 @@ def as_color_array(colors: Sequence[int] | np.ndarray, num_vertices: int) -> np.
 class KernelSpec:
     """Declarative description of a rule's neighbor reduction on one topology.
 
-    Backends (:mod:`repro.engine.backends`) dispatch on :attr:`kind` and
-    compile the spec into an optimized stepper; every field a kernel needs
-    beyond the topology's neighbor table is materialized here *once* (e.g.
-    the per-vertex threshold vector), so compiled plans never call back
-    into rule instance state.
+    :func:`repro.engine.stencil.compile_stepper` dispatches on
+    :attr:`kind` and compiles the spec into an optimized stepper; every
+    field a kernel needs beyond the topology's neighbor table is
+    materialized here *once* (e.g. the per-vertex threshold vector), so
+    compiled plans never call back into rule instance state.
 
     The spec is built per ``(rule, topology)`` pair by
     :meth:`Rule.kernel_spec` and is purely an in-process protocol — specs
@@ -83,7 +83,7 @@ class KernelSpec:
     #: per-vertex audible degrees (``(neighbors >= 0).sum(axis=1)``) for
     #: kernels whose adoption depends on degree on irregular graphs;
     #: ``None`` for kernels that never consult it (the regular-torus
-    #: fast paths).  Backends use this instead of re-deriving the
+    #: fast paths).  Compiled plans use this instead of re-deriving the
     #: padding mask's column sums, and the batched async scheduler
     #: consults it for per-vertex updates.
     degrees: Optional[np.ndarray] = None
@@ -91,7 +91,7 @@ class KernelSpec:
     tie: Optional[str] = None
     #: input validator invoked on every batch before the kernel runs; must
     #: raise exactly the :class:`ValueError` the rule's own kernel would,
-    #: so backends are interchangeable down to their error behavior
+    #: so the compiled kernel matches the rule's down to its errors
     validate: Optional[Callable[[np.ndarray], None]] = None
 
 
@@ -166,11 +166,11 @@ class Rule(abc.ABC):
         return out
 
     def kernel_spec(self, topo: Topology) -> Optional[KernelSpec]:
-        """Describe this rule's kernel on ``topo`` for the backend layer.
+        """Describe this rule's kernel on ``topo`` for the kernel compiler.
 
         Returns ``None`` when no declarative description exists — for
         custom rules, or when ``topo`` does not satisfy the rule's
-        structural requirements (backends then fall back to
+        structural requirements (the compiler then falls back to
         :meth:`step_batch`, which raises the rule's own error).  The five
         shipped rules override this.
         """
@@ -181,7 +181,7 @@ class Rule(abc.ABC):
 
         The execution-plan layer (:mod:`repro.engine.plans`) caches
         compiled steppers across ``run_batch`` calls keyed on
-        ``(backend, rule type + this token, topology, batch width)``.
+        ``(rule type + this token, topology, batch width)``.
         Publishing a token is a *contract*: two instances of the same
         class with equal tokens must produce bitwise-identical dynamics,
         and the token must change whenever any state the kernel depends

@@ -181,8 +181,8 @@ class GeneralizedPluralityRule(Rule):
             thresholds == np.trunc(thresholds)
         ):
             # a fractional threshold_fn (counts >= 2.5) has no exact
-            # integer form; no spec — backends fall back to step_batch,
-            # which keeps them bitwise-identical
+            # integer form; no spec — the compiler falls back to
+            # step_batch, which keeps it bitwise-identical
             return None
         return KernelSpec(
             kind="plurality",

@@ -11,12 +11,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.stencil import compile_stepper
+
 from helpers import TORUS_KINDS
 
 
 @pytest.fixture(params=sorted(TORUS_KINDS))
 def torus_kind(request):
     """Parametrize a test over the three torus kinds."""
+    return request.param
+
+
+@pytest.fixture(params=[compile_stepper], ids=["stencil"])
+def compiled(request):
+    """The compiled kernel the parity suites hold against the rules' own
+    ``step_batch`` (see :func:`helpers.rule_kernel_only`)."""
     return request.param
 
 

@@ -10,11 +10,14 @@ it breaks as soon as another directory (e.g. ``benchmarks/``) also has a
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.complement import _wavefront_order
+from repro.engine import plans
+from repro.engine.stencil import fallback_stepper
 from repro.engine.runner import run_synchronous
 from repro.rules.base import Rule
 from repro.rules.smp import SMPRule
@@ -28,6 +31,27 @@ TORUS_KINDS = {
     "cordalis": TorusCordalis,
     "serpentinus": TorusSerpentinus,
 }
+
+
+@contextmanager
+def rule_kernel_only() -> Iterator[None]:
+    """Run every engine call in the block on the rules' own ``step_batch``.
+
+    Substitutes :func:`~repro.engine.stencil.fallback_stepper` for
+    :func:`~repro.engine.stencil.compile_stepper` where the plan layer
+    compiles, and clears the plan cache on entry and on exit so no
+    stepper compiled on one side of the seam is served on the other.
+    This is the "compiled kernel vs the rule's own kernel" axis of the
+    parity suites.  Inline runs only: pool workers compile their own.
+    """
+    compile_stepper = plans.compile_stepper
+    plans.clear_plan_cache()
+    plans.compile_stepper = lambda rule, topo, max_batch: fallback_stepper(rule, topo)
+    try:
+        yield
+    finally:
+        plans.compile_stepper = compile_stepper
+        plans.clear_plan_cache()
 
 
 def random_coloring(topo, num_colors, rng, low=0):

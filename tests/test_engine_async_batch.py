@@ -21,6 +21,8 @@ from repro.engine.schedulers import (
 from repro.rules import GeneralizedPluralityRule, OrderedIncrementRule, SMPRule
 from repro.topology import GraphTopology, ToroidalMesh
 
+from helpers import rule_kernel_only
+
 
 def _ba(n=24, seed=3):
     import networkx as nx
@@ -205,17 +207,16 @@ def test_run_batch_schedule_mode_delegates(rng):
 
 
 def test_run_batch_schedule_mode_is_backend_invariant(rng):
-    """backend= names are validated but cannot change schedule results."""
+    """The compiled kernel cannot change schedule results."""
     topo = _ba()
     rule = GeneralizedPluralityRule(4)
     batch = rng.integers(0, 4, size=(5, topo.num_vertices)).astype(np.int32)
     sched = AsyncSchedule.derive(0xD1CE, 5)
-    a = run_batch(topo, batch, rule, schedule=sched, backend="reference")
-    b = run_batch(topo, batch, rule, schedule=sched, backend="stencil")
+    with rule_kernel_only():
+        a = run_batch(topo, batch, rule, schedule=sched)
+    b = run_batch(topo, batch, rule, schedule=sched)
     assert np.array_equal(a.final, b.final)
     assert np.array_equal(a.rounds, b.rounds)
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        run_batch(topo, batch, rule, schedule=sched, backend="cuda")
 
 
 def test_run_batch_schedule_mode_rejects_pinning_flags(rng):

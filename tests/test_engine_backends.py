@@ -1,27 +1,21 @@
-"""Kernel-backend subsystem tests.
+"""Compiled-kernel tests: :func:`repro.engine.stencil.compile_stepper`
+against the rules' own ``step_batch``.
 
-The contract of :mod:`repro.engine.backends` is **bitwise
-interchangeability**: every registered backend must produce exactly the
-arrays the ``reference`` backend produces, for every rule, topology, and
-engine flag — that is what makes backend choice safe to exclude from
-witness-database cache keys.  The parity matrix below pins it; the
+The contract of the compiled kernel is **bitwise identity**: it must
+produce exactly the arrays the rule's own kernel produces, for every
+rule, topology, and engine flag — that is what keeps it out of seeds and
+witness-database cache keys.  The parity matrix below pins it, running
+the reference side through :func:`helpers.rule_kernel_only`; the
 seed-stability tests pin that searches and censuses (including their
-recorded witness ids) do not depend on ``backend``.
+recorded witness ids) come out the same on either kernel.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.search import random_dynamo_search
 from repro.engine import ExecutionSettings, run_batch
-from repro.engine.backends import (
-    KernelBackend,
-    backend_names,
-    fallback_stepper,
-    select_backend,
-)
+from repro.engine.stencil import compile_stepper, fallback_stepper
 from repro.experiments import below_bound_census
 from repro.io.witnessdb import WitnessDB
 from repro.rules import (
@@ -35,7 +29,7 @@ from repro.rules import (
 )
 from repro.topology import GraphTopology, ToroidalMesh
 
-from helpers import TORUS_KINDS
+from helpers import TORUS_KINDS, rule_kernel_only
 
 #: the per-rule palettes of the parity matrix (name -> factory, low,
 #: palette size, target color), mirroring test_engine_batch.RULE_CASES
@@ -69,12 +63,6 @@ def rule_case(request):
     return request.param
 
 
-@pytest.fixture(params=[n for n in backend_names() if n != "reference"])
-def fast_backend(request):
-    """Every registered non-reference backend."""
-    return request.param
-
-
 def _assert_results_equal(res, ref, context):
     for field in RESULT_FIELDS:
         a, b = getattr(res, field), getattr(ref, field)
@@ -85,10 +73,10 @@ def _assert_results_equal(res, ref, context):
 
 
 # ----------------------------------------------------------------------
-# the parity matrix: backends x rules x torus kinds x engine flags
+# the parity matrix: compiled vs own kernel x rules x torus kinds x flags
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_backend_parity_matrix(rng, torus_kind, rule_case, fast_backend, variant):
+def test_backend_parity_matrix(rng, torus_kind, rule_case, compiled, variant):
     topo = TORUS_KINDS[torus_kind](4, 5)
     factory, low, palette, target = RULE_CASES[rule_case]
     rule = factory()
@@ -98,18 +86,17 @@ def test_backend_parity_matrix(rng, torus_kind, rule_case, fast_backend, variant
     kwargs = dict(VARIANTS[variant])
     if variant == "irreversible":
         kwargs["irreversible_color"] = target
-    ref = run_batch(
-        topo, batch, rule, max_rounds=100, target_color=target,
-        backend="reference", **kwargs,
-    )
+    with rule_kernel_only():
+        ref = run_batch(
+            topo, batch, rule, max_rounds=100, target_color=target, **kwargs
+        )
     res = run_batch(
-        topo, batch, rule, max_rounds=100, target_color=target,
-        backend=fast_backend, **kwargs,
+        topo, batch, rule, max_rounds=100, target_color=target, **kwargs
     )
-    _assert_results_equal(res, ref, (fast_backend, rule_case, variant))
+    _assert_results_equal(res, ref, (rule_case, variant))
 
 
-def test_backend_parity_on_padded_irregular_graph(rng, fast_backend):
+def test_backend_parity_on_padded_irregular_graph(rng, compiled):
     """Padded neighbor tables (degrees 1/2) through the spec'd kernels."""
     import networkx as nx
 
@@ -121,23 +108,23 @@ def test_backend_parity_on_padded_irregular_graph(rng, fast_backend):
     ):
         palette = getattr(rule, "num_colors", 2)
         batch = rng.integers(0, palette, size=(11, 7)).astype(np.int32)
-        stepper = select_backend(fast_backend).compile(rule, topo, 11)
+        stepper = compiled(rule, topo, 11)
         assert np.array_equal(stepper(batch), rule.step_batch(batch, topo))
 
 
-def test_backend_steppers_tolerate_shrinking_batches(rng, fast_backend):
+def test_backend_steppers_tolerate_shrinking_batches(rng, compiled):
     """run_batch retires rows, so steppers see shrinking widths; results
     must not depend on the compile-time max_batch."""
     topo = ToroidalMesh(4, 4)
     rule = SMPRule()
-    stepper = select_backend(fast_backend).compile(rule, topo, 16)
+    stepper = compiled(rule, topo, 16)
     for b in (16, 7, 1, 9):  # shrink and re-grow within capacity
         batch = rng.integers(0, 4, size=(b, topo.num_vertices)).astype(np.int32)
         assert np.array_equal(stepper(batch), rule.step_batch(batch, topo))
 
 
-def test_backend_validation_errors_match_reference(fast_backend):
-    """Domain validation raises the rule's own ValueError on every backend."""
+def test_backend_validation_errors_match_reference(compiled):
+    """Domain validation raises the rule's own ValueError when compiled."""
     topo = ToroidalMesh(3, 3)
     bad = np.full((2, 9), 7, dtype=np.int32)
     for rule in (
@@ -147,37 +134,37 @@ def test_backend_validation_errors_match_reference(fast_backend):
         LinearThresholdRule("simple"),
     ):
         with pytest.raises(ValueError):
-            run_batch(topo, bad, rule, max_rounds=5, backend=fast_backend)
+            run_batch(topo, bad, rule, max_rounds=5)
 
 
-def test_smp_on_irregular_topology_raises_on_every_backend(fast_backend):
+def test_smp_on_irregular_topology_raises_on_every_backend(compiled):
     import networkx as nx
 
     star = GraphTopology(nx.star_graph(5))
     batch = np.zeros((2, 6), dtype=np.int32)
     with pytest.raises(ValueError):
-        run_batch(star, batch, SMPRule(), max_rounds=5, backend=fast_backend)
+        run_batch(star, batch, SMPRule(), max_rounds=5)
 
 
-def test_fractional_plurality_thresholds_fall_back(rng, fast_backend):
+def test_fractional_plurality_thresholds_fall_back(rng, compiled):
     """A fractional threshold_fn (counts >= 2.5) has no exact integer
-    spec; the rule must publish none, so every backend runs the
-    reference kernel and stays bitwise-identical."""
+    spec; the rule must publish none, so the compiler runs the rule's
+    own kernel and stays bitwise-identical."""
     topo = ToroidalMesh(4, 4)
     rule = GeneralizedPluralityRule(4, threshold_fn=lambda d: d / 2 + 0.5)
     assert rule.kernel_spec(topo) is None
     batch = rng.integers(0, 4, size=(16, topo.num_vertices)).astype(np.int32)
-    stepper = select_backend(fast_backend).compile(rule, topo, 16)
+    stepper = compiled(rule, topo, 16)
     assert np.array_equal(stepper(batch), rule.step_batch(batch, topo))
     # integral-valued float thresholds are exact and keep the fast path
     exact = GeneralizedPluralityRule(4, threshold_fn=lambda d: np.ceil(d / 2))
     spec = exact.kernel_spec(topo)
     assert spec is not None and spec.thresholds.dtype == np.int64
-    stepper = select_backend(fast_backend).compile(exact, topo, 16)
+    stepper = compiled(exact, topo, 16)
     assert np.array_equal(stepper(batch), exact.step_batch(batch, topo))
 
 
-def test_subclassed_kernel_override_beats_inherited_spec(rng, fast_backend):
+def test_subclassed_kernel_override_beats_inherited_spec(rng, compiled):
     """A subclass overriding step_batch without republishing kernel_spec
     must run its own kernel — the parent's spec is not authoritative."""
 
@@ -190,7 +177,7 @@ def test_subclassed_kernel_override_beats_inherited_spec(rng, fast_backend):
 
     topo = ToroidalMesh(4, 4)
     batch = rng.integers(0, 4, size=(8, topo.num_vertices)).astype(np.int32)
-    stepper = select_backend(fast_backend).compile(NeverRecolor(), topo, 8)
+    stepper = compiled(NeverRecolor(), topo, 8)
     assert np.array_equal(stepper(batch), batch)
     # a subclass that republishes its spec opts back into the fast path
     from repro.rules import KernelSpec
@@ -202,11 +189,11 @@ def test_subclassed_kernel_override_beats_inherited_spec(rng, fast_backend):
         def kernel_spec(self, topo):
             return KernelSpec(kind="smp")
 
-    stepper = select_backend(fast_backend).compile(RepublishedSMP(), topo, 8)
+    stepper = compiled(RepublishedSMP(), topo, 8)
     assert np.array_equal(stepper(batch), SMPRule().step_batch(batch, topo))
 
 
-def test_mixin_kernel_override_beats_inherited_spec(rng, fast_backend):
+def test_mixin_kernel_override_beats_inherited_spec(rng, compiled):
     """A kernel supplied by a mixin (not a subclass of the spec's owner)
     must also win over the inherited spec — MRO order decides."""
 
@@ -222,59 +209,10 @@ def test_mixin_kernel_override_beats_inherited_spec(rng, fast_backend):
 
     topo = ToroidalMesh(4, 4)
     batch = rng.integers(0, 4, size=(8, topo.num_vertices)).astype(np.int32)
-    for backend in ("reference", fast_backend):
-        stepper = select_backend(backend).compile(MixedRule(), topo, 8)
-        assert np.array_equal(stepper(batch), batch), backend
-
-
-def test_convergence_sweep_backend_instance_inline_only():
-    """convergence_sweep accepts an unregistered instance inline (the
-    shard carries the instance, not a dangling name) and rejects it
-    before forking when a pool could spin up."""
-    from repro.experiments import convergence_sweep
-
-    class Inline(KernelBackend):
-        name = "inline-only"
-
-        def compile(self, rule, topo, max_batch):
-            return fallback_stepper(rule, topo)
-
-    inline = ExecutionSettings(processes=0, batch_size=32)
-    recs = convergence_sweep([("mesh", 4, 4)], replicas=64,
-                             settings=replace(inline, backend=Inline()))
-    assert np.array_equal(
-        recs, convergence_sweep([("mesh", 4, 4)], replicas=64, settings=inline)
-    )
-    with pytest.raises(ValueError, match="cannot cross process boundaries"):
-        convergence_sweep(
-            [("mesh", 4, 4)], replicas=64,
-            settings=replace(inline, processes=2, backend=Inline()),
-        )
-
-
-def test_census_rejects_backend_instance_before_any_cell_runs(tmp_path):
-    """An unpicklable backend instance with a worker pool must fail
-    before the first cell, not mid-census after work (and db writes)."""
-
-    class Inline(KernelBackend):
-        name = "inline-only"
-
-        def compile(self, rule, topo, max_batch):
-            return fallback_stepper(rule, topo)
-
-    db = WitnessDB(tmp_path / "w.jsonl")
-    with pytest.raises(ValueError, match="cannot cross process boundaries"):
-        below_bound_census(
-            kinds=["mesh"], sizes=[3], random_trials=100, db=db,
-            settings=ExecutionSettings(processes=2, backend=Inline()),
-        )
-    assert len(db) == 0  # nothing was computed or recorded
-    # inline census accepts the instance
-    rows = below_bound_census(
-        kinds=["mesh"], sizes=[3], random_trials=100,
-        settings=ExecutionSettings(processes=0, backend=Inline()),
-    )
-    assert rows[0].method == "exhaustive"
+    for stepper in (
+        fallback_stepper(MixedRule(), topo), compiled(MixedRule(), topo, 8)
+    ):
+        assert np.array_equal(stepper(batch), batch)
 
 
 def test_threshold_cache_is_identity_safe_and_picklable():
@@ -292,7 +230,7 @@ def test_threshold_cache_is_identity_safe_and_picklable():
     assert np.array_equal(clone.thresholds_for(topo), thr)
 
 
-def test_custom_rule_without_spec_falls_back(rng, fast_backend):
+def test_custom_rule_without_spec_falls_back(rng, compiled):
     """A rule with no kernel spec runs via its own step_batch everywhere."""
 
     class Stubborn(Rule):
@@ -309,81 +247,33 @@ def test_custom_rule_without_spec_falls_back(rng, fast_backend):
     rule = Stubborn()
     assert rule.kernel_spec(topo) is None
     batch = rng.integers(0, 3, size=(4, 9)).astype(np.int32)
-    res = run_batch(topo, batch, rule, max_rounds=10, backend=fast_backend)
+    res = run_batch(topo, batch, rule, max_rounds=10)
     assert res.converged.all()
     assert np.array_equal(res.final, batch)
 
 
-# ----------------------------------------------------------------------
-# registry / selection
-# ----------------------------------------------------------------------
-def test_registry_names():
-    assert backend_names() == ("reference", "stencil")
-
-
-def test_select_backend_auto_is_stencil():
-    assert select_backend(None).name == "stencil"
-    assert select_backend("auto").name == "stencil"
-
-
-def test_select_backend_unknown_name_lists_choices():
-    with pytest.raises(ValueError, match="unknown kernel backend.*stencil"):
-        select_backend("cuda")
-
-
-def test_select_backend_instance_passthrough():
-    class Custom(KernelBackend):
-        name = "custom"
-
-        def compile(self, rule, topo, max_batch):
-            return fallback_stepper(rule, topo)
-
-    backend = Custom()
-    assert select_backend(backend) is backend
-    # an instance works end to end without registration
-    topo = ToroidalMesh(3, 3)
-    batch = np.zeros((2, 9), dtype=np.int32)
-    res = run_batch(topo, batch, SMPRule(), max_rounds=5, backend=backend)
-    assert res.converged.all()
-
-
-def test_backend_instance_cannot_cross_process_boundaries():
-    """Sharded searches take backend *names* only — an instance would be
-    pickled into pool workers, so it is rejected up front (inline runs
-    accept it)."""
-
-    class Inline(KernelBackend):
-        name = "inline-only"
-
-        def compile(self, rule, topo, max_batch):
-            return fallback_stepper(rule, topo)
-
+def test_compile_stepper_compiles_every_shipped_spec():
+    """Shipped rules on a torus get a compiled plan, never the fallback."""
     topo = ToroidalMesh(4, 4)
-    out = random_dynamo_search(
-        topo, 3, 4, 64, 0xBEEF,
-        settings=ExecutionSettings(processes=0, backend=Inline()),
-    )
-    assert out.examined == 64
-    with pytest.raises(ValueError, match="cannot cross process boundaries"):
-        random_dynamo_search(
-            topo, 3, 4, 64, 0xBEEF,
-            settings=ExecutionSettings(processes=2, backend=Inline()),
-        )
+    for factory, _, _, _ in RULE_CASES.values():
+        rule = factory()
+        stepper = compile_stepper(rule, topo, 8)
+        assert type(stepper).__module__ == "repro.engine.stencil", rule
 
 
 # ----------------------------------------------------------------------
-# seed stability: results and witness ids are backend-independent
+# seed stability: results and witness ids do not depend on the kernel
 # ----------------------------------------------------------------------
-def test_random_search_is_backend_independent(fast_backend):
+def test_random_search_is_backend_independent(compiled):
     topo = ToroidalMesh(4, 4)
     settings = ExecutionSettings(batch_size=128, processes=0)
-    ref = random_dynamo_search(
-        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
-        settings=replace(settings, backend="reference"),
-    )
+    with rule_kernel_only():
+        ref = random_dynamo_search(
+            topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
+            settings=settings,
+        )
     out = random_dynamo_search(
-        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
-        settings=replace(settings, backend=fast_backend),
+        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True, settings=settings,
     )
     assert out.examined == ref.examined
     assert len(out.witnesses) == len(ref.witnesses)
@@ -393,42 +283,34 @@ def test_random_search_is_backend_independent(fast_backend):
 
 
 def test_census_rows_and_witness_ids_are_backend_independent(
-    tmp_path, fast_backend
+    tmp_path, compiled
 ):
     kwargs = dict(kinds=["mesh"], sizes=[3], random_trials=400)
-    dbs, rows = {}, {}
-    for name in ("reference", fast_backend):
-        db = WitnessDB(tmp_path / f"{name}.jsonl")
-        rows[name] = below_bound_census(
-            db=db, settings=ExecutionSettings(backend=name), **kwargs
-        )
-        dbs[name] = db
-    assert rows["reference"] == rows[fast_backend]
-    ref_ids = sorted(r.id for r in dbs["reference"])
-    assert ref_ids == sorted(r.id for r in dbs[fast_backend])
+    ref_db = WitnessDB(tmp_path / "reference.jsonl")
+    with rule_kernel_only():
+        ref_rows = below_bound_census(db=ref_db, **kwargs)
+    db = WitnessDB(tmp_path / "stencil.jsonl")
+    rows = below_bound_census(db=db, **kwargs)
+    assert rows == ref_rows
+    ref_ids = sorted(r.id for r in ref_db)
+    assert ref_ids == sorted(r.id for r in db)
     assert ref_ids  # witnesses were actually recorded
-    # the discovery backend lands in provenance (forensics), never the key
-    for name, db in dbs.items():
-        assert all(r.provenance.get("backend") == name for r in db)
-    assert (
-        sorted(c.id for c in dbs["reference"].cells)
-        == sorted(c.id for c in dbs[fast_backend].cells)
-    )
+    # nothing about how the kernel ran is recorded, so both files match
+    assert (tmp_path / "reference.jsonl").read_bytes() == (
+        tmp_path / "stencil.jsonl"
+    ).read_bytes()
+    assert not any("backend" in r.provenance for r in db)
+    assert sorted(c.id for c in ref_db.cells) == sorted(c.id for c in db.cells)
 
 
-def test_cached_census_serves_across_backends(tmp_path, fast_backend):
-    """A census computed under one backend serves cache hits to another —
-    the definition key is backend-independent by design."""
+def test_cached_census_serves_across_backends(tmp_path, compiled):
+    """A census computed on the rules' own kernels serves cache hits to
+    the compiled kernel — the definition key is kernel-independent."""
     path = tmp_path / "w.jsonl"
     kwargs = dict(kinds=["mesh"], sizes=[3], random_trials=400)
-    first = below_bound_census(
-        db=WitnessDB(path), settings=ExecutionSettings(backend="reference"),
-        **kwargs,
-    )
-    second = below_bound_census(
-        db=WitnessDB(path), settings=ExecutionSettings(backend=fast_backend),
-        **kwargs,
-    )
+    with rule_kernel_only():
+        first = below_bound_census(db=WitnessDB(path), **kwargs)
+    second = below_bound_census(db=WitnessDB(path), **kwargs)
     assert first == second
     assert second.run_stats.cache_hits == second.run_stats.cells == 1
 
@@ -459,7 +341,7 @@ def test_validate_positive():
         ["sweep", "mesh", "4", "--convergence", "--shard-size", "0"],
         ["search", "mesh", "4", "4", "--seed-size", "3", "--batch-size", "0"],
         ["search", "mesh", "4", "4", "--seed-size", "3", "--shard-size", "0"],
-        ["census", "--backend", "cuda"],
+        ["census", "--backend", "stencil"],
     ],
 )
 def test_cli_rejects_bad_tuning_flags(capsys, argv):
@@ -469,16 +351,7 @@ def test_cli_rejects_bad_tuning_flags(capsys, argv):
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "must be" in err or "unknown kernel backend" in err
-
-
-def test_cli_accepts_backend_flag():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(["census", "--backend", "stencil"])
-    assert args.backend == "stencil"
-    args = build_parser().parse_args(["census"])
-    assert args.backend is None
+    assert "must be" in err or "unrecognized arguments: --backend" in err
 
 
 def test_drivers_reject_nonpositive_sizes():

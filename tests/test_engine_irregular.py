@@ -2,7 +2,7 @@
 
 Two contracts are pinned here:
 
-* **bitwise parity off the torus** — every registered backend, driven
+* **bitwise parity off the torus** — the compiled kernel, driven
   through :func:`run_batch`, produces exactly the rule's own
   ``step_batch`` trajectory on padded irregular neighbor tables (stars,
   paths, BA samples, isolated vertices, disconnected pieces), and the
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.engine import clear_plan_cache, plan_cache_stats, run_batch, run_synchronous
-from repro.engine.backends import backend_names
 from repro.engine.plans import topology_token
 from repro.rules import (
     GeneralizedPluralityRule,
@@ -30,6 +29,8 @@ from repro.topology import (
     TemporalTopology,
     ToroidalMesh,
 )
+
+from helpers import rule_kernel_only
 
 RESULT_FIELDS = (
     "final", "rounds", "converged", "cycle_length", "fixed_point_round",
@@ -64,11 +65,6 @@ def rule_case(request):
     return request.param
 
 
-@pytest.fixture(params=[n for n in backend_names() if n != "reference"])
-def fast_backend(request):
-    return request.param
-
-
 def _assert_results_equal(res, ref, context):
     for field in RESULT_FIELDS:
         a, b = getattr(res, field), getattr(ref, field)
@@ -79,10 +75,10 @@ def _assert_results_equal(res, ref, context):
 
 
 # ----------------------------------------------------------------------
-# parity: backends x rules x irregular graphs, through run_batch
+# parity: compiled vs own kernel x rules x irregular graphs, via run_batch
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant", ["plain", "no-cycles", "frozen"])
-def test_irregular_parity_matrix(rng, rule_case, fast_backend, variant):
+def test_irregular_parity_matrix(rng, rule_case, compiled, variant):
     factory, palette, target = RULE_CASES[rule_case]
     kwargs = {
         "plain": {},
@@ -94,10 +90,11 @@ def test_irregular_parity_matrix(rng, rule_case, fast_backend, variant):
         batch = rng.integers(0, palette, size=(12, topo.num_vertices)).astype(
             np.int32
         )
-        ref = run_batch(topo, batch, rule, max_rounds=60, target_color=target,
-                        backend="reference", **kwargs)
+        with rule_kernel_only():
+            ref = run_batch(topo, batch, rule, max_rounds=60,
+                            target_color=target, **kwargs)
         res = run_batch(topo, batch, rule, max_rounds=60, target_color=target,
-                        backend=fast_backend, **kwargs)
+                        **kwargs)
         _assert_results_equal(res, ref, (name, rule_case, variant))
 
 

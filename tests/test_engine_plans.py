@@ -3,22 +3,26 @@
 Two contracts are pinned here:
 
 * **bitwise invisibility** — caching and escalation never change any
-  result: the escalation parity matrix runs plans on/off x backends x
-  torus kinds x engine-flag variants and compares every
+  result: the escalation parity matrix runs plans on/off x kernels
+  (compiled, and the rules' own ``step_batch``) x torus kinds x
+  engine-flag variants and compares every
   :class:`BatchRunResult` field, and the seed-stability tests pin that
   witnesses, census rows, and stored ids are identical under any plan;
 * **cache correctness** — hits/misses/evictions behave, a mutated rule
   misses (plan tokens change with spec-relevant state), non-authoritative
-  tokens are withheld (subclassed kernels), and compiled steppers stay
-  process-local (pool workers fill their own cache).
+  tokens are withheld (subclassed kernels), compiled steppers stay
+  process-local (pool workers fill their own cache), and the cache holds
+  raw steppers whatever telemetry level compiled them.
 """
 
 import pickle
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.search import random_dynamo_search
 from repro.engine import (
     DEFAULT_PLAN,
@@ -34,7 +38,6 @@ from repro.engine import (
     run_temporal,
     validate_round_cap,
 )
-from repro.engine.backends import backend_names
 from repro.engine.plans import (
     _DEFAULT_CACHE_SIZE,
     rule_plan_token,
@@ -43,6 +46,7 @@ from repro.engine.plans import (
 )
 from repro.experiments import below_bound_census, convergence_sweep
 from repro.io.witnessdb import WitnessDB
+from repro.obs.report import load_stream, summarize
 from repro.rules import (
     GeneralizedPluralityRule,
     LinearThresholdRule,
@@ -58,7 +62,7 @@ from repro.topology import (
     ToroidalMesh,
 )
 
-from helpers import TORUS_KINDS, CyclicRule
+from helpers import TORUS_KINDS, CyclicRule, rule_kernel_only
 
 RESULT_FIELDS = (
     "final", "rounds", "converged", "cycle_length", "fixed_point_round",
@@ -84,6 +88,10 @@ VARIANTS = {
     "irreversible": {"detect_cycles": False},  # irreversible_color per-case
 }
 
+#: the kernel a run steps with: the rule's own ``step_batch`` through the
+#: test seam, or the compiled kernel
+KERNELS = {"reference": rule_kernel_only, "stencil": nullcontext}
+
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
@@ -104,12 +112,12 @@ def _assert_results_equal(res, ref, context):
 
 
 # ----------------------------------------------------------------------
-# the escalation parity matrix: plans on/off x backends x kinds x flags
+# the escalation parity matrix: plans on/off x kernels x kinds x flags
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("case", sorted(RULE_CASES))
-def test_escalation_parity_matrix(rng, torus_kind, case, variant, backend):
+def test_escalation_parity_matrix(rng, torus_kind, case, variant, kernel):
     topo = TORUS_KINDS[torus_kind](4, 5)
     factory, low, palette, target = RULE_CASES[case]
     rule = factory()
@@ -119,15 +127,16 @@ def test_escalation_parity_matrix(rng, torus_kind, case, variant, backend):
     kwargs = dict(VARIANTS[variant])
     if variant == "irreversible":
         kwargs["irreversible_color"] = target
-    ref = run_batch(
-        topo, batch, rule, max_rounds=100, target_color=target,
-        backend=backend, plan=NO_PLAN, **kwargs,
-    )
-    res = run_batch(
-        topo, batch, rule, max_rounds=100, target_color=target,
-        backend=backend, plan=DEFAULT_PLAN, **kwargs,
-    )
-    _assert_results_equal(res, ref, (backend, case, variant))
+    with KERNELS[kernel]():
+        ref = run_batch(
+            topo, batch, rule, max_rounds=100, target_color=target,
+            plan=NO_PLAN, **kwargs,
+        )
+        res = run_batch(
+            topo, batch, rule, max_rounds=100, target_color=target,
+            plan=DEFAULT_PLAN, **kwargs,
+        )
+    _assert_results_equal(res, ref, (kernel, case, variant))
 
 
 def test_escalation_parity_across_round_caps(rng):
@@ -254,10 +263,10 @@ def test_run_synchronous_backend_and_plan_are_bitwise_invisible(rng):
         colors = rng.integers(low, low + palette, size=20).astype(np.int32)
         ref = run_synchronous(topo, colors, rule, target_color=target,
                               plan=NO_PLAN)
-        for backend in backend_names():
-            res = run_synchronous(topo, colors, rule, target_color=target,
-                                  backend=backend)
-            assert np.array_equal(res.final, ref.final), (case, backend)
+        for kernel in KERNELS.values():
+            with kernel():
+                res = run_synchronous(topo, colors, rule, target_color=target)
+            assert np.array_equal(res.final, ref.final), (case, kernel)
             assert res.rounds == ref.rounds
             assert res.converged == ref.converged
             assert res.cycle_length == ref.cycle_length
@@ -265,7 +274,7 @@ def test_run_synchronous_backend_and_plan_are_bitwise_invisible(rng):
 
 
 def test_run_synchronous_custom_scalar_step_keeps_its_kernel():
-    """A rule overriding `step` keeps its own kernel — the plan/backend
+    """A rule overriding `step` keeps its own kernel — the compiled
     fast path only applies to the stock batched delegation."""
 
     class FreezeRule(SMPRule):
@@ -459,15 +468,56 @@ def test_topology_token_structural_for_tori_and_graphs_identity_otherwise():
 
 def test_stepper_cache_key_components():
     topo = ToroidalMesh(4, 4)
-    key = stepper_cache_key("stencil", SMPRule(), topo, 64)
-    assert key is not None and key[0] == "stencil" and key[-1] == 64
+    key = stepper_cache_key(SMPRule(), topo, 64)
+    assert key == (rule_plan_token(SMPRule()), topology_token(topo), 64)
     # uncacheable rule -> no key
 
     class Custom(SMPRule):
         def step_batch(self, colors, topo, out=None):
             return SMPRule.step_batch(self, colors, topo, out=out)
 
-    assert stepper_cache_key("stencil", Custom(), topo, 64) is None
+    assert stepper_cache_key(Custom(), topo, 64) is None
+
+
+# ----------------------------------------------------------------------
+# telemetry hooks: the cache holds raw steppers, shims wrap each serve
+# ----------------------------------------------------------------------
+def _debug_steps(path, fn):
+    """Run ``fn`` under a debug telemetry session; its step counters."""
+    with obs.telemetry_session(path, level="debug", command="unit"):
+        fn()
+    counters = summarize(load_stream(path))["counters"]
+    return counters.get("backend.steps", 0), "backend.step-us" in counters
+
+
+def test_debug_session_leaves_raw_steppers_in_cache(tmp_path):
+    """A stepper compiled under debug telemetry is cached raw: telemetry-off
+    runs after the session are served the compiled kernel, no shim."""
+    topo = ToroidalMesh(4, 4)
+    _debug_steps(
+        tmp_path / "t.tel", lambda: DEFAULT_PLAN.stepper_for(SMPRule(), topo, 8)
+    )
+    stepper = DEFAULT_PLAN.stepper_for(SMPRule(), topo, 8)
+    assert (plan_cache_stats().hits, plan_cache_stats().misses) == (1, 1)
+    assert type(stepper).__module__ == "repro.engine.stencil"
+
+
+def test_debug_session_times_steppers_cached_before_it(tmp_path, rng):
+    """A debug session served a stepper compiled with telemetry off still
+    records every step, exactly as with a fresh compile."""
+    topo = ToroidalMesh(4, 4)
+    batch = rng.integers(0, 4, size=(8, 16)).astype(np.int32)
+
+    def run():
+        run_batch(topo, batch, SMPRule(), max_rounds=30)
+
+    fresh = _debug_steps(tmp_path / "fresh.tel", run)
+    clear_plan_cache()
+    run()  # compile and cache with telemetry off
+    served = _debug_steps(tmp_path / "served.tel", run)
+    assert plan_cache_stats().hits == 1
+    assert fresh[0] > 0 and fresh[1]
+    assert served == fresh
 
 
 # ----------------------------------------------------------------------

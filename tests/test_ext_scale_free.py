@@ -1,5 +1,7 @@
 """Scale-free extension tests (the paper's future-work experiment)."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.ext import (
     run_scale_free_experiment,
     seed_vertices,
 )
+
+from helpers import rule_kernel_only
 
 
 def test_ba_topology_structure(rng):
@@ -68,8 +72,8 @@ def test_hub_seeding_beats_random_on_average():
 def test_experiment_bitwise_matches_prerefactor_scalar_path():
     """run_scale_free_experiment now executes through run_batch; at a
     fixed seed it must reproduce the historical scalar run_synchronous
-    path bit for bit, on the default and stencil backends, with the
-    plan cache warm."""
+    path bit for bit, on the compiled kernel and on the rule's own
+    kernel, with the plan cache warm."""
     from repro.engine import clear_plan_cache, plan_cache_stats, run_synchronous
     from repro.rules import GeneralizedPluralityRule
 
@@ -90,13 +94,15 @@ def test_experiment_bitwise_matches_prerefactor_scalar_path():
     )
     clear_plan_cache()
     try:
-        for backend in (None, "stencil", "reference"):
-            out = run_scale_free_experiment(
-                n=n, seed_fraction=frac, strategy=strategy,
-                rng=np.random.default_rng(0x5EED5), backend=backend,
-            )
-            assert out.rounds == legacy.rounds, backend
-            assert out.converged == legacy.converged, backend
+        # the rule's own kernel, then the compiled one cold and warm
+        for kernel in (rule_kernel_only, nullcontext, nullcontext):
+            with kernel():
+                out = run_scale_free_experiment(
+                    n=n, seed_fraction=frac, strategy=strategy,
+                    rng=np.random.default_rng(0x5EED5),
+                )
+            assert out.rounds == legacy.rounds, kernel
+            assert out.converged == legacy.converged, kernel
             assert out.final_k_fraction == float((legacy.final == k).mean())
             assert out.monochromatic == bool(
                 legacy.converged and (legacy.final == legacy.final[0]).all()
@@ -125,10 +131,9 @@ def test_census_backend_invariant():
 
     kwargs = dict(n=60, graphs=2, replicas=8, seed_fractions=(0.05,),
                   strategies=("hubs",), seed=17)
-    reference = ExecutionSettings(backend="reference")
-    stencil = ExecutionSettings(backend="stencil")
-    assert (scale_free_takeover_census(settings=reference, **kwargs).cells
-            == scale_free_takeover_census(settings=stencil, **kwargs).cells)
+    with rule_kernel_only():
+        reference = scale_free_takeover_census(**kwargs)
+    assert reference.cells == scale_free_takeover_census(**kwargs).cells
 
 
 def test_census_db_cache_round_trip(tmp_path):

@@ -236,44 +236,11 @@ class TestPlanToken:
 
 
 # ---------------------------------------------------------------------------
-# backend-contract family
+# backend-contract family (the padding-mask guard)
 # ---------------------------------------------------------------------------
 
 
 class TestBackendContract:
-    def test_b001_missing_surface(self):
-        src = (
-            "from repro.engine.backends.base import KernelBackend\n\n\n"
-            "class HalfBackend(KernelBackend):\n"
-            "    pass\n"
-        )
-        findings = lint_source(src, path=LIB)
-        assert rules_of(findings) == ["RPL-B001"]
-        assert "name" in findings[0].message
-        assert "compile" in findings[0].message
-
-    def test_b001_clean_full_surface(self):
-        src = (
-            "from repro.engine.backends.base import KernelBackend\n\n\n"
-            "class FullBackend(KernelBackend):\n"
-            '    name = "full"\n\n'
-            "    def compile(self, rule, topo, max_batch):\n"
-            "        return lambda colors: colors\n"
-        )
-        assert lint_source(src, path=LIB) == []
-
-    def test_b001_inherited_surface_counts(self):
-        src = (
-            "from repro.engine.backends.base import KernelBackend\n\n\n"
-            "class BaseImpl(KernelBackend):\n"
-            '    name = "base"\n\n'
-            "    def compile(self, rule, topo, max_batch):\n"
-            "        return lambda colors: colors\n\n\n"
-            "class Derived(BaseImpl):\n"
-            '    name = "derived"\n'
-        )
-        assert lint_source(src, path=LIB) == []
-
     def test_b002_unmasked_gather(self):
         src = (
             "def gather(colors, topo):\n"
@@ -327,6 +294,19 @@ class TestBackendContract:
             "    return colors[topo.neighbors]\n"
         )
         assert lint_source(src, path="benchmarks/bench_fixture.py") == []
+
+    def test_b002_scans_the_stencil_plans(self):
+        """The compiled kernel's module is clean as shipped, and an
+        unguarded gather added to it is flagged."""
+        path = "src/repro/engine/stencil.py"
+        src = (ROOT / path).read_text()
+        assert lint_source(src, path=path) == []
+        unguarded = src + (
+            "\n\ndef _gather(colors: np.ndarray, topo: Topology) -> np.ndarray:\n"
+            "    return colors[:, topo.neighbors]\n"
+        )
+        findings = lint_source(unguarded, path=path)
+        assert rules_of(findings) == ["RPL-B002"]
 
     def test_b002_suppressed(self):
         src = (
@@ -485,7 +465,7 @@ class TestDocsDrift:
         c001 = [f for f in findings if f.rule == "RPL-C001"]
         assert c001, "expected missing-flag findings"
         assert all(f.path == "src/repro/cli.py" for f in c001)
-        assert any("--backend" in f.message for f in c001)
+        assert any("--plan-cache" in f.message for f in c001)
 
     def test_c002_dangling_module_ref(self, tmp_path):
         readme = f"# x\n\nsee `repro.engine.nonexistent_thing`\n\n{_all_flags_blurb()}\n"
@@ -586,7 +566,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         for rule in (
-            "RPL-D001", "RPL-D005", "RPL-P001", "RPL-B001", "RPL-B002",
+            "RPL-D001", "RPL-D005", "RPL-P001", "RPL-B002",
             "RPL-C001", "RPL-C003", "RPL-C004", "RPL-T001", "RPL-O001",
         ):
             assert rule in out

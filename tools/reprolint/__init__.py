@@ -2,10 +2,10 @@
 kernel contracts this reproduction's headline claims rest on.
 
 The engine promises bitwise-identical results at any process count,
-under any backend, with plans on or off.  Those promises are upheld by
-hand-maintained conventions (per-shard ``SeedSequence`` derivation,
-``plan_token()`` MRO authority, the ``-1`` padding-mask contract, docs
-that match the real CLI).  ``reprolint`` encodes each convention as an
+on the compiled kernel or the rules' own, with plans on or off.  Those
+promises are upheld by hand-maintained conventions (per-shard
+``SeedSequence`` derivation, ``plan_token()`` MRO authority, the ``-1``
+padding-mask contract, docs that match the real CLI).  ``reprolint`` encodes each convention as an
 AST-level rule so a violation fails lint instead of waiting for a
 parity test to happen to cover it.
 

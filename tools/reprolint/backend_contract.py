@@ -1,13 +1,8 @@
-"""Backend contract family (RPL-B): registry surface + padding masks.
+"""Backend-contract family (RPL-B): the padding-mask guard on gathers.
 
-Backends registered via ``register_backend`` are trusted to be
-bitwise-interchangeable.  Two statically checkable obligations back
-that trust:
-
-* RPL-B001 — a ``KernelBackend`` subclass must carry the full surface:
-  a ``name`` class attribute (the registry key) and a ``compile``
-  method.  A backend missing either raises only at selection time,
-  which CI may never reach for optional backends.
+The compiled kernel (``repro.engine.stencil``) and the rules' own
+``step_batch`` kernels are trusted to be bitwise-identical.  One
+statically checkable obligation backs that trust:
 
 * RPL-B002 — the ``-1`` padding-mask contract.  Irregular-graph
   neighbor tables are padded with ``-1``; using a neighbor slot as a
@@ -18,7 +13,8 @@ that trust:
   a ``>= 0`` / ``== -1`` style comparison on table values, a
   ``degrees`` slice, an ``is_regular`` gate, a ``*mask*`` name, or
   ``np.take(..., mode="clip")``.  Any one guard clears the whole
-  function scope.
+  function scope.  It scans every library module, the stencil plans
+  included.
 """
 
 from __future__ import annotations
@@ -27,10 +23,6 @@ import ast
 from typing import Iterable, List, Set
 
 from .core import Checker, Finding, Module, Project, register_checker
-from .plan_token import collect_classes, derived_from
-
-#: KernelBackend members every registered backend must provide.
-_BACKEND_SURFACE = ("name", "compile")
 
 _GUARD_ATTRS = {"degrees", "is_regular"}
 
@@ -39,10 +31,6 @@ _GUARD_ATTRS = {"degrees", "is_regular"}
 class BackendContractChecker(Checker):
     family = "backend-contract"
     rules = {
-        "RPL-B001": (
-            "KernelBackend subclass missing part of the registry surface "
-            "(`name` class attribute and `compile` method)"
-        ),
         "RPL-B002": (
             "neighbor-table value used as a gather index with no padding "
             "guard in scope — padded -1 slots must be masked (compare "
@@ -52,40 +40,8 @@ class BackendContractChecker(Checker):
     }
 
     def check(self, project: Project) -> Iterable[Finding]:
-        yield from self._check_surface(project)
         for module in project.library_modules():
             yield from self._check_padding(module)
-
-    # -- B001: registry surface ---------------------------------------
-
-    def _check_surface(self, project: Project) -> Iterable[Finding]:
-        classes = collect_classes(project)
-        by_name = {info.name: info for info in classes}
-        for info in derived_from(classes, seeds={"KernelBackend"}):
-            provided: Set[str] = set()
-            cursor = info
-            seen: Set[str] = set()
-            while cursor is not None and cursor.name not in seen:
-                seen.add(cursor.name)
-                provided |= cursor.attrs
-                parent = next(
-                    (b for b in cursor.bases if b in by_name and b != "KernelBackend"),
-                    None,
-                )
-                cursor = by_name.get(parent) if parent else None
-            missing = [m for m in _BACKEND_SURFACE if m not in provided]
-            if missing:
-                yield Finding(
-                    info.module.relpath,
-                    info.node.lineno,
-                    info.node.col_offset + 1,
-                    "RPL-B001",
-                    (
-                        f"backend class {info.name} does not define "
-                        f"{', '.join(missing)} — the KernelBackend registry "
-                        "surface is name + compile"
-                    ),
-                )
 
     # -- B002: padding-mask contract ----------------------------------
 

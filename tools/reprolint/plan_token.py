@@ -69,7 +69,7 @@ def derived_from(classes: List[ClassInfo], seeds: Set[str]) -> List[ClassInfo]:
     """Classes transitively deriving from any seed name (by simple name).
 
     Name-based rather than import-resolved: fixtures and tests subclass
-    ``Rule`` / ``KernelBackend`` under exactly those names, and a false
+    ``Rule`` under exactly that name, and a false
     link through an unrelated same-named class is harmless (the checker
     only ever *adds* contract obligations).
     """
