@@ -3,10 +3,14 @@
 :class:`WitnessQueryIndex` is what the HTTP service (``repro.service``)
 and other read-only consumers sit on: it wraps a :class:`WitnessDB`
 opened from a path, serves filtered + paginated *plain-dict* views of
-its records (JSON-ready, byte-for-byte the on-disk payloads), and
-transparently reopens the store when the underlying file changes — the
-witnessdb itself is append-only, so a changed ``(mtime, size)`` stamp is
-the complete invalidation signal.
+its records (JSON-ready, byte-for-byte the on-disk payloads), and keeps
+up with the file as it changes.  A changed ``(mtime, size)`` stamp
+tells it the file moved; the witnessdb is append-only, so the index
+first catches up in place on the appended lines
+(:meth:`WitnessDB.catch_up`) and opens a fresh ``WitnessDB`` only when
+the file changed otherwise (replaced, truncated, rewritten).  One lock
+spans the freshness check and the whole read, so a catch-up never
+mutates the records a concurrent request is iterating.
 
 The layer is deliberately framework-free and read-only: writes keep
 going through :class:`WitnessDB` (one writer semantics stay with the
@@ -17,9 +21,10 @@ is testable and usable in-process.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .serialize import witness_to_dict
 from .witnessdb import WitnessDB, _cell_to_dict
@@ -33,6 +38,7 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+_Row = TypeVar("_Row")
 
 #: page size when the caller does not pass ``limit``
 DEFAULT_PAGE_LIMIT = 50
@@ -63,11 +69,12 @@ class Page:
 
 
 def paginate(
-    rows: Sequence[Dict[str, Any]],
+    rows: Sequence[_Row],
     limit: Optional[int],
     offset: Optional[int],
+    convert: Callable[[_Row], Dict[str, Any]],
 ) -> Page:
-    """Slice ``rows`` into a :class:`Page`, validating the window."""
+    """Slice ``rows`` into a :class:`Page`, converting only the window."""
     if limit is None:
         limit = DEFAULT_PAGE_LIMIT
     if offset is None:
@@ -79,7 +86,7 @@ def paginate(
     if offset < 0:
         raise QueryError(f"offset must be non-negative, got {offset}")
     return Page(
-        items=list(rows[offset : offset + limit]),
+        items=[convert(row) for row in rows[offset : offset + limit]],
         total=len(rows),
         limit=limit,
         offset=offset,
@@ -87,7 +94,10 @@ def paginate(
 
 
 class WitnessQueryIndex:
-    """Filtered, paginated, auto-reloading reads over one witnessdb file.
+    """Filtered, paginated, self-updating reads over one witnessdb file.
+
+    Safe to share between threads: every query holds one lock across
+    the freshness check and its read.
 
     Parameters
     ----------
@@ -101,6 +111,7 @@ class WitnessQueryIndex:
         self.path = Path(path)
         self._db: Optional[WitnessDB] = None
         self._stamp: Optional[Tuple[int, int]] = None
+        self._lock = threading.Lock()
 
     # -- freshness -----------------------------------------------------
 
@@ -111,21 +122,28 @@ class WitnessQueryIndex:
             return None
         return (st.st_mtime_ns, st.st_size)
 
-    @property
-    def db(self) -> WitnessDB:
-        """The current store, reopened whenever the file changed."""
+    def _fresh(self) -> WitnessDB:
+        """The store as the file stands now; the caller holds the lock."""
         stamp = self._file_stamp()
         if self._db is None or stamp != self._stamp:
-            self._db = WitnessDB(self.path)
+            if self._db is None or not self._db.catch_up():
+                self._db = WitnessDB(self.path)
             self._stamp = stamp
         return self._db
 
-    def refresh(self) -> WitnessDB:
-        """Force a reopen (after a known write, e.g. a finished job)."""
-        self._db = None
-        return self.db
-
     # -- queries -------------------------------------------------------
+
+    def counts(self) -> Dict[str, int]:
+        """Witness, cell, summary and search counts of the current store."""
+        with self._lock:
+            db = self._fresh()
+            return {
+                "witnesses": len(db),
+                "census_cells": len(db.cells),
+                "scale_free_cells": len(db.scale_free_cells),
+                "async_summaries": len(db.async_summaries),
+                "searches": len(db.searches),
+            }
 
     def witnesses(
         self,
@@ -144,20 +162,19 @@ class WitnessQueryIndex:
 
         Items are the exact on-disk payloads (``witness_to_dict``), so a
         service response and a ``grep`` of the JSONL file agree
-        byte-for-byte on every field.
+        byte-for-byte on every field.  Only the page is converted.
         """
-        records = self.db.witnesses(
-            rule=rule,
-            kind=kind,
-            m=m,
-            n=n,
-            colors=colors,
-            method=method,
-            verified=verified,
-        )
-        return paginate(
-            [witness_to_dict(rec) for rec in records], limit, offset
-        )
+        with self._lock:
+            records = self._fresh().witnesses(
+                rule=rule,
+                kind=kind,
+                m=m,
+                n=n,
+                colors=colors,
+                method=method,
+                verified=verified,
+            )
+            return paginate(records, limit, offset, witness_to_dict)
 
     def census_cells(
         self,
@@ -168,15 +185,17 @@ class WitnessQueryIndex:
         offset: Optional[int] = None,
     ) -> Page:
         """Census-cell records matching the given filters."""
-        rows = [
-            _cell_to_dict(cell)
-            for cell in self.db.cells
-            if (kind is None or cell.kind == kind)
-            and (n is None or cell.n == n)
-        ]
-        return paginate(rows, limit, offset)
+        with self._lock:
+            cells = [
+                cell
+                for cell in self._fresh().cells
+                if (kind is None or cell.kind == kind)
+                and (n is None or cell.n == n)
+            ]
+            return paginate(cells, limit, offset, _cell_to_dict)
 
     def witness(self, witness_id: str) -> Optional[Dict[str, Any]]:
         """One witness payload by exact id, or ``None``."""
-        record = self.db.get(witness_id)
-        return None if record is None else witness_to_dict(record)
+        with self._lock:
+            record = self._fresh().get(witness_id)
+            return None if record is None else witness_to_dict(record)

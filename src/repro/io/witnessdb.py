@@ -21,7 +21,8 @@ search.  :class:`WitnessDB` persists them:
   rewriting history;
 * the **in-memory index** keys witnesses by ``(rule, kind, m, n,
   colors)`` and census cells by their experiment definition, so lookups
-  are O(1) dict probes;
+  are O(1) dict probes; a long-lived reader brings it up to date with
+  :meth:`WitnessDB.catch_up`, which applies only the appended lines;
 * **corrupted lines** never abort a load: they are collected into
   :attr:`WitnessDB.corrupt` as ``(line_number, message)`` pairs (pass
   ``strict=True`` to raise instead).
@@ -69,6 +70,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -85,7 +87,7 @@ from ..rules import make_rule
 from ..rules.base import Rule
 
 from ..topology.tori import make_torus
-from .jsonl import JsonlStore
+from .jsonl import JsonlStore, ScannedLine
 from .serialize import (
     WITNESS_SCHEMA,
     WitnessFormatError,
@@ -572,7 +574,7 @@ class WitnessDB:
         #: count of legacy-format lines upgraded during load
         self.legacy_upgraded = 0
         if self.path.exists():
-            self._load()
+            self._apply(self._store.read_all())
 
     # -- loading -------------------------------------------------------
     @property
@@ -585,8 +587,25 @@ class WitnessDB:
         """
         return self._store.torn_tail
 
-    def _load(self) -> None:
-        for scanned in self._store.read_all():
+    def catch_up(self) -> bool:
+        """Apply the lines appended to the file since it was last read.
+
+        Returns ``False``, leaving the index untouched, when the file
+        changed in any way other than an append (see
+        :meth:`~repro.io.jsonl.JsonlStore.scan_appended`); only a fresh
+        ``WitnessDB(path)`` is then exact.  After ``True`` the index
+        equals a fresh load of the file: superseding lines keep their
+        record's first position, and corrupt lines and the torn tail
+        carry their file line numbers.
+        """
+        lines = self._store.scan_appended()
+        if lines is None:
+            return False
+        self._apply(lines)
+        return True
+
+    def _apply(self, lines: Iterable[ScannedLine]) -> None:
+        for scanned in lines:
             lineno = scanned.lineno
             if scanned.error is not None:
                 self._corrupt_line(lineno, scanned.error)

@@ -8,7 +8,7 @@ serialized worker thread.  Serialization is the write-safety story: the
 witness database is append-only with a single-writer assumption, so
 jobs queue rather than race, and each job opens its *own*
 :class:`~repro.io.witnessdb.WitnessDB` instance on the shared path
-(the read side uses a separate auto-reloading
+(the read side uses a separate self-updating
 :class:`~repro.io.WitnessQueryIndex`).
 
 Bitwise identity with the CLI is a hard contract: job parameters
@@ -36,7 +36,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..engine.context import ExecutionSettings
 from ..engine.parallel import RunCancelled, validate_processes
@@ -238,17 +238,12 @@ class JobManager:
     jobs_dir:
         Directory for per-job run ledgers (default: ``<db>.jobs/``
         next to the database file).
-    on_append:
-        Called after a job finishes having appended records — the
-        service uses it to refresh the read-side query index.
     """
 
     def __init__(
         self,
         db_path: PathLike,
         jobs_dir: Optional[PathLike] = None,
-        *,
-        on_append: Optional[Callable[[], Any]] = None,
     ) -> None:
         self.db_path = Path(db_path)
         self.jobs_dir = (
@@ -256,7 +251,6 @@ class JobManager:
             if jobs_dir is not None
             else self.db_path.parent / (self.db_path.name + ".jobs")
         )
-        self._on_append = on_append
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
@@ -372,8 +366,6 @@ class JobManager:
         finally:
             with self._lock:
                 job.finished_at = time.time()
-            if self._on_append is not None:
-                self._on_append()
 
     def _settings(self, job: Job, **overrides: Any) -> ExecutionSettings:
         return ExecutionSettings(

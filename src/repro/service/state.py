@@ -76,9 +76,7 @@ class ServiceState:
     ) -> None:
         self.db_path = Path(db_path)
         self.index = WitnessQueryIndex(self.db_path)
-        self.jobs = JobManager(
-            self.db_path, jobs_dir, on_append=self.index.refresh
-        )
+        self.jobs = JobManager(self.db_path, jobs_dir)
 
     def close(self) -> None:
         self.jobs.close()
@@ -87,15 +85,10 @@ class ServiceState:
 
     def health(self) -> Response:
         """Liveness plus a corpus summary (also warms the index)."""
-        db = self.index.db
         return 200, {
             "status": "ok",
             "db": str(self.db_path),
-            "witnesses": len(db),
-            "census_cells": len(db.cells),
-            "scale_free_cells": len(db.scale_free_cells),
-            "async_summaries": len(db.async_summaries),
-            "searches": len(db.searches),
+            **self.index.counts(),
         }
 
     def list_witnesses(self, params: Mapping[str, str]) -> Response:

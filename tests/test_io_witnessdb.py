@@ -1,11 +1,18 @@
-"""Witness database tests: round-trip, caching, corruption, verification."""
+"""Witness database tests: round-trip, caching, corruption, verification, catch-up."""
 
+import dataclasses
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.experiments.census as census_mod
+import repro.io.witnessdb as witnessdb_mod
 from repro.engine import ExecutionSettings
 from repro.core.search import exhaustive_dynamo_search, random_dynamo_search
 from repro.experiments import below_bound_census
@@ -14,11 +21,13 @@ from repro.io import (
     CensusCellRecord,
     WitnessDB,
     WitnessFormatError,
+    WitnessQueryIndex,
     WitnessRecord,
     verify_witness,
     witness_from_dict,
     witness_to_dict,
 )
+from repro.io.witnessdb import SearchRecord
 from repro.topology import ToroidalMesh
 
 
@@ -534,3 +543,234 @@ def test_cli_async_summary_cached(tmp_path, capsys):
         ["async", "mesh", "5", "5", "--trials", "5", "--seed", "3",
          "--engine", "scalar"], capsys)
     assert code == 0 and out3 == out1
+
+
+# ----------------------------------------------------------------------
+# catch-up on appended lines == a fresh load of the file
+# ----------------------------------------------------------------------
+def _numbered_record(i):
+    """A distinct (for ``i`` below 3**8) 3x3 witness record."""
+    config = [0] + [(i // 3**j) % 3 for j in range(8)]
+    return _sample_record(
+        configuration=config,
+        seed_size=config.count(0),
+        provenance={"source": f"r{i}"},
+    )
+
+
+def _line(payload):
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+def _raw_append(path, data):
+    with open(path, "ab") as fh:
+        fh.write(data)
+
+
+def _state(db):
+    """Everything a load derives from the file, plus the byte geometry
+    the next catch-up and the next torn-tail heal start from."""
+    store = db._store
+    return {
+        "ids": [rec.id for rec in db],
+        "witnesses": [witness_to_dict(rec) for rec in db],
+        "by_key": {rec.key: [r.id for r in db.lookup(*rec.key)] for rec in db},
+        "cells": db.cells,
+        "searches": db.searches,
+        "scale_free_cells": db.scale_free_cells,
+        "async_summaries": db.async_summaries,
+        "corrupt": db.corrupt,
+        "legacy_upgraded": db.legacy_upgraded,
+        "torn_tail": db.torn_tail,
+        "geometry": (
+            store._good_end, store._newlines, store._needs_newline,
+            store._last_corrupt,
+        ),
+    }
+
+
+def _catch_up_or_reload(db, path):
+    """What the query index does: catch up, or reopen when told to."""
+    caught = db.catch_up()
+    return caught, (db if caught else WitnessDB(path))
+
+
+_LEGACY_LINE = _line({
+    "kind": "mesh", "m": 3, "n": 3, "k": 0,
+    "colors": [0, 1, 1, 2, 0, 1, 2, 2, 0], "metadata": {"name": "old"},
+})
+
+
+def test_catch_up_matches_full_load_scripted(tmp_path):
+    path = tmp_path / "w.jsonl"
+    dynamo = _sample_record()  # replays to a dynamo: verify stamps it
+    seeded = WitnessDB(path)
+    seeded.add(dynamo)
+    seeded.add(_numbered_record(0))
+    reader = WitnessDB(path)
+    fresh_line = _line(witness_to_dict(_numbered_record(4)))
+
+    def same_size_rewrite():
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b'"r0"') + 2
+        raw[at] = ord("9")
+        path.write_bytes(bytes(raw))
+
+    def recreate():
+        path.unlink()
+        WitnessDB(path).add(_numbered_record(7))
+
+    steps = [
+        ("new witness", lambda: WitnessDB(path).add(_numbered_record(1)), True),
+        ("verify stamp", lambda: WitnessDB(path).verify(dynamo.id), True),
+        ("census cell", lambda: WitnessDB(path).add_cell(CensusCellRecord(
+            kind="mesh", n=4, definition={"seed": 1},
+            row={"kind": "mesh", "n": 4}, witness_id=dynamo.id,
+        )), True),
+        ("search", lambda: WitnessDB(path).add_search(SearchRecord(
+            definition={"mode": "random", "seed": 1},
+            witness_ids=[dynamo.id], examined=9, witnesses_found=1,
+        )), True),
+        ("interior corrupt line and a legacy line", lambda: _raw_append(
+            path, b"not json {\n" + _LEGACY_LINE
+        ), True),
+        ("torn tail", lambda: _raw_append(path, fresh_line[:20]), True),
+        ("healing append", lambda: WitnessDB(path).add(_numbered_record(2)), True),
+        ("final line without newline", lambda: _raw_append(
+            path, fresh_line[:-1]
+        ), True),
+        ("append through the store", lambda: WitnessDB(path).add(
+            _numbered_record(3)
+        ), True),
+        ("another final line without newline", lambda: _raw_append(
+            path, _line(witness_to_dict(_numbered_record(5)))[:-1]
+        ), True),
+        ("raw bytes glued onto it", lambda: _raw_append(path, b'{"x": 1}'), False),
+        ("truncate", lambda: os.truncate(path, path.stat().st_size // 2), False),
+        ("same-size rewrite", same_size_rewrite, False),
+        ("delete and recreate", recreate, False),
+        ("corrupt line before a torn tail", lambda: _raw_append(
+            path, b"not json {\n" + fresh_line[:20]
+        ), True),
+        # a full load now calls the corrupt line the torn tail
+        ("torn tail cut away", lambda: _drop_partial_line(path), False),
+    ]
+    for name, mutate, expect_caught in steps:
+        mutate()
+        caught, reader = _catch_up_or_reload(reader, path)
+        assert caught is expect_caught, name
+        assert _state(reader) == _state(WitnessDB(path)), name
+        if name == "verify stamp":
+            # the superseding line keeps the record's first position
+            assert [rec.id for rec in reader][0] == dynamo.id
+            assert reader.get(dynamo.id).verified
+        if name == "interior corrupt line and a legacy line":
+            assert reader.corrupt and reader.legacy_upgraded == 1
+        if name == "torn tail":
+            assert reader.torn_tail is not None
+
+
+def _drop_partial_line(path):
+    raw = path.read_bytes()
+    os.truncate(path, raw.rfind(b"\n") + 1)
+
+
+def _mutate(path, op, x):
+    """One random change to the file; fresh writers model other processes."""
+    size = path.stat().st_size if path.exists() else 0
+    if op == "add":
+        WitnessDB(path).add(_numbered_record(x % 3**8))
+    elif op == "stamp":
+        writer = WitnessDB(path)
+        records = list(writer)
+        if records:
+            rec = records[x % len(records)]
+            writer.add(dataclasses.replace(rec, verified=True), replace=True)
+    elif op == "cell":
+        WitnessDB(path).add_cell(CensusCellRecord(
+            kind="mesh", n=3 + x % 3, definition={"seed": x % 5},
+            row={"x": x},
+        ))
+    elif op == "search":
+        WitnessDB(path).add_search(SearchRecord(
+            definition={"seed": x % 5}, examined=x,
+        ))
+    elif op == "corrupt":
+        # followed by a whole record, or by a torn one (odd ``x``)
+        line = _line(witness_to_dict(_numbered_record(x % 3**8)))
+        _raw_append(path, b"not json {\n" + line[: len(line) // (1 + x % 2)])
+    elif op == "legacy":
+        _raw_append(path, _LEGACY_LINE)
+    elif op == "torn":
+        line = _line(witness_to_dict(_numbered_record(x % 3**8)))
+        _raw_append(path, line[: 1 + x % (len(line) - 2)])
+    elif op == "bare":
+        _raw_append(path, _line(witness_to_dict(_numbered_record(x % 3**8)))[:-1])
+    elif op == "glue":
+        _raw_append(path, b'{"x": 1}')
+    elif op == "blank":
+        _raw_append(path, b"\n  \n")
+    elif op == "truncate" and size:
+        os.truncate(path, size - 1 - x % size)
+    elif op == "untear" and size:
+        _drop_partial_line(path)
+    elif op == "flip" and size:
+        raw = bytearray(path.read_bytes())
+        raw[x % size] ^= 1
+        path.write_bytes(bytes(raw))
+    elif op == "recreate" and path.exists():
+        path.unlink()
+        _raw_append(path, _line(witness_to_dict(_numbered_record(x % 3**8))))
+
+
+_WRITER_OPS = ("add", "stamp", "cell", "search")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(_WRITER_OPS + (
+            "corrupt", "legacy", "torn", "bare", "glue", "blank",
+            "truncate", "untear", "flip", "recreate",
+        )),
+        st.integers(0, 10**6),
+    ),
+    min_size=1,
+    max_size=12,
+))
+def test_catch_up_matches_full_load_property(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.jsonl"
+        WitnessDB(path).add(_sample_record())
+        reader = WitnessDB(path)
+        for op, x in ops:
+            _mutate(path, op, x)
+            caught, reader = _catch_up_or_reload(reader, path)
+            if op in _WRITER_OPS:
+                # another process's store appends exactly past the last
+                # good line end, so a reader never needs a full reload
+                assert caught, op
+            assert _state(reader) == _state(WitnessDB(path)), op
+
+
+def test_query_index_catch_up_builds_only_the_appended_record(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "w.jsonl"
+    writer = WitnessDB(path)
+    for i in range(5):
+        writer.add(_numbered_record(i))
+    index = WitnessQueryIndex(path)
+    assert index.witnesses().total == 5
+    built = []
+    real = witnessdb_mod.witness_from_dict
+
+    def counted(payload):
+        built.append(payload["id"])
+        return real(payload)
+
+    monkeypatch.setattr(witnessdb_mod, "witness_from_dict", counted)
+    writer.add(_numbered_record(5))
+    page = index.witnesses()
+    assert page.total == 6
+    assert built == [_numbered_record(5).id]

@@ -14,6 +14,7 @@ CLI invocation appends.
 import json
 import shutil
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.io import WitnessDB, WitnessQueryIndex
+from repro.io import WitnessDB, WitnessQueryIndex, WitnessRecord, witness_to_dict
 from repro.io.query import MAX_PAGE_LIMIT, QueryError
 from repro.service.app import make_server, run_server
 from repro.service.jobs import JobValidationError
@@ -117,6 +118,57 @@ class TestQueryIndex:
         mesh = idx.census_cells(kind="mesh", limit=MAX_PAGE_LIMIT)
         assert 0 < mesh.total < page.total
         assert all(item["kind"] == "mesh" for item in mesh.items)
+
+    def test_concurrent_reads_during_appends(self, tmp_path):
+        """Readers never see a catch-up half done or a shrinking corpus."""
+        path = tmp_path / "w.jsonl"
+        shutil.copyfile(SHIPPED, path)
+        state = ServiceState(path, jobs_dir=tmp_path / "jobs")
+        writer = WitnessDB(path)
+        start = len(writer)
+        done = threading.Event()
+        errors, totals = [], [[] for _ in range(3)]
+
+        def read(seen):
+            try:
+                while not done.is_set():
+                    status, page = state.list_witnesses({"limit": "500"})
+                    assert status == 200
+                    seen.append(page["total"])
+            except Exception as exc:  # reported after the join
+                errors.append(exc)
+
+        readers = [
+            threading.Thread(target=read, args=(seen,)) for seen in totals
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-iteration often
+        for thread in readers:
+            thread.start()
+        try:
+            for i in range(50):
+                config = [0] + [(i // 3**j) % 4 for j in range(15)]
+                assert writer.add(WitnessRecord(
+                    rule="smp", kind="mesh", m=4, n=4, colors=4, k=0,
+                    seed_size=config.count(0), monotone=True,
+                    configuration=config, method="manual",
+                    provenance={"source": "concurrency-test"},
+                ))
+                time.sleep(0.002)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        for seen in totals:
+            assert seen and seen == sorted(seen)
+        status, page = state.list_witnesses({"limit": "500"})
+        fresh = [witness_to_dict(rec) for rec in WitnessDB(path)]
+        assert page["total"] == len(fresh) == start + 50
+        assert page["items"] == fresh[:500]
+        state.close()
 
 
 # ---------------------------------------------------------------------------
