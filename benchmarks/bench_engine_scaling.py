@@ -1,6 +1,7 @@
 """E11: engine throughput — the hpc-parallel engineering claims.
 
-Not a paper table; validates the implementation notes in DESIGN.md: the
+Not a paper table; validates the engine notes in docs/ARCHITECTURE.md
+(execution layers, the compiled kernel): the
 vectorized sorted-gather kernel sustains torus sizes far beyond anything
 the paper simulates, the batched engine amortizes per-replica overhead
 for *every* rule (``step_batch`` kernels vs the per-replica scalar

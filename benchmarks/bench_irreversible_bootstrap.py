@@ -92,7 +92,7 @@ def test_irreversible_vs_free_rounds(benchmark):
 
 
 def test_tie_rule_and_shape_ablations(benchmark):
-    """The ablation table (DESIGN.md): SMP + theorem shape + crafted
+    """The ablation table: SMP + theorem shape + crafted
     complement is the only full-takeover arm."""
     from repro.experiments import seed_shape_ablation, tie_rule_ablation
 

@@ -18,8 +18,8 @@ Quickstart
 >>> report.is_monotone_dynamo, con.seed_size
 (True, 16)
 
-See ``examples/`` for runnable scenarios and ``DESIGN.md`` for the full
-system inventory.
+See ``examples/`` for runnable scenarios and ``docs/ARCHITECTURE.md``
+(its module map) for the full system inventory.
 """
 
 from .core import (

@@ -20,9 +20,8 @@ Subcommands
                shard, replicas advanced as batched blocks; with ``--db``,
                cells cache as ``scale-free-cell`` records
 ``async``      update-order robustness of a packaged construction: many
-               random sequential schedules as one batch (``--engine
-               scalar`` replays the bitwise-identical scalar loop); with
-               ``--db``, summaries cache as ``async-summary`` records
+               random sequential schedules as one batch; with ``--db``,
+               summaries cache as ``async-summary`` records
 ``witness``    query the witness database: ``list`` / ``show`` /
                ``verify`` / ``export``
 ``telemetry``  aggregate a telemetry stream recorded with ``--telemetry``
@@ -50,7 +49,7 @@ Examples
     repro-dynamo scale-free --n 300 --graphs 4 --replicas 32 --processes 4
     repro-dynamo scale-free --db results/witnesses.jsonl
     repro-dynamo async mesh 9 9 --trials 50 --seed 42
-    repro-dynamo async serpentinus 7 7 --engine scalar --db results/witnesses.jsonl
+    repro-dynamo async serpentinus 7 7 --db results/witnesses.jsonl
     repro-dynamo witness list
     repro-dynamo witness verify --all
     repro-dynamo census --sizes 3 --processes 4 --telemetry runs/census.tel
@@ -474,13 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help="schedule root (default: derived from a fixed "
                     "RNG, so runs are reproducible)")
-    sp.add_argument(
-        "--engine",
-        choices=["batch", "scalar"],
-        default="batch",
-        help="batched schedule engine or the scalar sweep loop; the two "
-        "are bitwise-identical, this only affects speed",
-    )
     sp.add_argument(
         "--db",
         metavar="FILE",
@@ -971,7 +963,6 @@ def _dispatch(parser, args) -> int:
             trials=args.trials,
             max_sweeps=args.max_sweeps,
             seed=args.seed,
-            engine=args.engine,
             db=_open_db(args.db) if args.db else None,
             label=con.name,
         )

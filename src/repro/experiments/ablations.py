@@ -1,6 +1,6 @@
 """Ablation studies: which ingredients of the constructions matter.
 
-DESIGN.md calls for ablation benches over the design choices.  Three axes:
+Ablation benches over the design choices.  Three axes:
 
 * **tie rule** (:func:`tie_rule_ablation`) — run the same initial
   configuration under SMP, Prefer-Black, Prefer-Current, and strong

@@ -46,7 +46,7 @@ from ..engine.parallel import (
     validate_processes,
 )
 from ..io.ledger import LedgerScope, open_ledger
-from ..io.witnessdb import CensusCellRecord, WitnessDB
+from ..io.witnessdb import CellRecord, WitnessDB
 from ..topology.base import Topology
 from ..topology.tori import make_torus
 
@@ -158,7 +158,7 @@ def _open_db(db: Union[WitnessDB, str, Path, None]) -> Optional[WitnessDB]:
     return WitnessDB(db)
 
 
-def _row_from_cell(cell: CensusCellRecord) -> CensusRow:
+def _row_from_cell(cell: CellRecord) -> CensusRow:
     return CensusRow(**cell.row)
 
 
@@ -283,7 +283,9 @@ def below_bound_census(
                         scope.child(str(kind), int(n)) if scope else None
                     )
                     if store is not None:
-                        cell = store.find_cell(kind, n, definition)
+                        cell = store.find_cell(
+                            "census-cell", definition, kind=kind, n=n
+                        )
                         if cell is not None:
                             rows.append(_row_from_cell(cell))
                             cache_hits += 1
@@ -439,9 +441,9 @@ def _record_cell(
         store.add(record)
         witness_id = record.id
     store.add_cell(
-        CensusCellRecord(
-            kind=row.kind,
-            n=row.n,
+        CellRecord(
+            type="census-cell",
+            key={"kind": row.kind, "n": row.n},
             definition=definition,
             row=asdict(row),
             witness_id=witness_id,

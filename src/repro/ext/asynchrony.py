@@ -17,10 +17,10 @@ Both experiments fan their trials out as one
 independent row of a ``(trials, N)`` block advanced by
 :func:`~repro.engine.batch.run_batch`'s schedule mode.  Trial ``i``'s
 permutation stream is seeded ``(root, i)``, so trials are independent of
-each other's sweep counts and individually reproducible;
-``engine="scalar"`` replays the same trials through the scalar
-:func:`~repro.engine.schedulers.run_asynchronous` loop (the two engines
-are bitwise-identical, pinned in ``tests/test_ext_asynchrony.py``).
+each other's sweep counts and individually reproducible.  The scalar
+:func:`~repro.engine.schedulers.run_asynchronous` loop is the reference
+engine: replaying the same trials through it gives bitwise-identical
+summaries (pinned in ``tests/test_ext_asynchrony.py``).
 
 Finding: the paper's constructions are schedule-robust (their seeds are
 protected by k-blocks or by *rainbow* neighborhoods, both of which survive
@@ -45,7 +45,7 @@ from .. import obs
 from ..core.constructions import Construction
 from ..engine.batch import DYNAMICS_VERSION, run_batch
 from ..engine.context import RunStats
-from ..engine.schedulers import AsyncSchedule, run_asynchronous
+from ..engine.schedulers import AsyncSchedule
 from ..rules.smp import SMPRule
 
 __all__ = [
@@ -140,56 +140,15 @@ def _run_trials(
     schedule: AsyncSchedule,
     *,
     max_sweeps: Optional[int],
-    engine: str,
 ):
-    """One BatchRunResult for the whole trial set, by either engine."""
-    trials = schedule.batch_size
-    if engine == "batch":
-        block = np.tile(np.asarray(con.colors, dtype=np.int32), (trials, 1))
-        return run_batch(
-            con.topo,
-            block,
-            SMPRule(),
-            schedule=schedule,
-            max_rounds=max_sweeps,
-            target_color=con.k,
-        )
-    if engine != "scalar":
-        raise ValueError(f"unknown engine {engine!r}; expected 'batch' or 'scalar'")
-    n = con.topo.num_vertices
-    final = np.empty((trials, n), dtype=np.int32)
-    rounds = np.zeros(trials, dtype=np.int32)
-    converged = np.zeros(trials, dtype=bool)
-    cycle_length = np.zeros(trials, dtype=np.int32)
-    fixed_point_round = np.full(trials, -1, dtype=np.int32)
-    monotone = np.ones(trials, dtype=bool)
-    for i in range(trials):
-        res = run_asynchronous(
-            con.topo,
-            con.colors,
-            SMPRule(),
-            order=schedule.order,
-            rng=schedule.row_rng(i) if schedule.order == "random" else None,
-            target_color=con.k,
-            max_sweeps=max_sweeps,
-        )
-        final[i] = res.final
-        rounds[i] = res.rounds
-        converged[i] = res.converged
-        cycle_length[i] = res.cycle_length or 0
-        fixed_point_round[i] = (
-            -1 if res.fixed_point_round is None else res.fixed_point_round
-        )
-        monotone[i] = bool(res.monotone)
-    from ..engine.batch import BatchRunResult
-
-    return BatchRunResult(
-        final=final,
-        rounds=rounds,
-        converged=converged,
-        cycle_length=cycle_length,
-        fixed_point_round=fixed_point_round,
-        monotone=monotone,
+    """One BatchRunResult for the whole trial set."""
+    block = np.tile(np.asarray(con.colors, dtype=np.int32), (schedule.batch_size, 1))
+    return run_batch(
+        con.topo,
+        block,
+        SMPRule(),
+        schedule=schedule,
+        max_rounds=max_sweeps,
         target_color=con.k,
     )
 
@@ -201,18 +160,15 @@ def async_robustness(
     max_sweeps: Optional[int] = None,
     *,
     seed: Optional[int] = None,
-    engine: str = "batch",
     db=None,
     label: Optional[str] = None,
 ) -> AsyncRobustness:
     """Random-order sequential runs of a construction.
 
     Trial ``i`` runs under the schedule seeded ``(root, i)`` where the
-    root comes from ``seed`` (or one draw from ``rng``); ``engine``
-    selects the batched schedule engine (default) or the scalar loop —
-    they are bitwise-identical, so the choice only affects speed.  With
-    ``db``, the summary is cached as an ``async-summary`` record keyed
-    by the full experiment definition (including a content hash of the
+    root comes from ``seed`` (or one draw from ``rng``).  With ``db``,
+    the summary is cached as an ``async-summary`` record keyed by the
+    full experiment definition (including a content hash of the
     configuration) and later identical invocations skip the sweeps
     entirely.  The cache outcome is reported on the returned summary's
     ``run_stats`` field (:class:`~repro.engine.context.RunStats`).
@@ -229,7 +185,7 @@ def async_robustness(
             "trials": int(trials),
             "max_sweeps": None if max_sweeps is None else int(max_sweeps),
         }
-        cached = db.find_async_summary(record_label, definition)
+        cached = db.find_cell("async-summary", definition, label=record_label)
         if cached is not None:
             summary = AsyncRobustness.from_row(cached.row)
             summary.run_stats = RunStats(cells=1, cache_hits=1)
@@ -238,14 +194,15 @@ def async_robustness(
     with obs.span(
         "phase", key="async-robustness", level="basic", trials=int(trials)
     ):
-        res = _run_trials(con, schedule, max_sweeps=max_sweeps, engine=engine)
+        res = _run_trials(con, schedule, max_sweeps=max_sweeps)
     summary = _summarize(res, trials)
     if db is not None:
-        from ..io.witnessdb import AsyncSummaryRecord
+        from ..io.witnessdb import CellRecord
 
-        db.add_async_summary(
-            AsyncSummaryRecord(
-                label=record_label,
+        db.add_cell(
+            CellRecord(
+                type="async-summary",
+                key={"label": record_label},
                 definition=definition,
                 row=summary.as_row(),
             )
@@ -262,7 +219,6 @@ def order_sensitivity(
     rng: Optional[np.random.Generator] = None,
     *,
     seed: Optional[int] = None,
-    engine: str = "batch",
 ) -> np.ndarray:
     """Sweep counts per schedule (the clock-control distribution)."""
     root = derive_schedule_root(seed, rng, 0x5EED)
@@ -270,5 +226,5 @@ def order_sensitivity(
     with obs.span(
         "phase", key="order-sensitivity", level="basic", trials=int(trials)
     ):
-        res = _run_trials(con, schedule, max_sweeps=None, engine=engine)
+        res = _run_trials(con, schedule, max_sweeps=None)
     return res.rounds.astype(np.int64)

@@ -322,7 +322,7 @@ def scale_free_takeover_census(
     process count.  The run identity pins the census definition (grid,
     seed, dynamics version) and excludes ``processes``.
     """
-    from ..io.witnessdb import ScaleFreeCellRecord
+    from ..io.witnessdb import CellRecord
 
     settings.reject(
         "scale_free_takeover_census", "shard_size", "batch_size"
@@ -391,8 +391,11 @@ def scale_free_takeover_census(
                         "max_rounds": int(max_rounds),
                     }
                     if db is not None:
-                        cached = db.find_scale_free_cell(
-                            strategy, fraction, definition
+                        cached = db.find_cell(
+                            "scale-free-cell",
+                            definition,
+                            strategy=strategy,
+                            seed_fraction=fraction,
                         )
                         if cached is not None:
                             cells.append(
@@ -444,10 +447,13 @@ def scale_free_takeover_census(
                     )
                     cells.append(cell)
                     if db is not None:
-                        db.add_scale_free_cell(
-                            ScaleFreeCellRecord(
-                                strategy=strategy,
-                                seed_fraction=fraction,
+                        db.add_cell(
+                            CellRecord(
+                                type="scale-free-cell",
+                                key={
+                                    "strategy": strategy,
+                                    "seed_fraction": fraction,
+                                },
                                 definition=definition,
                                 row=cell.as_row(),
                             )

@@ -28,9 +28,7 @@ from .ledger import (
 )
 from .query import Page, QueryError, WitnessQueryIndex
 from .witnessdb import (
-    AsyncSummaryRecord,
-    CensusCellRecord,
-    ScaleFreeCellRecord,
+    CellRecord,
     WitnessDB,
     WitnessVerification,
     rule_registry_name,
@@ -63,9 +61,7 @@ __all__ = [
     "Page",
     "QueryError",
     "WitnessQueryIndex",
-    "AsyncSummaryRecord",
-    "CensusCellRecord",
-    "ScaleFreeCellRecord",
+    "CellRecord",
     "WitnessDB",
     "WitnessVerification",
     "rule_registry_name",

@@ -20,7 +20,8 @@ search.  :class:`WitnessDB` persists them:
   (last-wins on load) — that is how verification stamps land without
   rewriting history;
 * the **in-memory index** keys witnesses by ``(rule, kind, m, n,
-  colors)`` and census cells by their experiment definition, so lookups
+  colors)`` and cells by their type, key fields and experiment
+  definition, so lookups
   are O(1) dict probes; a long-lived reader brings it up to date with
   :meth:`WitnessDB.catch_up`, which applies only the appended lines;
 * **corrupted lines** never abort a load: they are collected into
@@ -46,14 +47,17 @@ Three record types share the file:
     different search (identical configuration, deduplicated by id)
     still counts toward every later search that finds it.
 
-``"census-cell"``
-    One cell of the below-bound census — the full
-    :class:`~repro.experiments.census.CensusRow` payload plus the cell's
-    experiment definition and a pointer to its witness record.  This is
-    what lets ``repro-dynamo census --db`` skip the sharded pool
-    entirely on a re-run: negative scans (sizes searched without a
-    witness) are part of the row, so the cache reproduces the row
-    bitwise without holding non-witness records.
+``"census-cell"``, ``"scale-free-cell"``, ``"async-summary"``
+    One cached experiment cell (:class:`CellRecord`): the cell's type
+    tag, its key fields, its experiment definition and its result row;
+    a census cell also points at its witness record.  The type fixes
+    the key fields — ``(kind, n)``, ``(strategy, seed_fraction)`` and
+    ``(label,)`` — and one id derivation covers all three.  This is
+    what lets ``repro-dynamo census --db`` (and ``scale-free`` /
+    ``async``) skip the computation entirely on a re-run: negative
+    scans (sizes searched without a witness) are part of a census row,
+    so the cache reproduces the row bitwise without holding non-witness
+    records.
 
 Re-verification (:func:`verify_witness`) replays a stored configuration
 through the batched engine and checks it still reaches the
@@ -69,6 +73,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -97,9 +103,7 @@ from .serialize import (
 )
 
 __all__ = [
-    "AsyncSummaryRecord",
-    "CensusCellRecord",
-    "ScaleFreeCellRecord",
+    "CellRecord",
     "SearchRecord",
     "WitnessDB",
     "WitnessVerification",
@@ -109,8 +113,8 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: cache-probe result type (see :meth:`WitnessDB._probed`)
-_R = TypeVar("_R")
+#: a decoded store record (see :func:`_decoded`, :meth:`WitnessDB._probed`)
+_Rec = TypeVar("_Rec", "CellRecord", "SearchRecord")
 
 #: class-name -> registry-name map used when recording witnesses found
 #: under a rule instance (falls back to the class name for custom rules)
@@ -181,214 +185,124 @@ def _tagged_id(tag: str, *parts: object) -> str:
     return hashlib.sha1(identity.encode()).hexdigest()[:12]
 
 
-def _cell_id(kind: str, n: int, definition: dict) -> str:
-    return _tagged_id("census-cell", str(kind), int(n), _canonical(definition))
-
-
 def _search_id(definition: dict) -> str:
     return _tagged_id("search", _canonical(definition))
 
 
-@dataclass
-class CensusCellRecord:
-    """One cached below-bound-census cell: row payload + definition."""
+#: cell type -> its key fields, in id-hash order, with their coercions
+_CELL_KEYS: Dict[str, Tuple[Tuple[str, Callable[[Any], object]], ...]] = {
+    "census-cell": (("kind", str), ("n", int)),
+    "scale-free-cell": (("strategy", str), ("seed_fraction", float)),
+    "async-summary": (("label", str),),
+}
 
-    kind: str
-    n: int
-    #: the cell's experiment definition (seed, trials, batch/shard
-    #: geometry) — cache hits require an exact match
+
+def _cell_key(type: str, key: Dict[str, object]) -> Dict[str, object]:
+    """The type's key fields, coerced, in id-hash order."""
+    return {name: coerce(key[name]) for name, coerce in _CELL_KEYS[type]}
+
+
+def _cell_id(type: str, key: Dict[str, object], definition: dict) -> str:
+    return _tagged_id(type, *_cell_key(type, key).values(), _canonical(definition))
+
+
+@dataclass
+class CellRecord:
+    """One cached experiment cell: key fields + definition + row payload.
+
+    ``type`` names the experiment the cell belongs to and fixes its key
+    fields (:data:`_CELL_KEYS`):
+
+    ``"census-cell"`` (``kind``, ``n``)
+        a below-bound census row (:class:`~repro.experiments.census.CensusRow`)
+        plus a pointer to its witness record (``witness_id``; ``None``
+        when the cell certified nothing);
+    ``"scale-free-cell"`` (``strategy``, ``seed_fraction``)
+        one point of :func:`repro.ext.scale_free.scale_free_takeover_census`;
+    ``"async-summary"`` (``label``)
+        the :class:`repro.ext.asynchrony.AsyncRobustness` statistics of
+        one construction.
+
+    Key fields read as attributes (``cell.kind``, ``cell.strategy``).
+    Cache hits require an exact definition match; the plan and process
+    count never join it, they are bitwise-invisible to outcomes.
+    """
+
+    type: str
+    #: the type's key fields, e.g. ``{"kind": "mesh", "n": 4}``
+    key: Dict[str, object]
+    #: the cell's experiment definition (seed, trial counts, geometry,
+    #: dynamics version) — cache hits require an exact match
     definition: dict
-    #: the full CensusRow fields, as a plain dict
+    #: the cell's result fields, as a plain dict
     row: dict
-    #: id of the cell's witness record (``None`` when the cell certified
-    #: nothing)
     witness_id: Optional[str] = None
     schema: int = WITNESS_SCHEMA
     id: str = ""
 
     def __post_init__(self) -> None:
-        self.n = int(self.n)
+        if self.type not in _CELL_KEYS:
+            raise ValueError(f"unknown cell type {self.type!r}")
+        self.key = _cell_key(self.type, self.key)
         self.definition = _canonical(self.definition)
         self.row = _canonical(self.row)
+        if not isinstance(self.row, dict):
+            raise ValueError("cell row must be an object")
         if not self.id:
-            self.id = _cell_id(self.kind, self.n, self.definition)
+            self.id = _cell_id(self.type, self.key, self.definition)
+
+    def __getattr__(self, name: str) -> Any:
+        key = self.__dict__.get("key") or {}
+        if name in key:
+            return key[name]
+        raise AttributeError(name)
 
 
-def _cell_to_dict(cell: CensusCellRecord) -> dict:
-    return {
-        "type": "census-cell",
+def _cell_to_dict(cell: CellRecord) -> dict:
+    payload = {
+        "type": cell.type,
         "schema": int(cell.schema),
         "id": cell.id,
-        "kind": cell.kind,
-        "n": cell.n,
-        "definition": cell.definition,
-        "row": cell.row,
-        "witness_id": cell.witness_id,
-    }
-
-
-def _cell_from_dict(payload: dict) -> CensusCellRecord:
-    schema = payload.get("schema")
-    if not isinstance(schema, int) or schema > WITNESS_SCHEMA:
-        raise WitnessFormatError(f"bad census-cell schema {schema!r}")
-    try:
-        cell = CensusCellRecord(
-            kind=str(payload["kind"]),
-            n=int(payload["n"]),
-            definition=payload["definition"],
-            row=payload["row"],
-            witness_id=payload.get("witness_id"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessFormatError(f"malformed census-cell record: {exc}") from None
-    if not isinstance(cell.definition, dict) or not isinstance(cell.row, dict):
-        raise WitnessFormatError("census-cell definition/row must be objects")
-    stored = payload.get("id", "")
-    if stored and stored != cell.id:
-        raise WitnessFormatError(
-            f"stored census-cell id {stored!r} does not match {cell.id!r}"
-        )
-    return cell
-
-
-def _scale_free_cell_id(strategy: str, seed_fraction: float, definition: dict) -> str:
-    return _tagged_id(
-        "scale-free-cell", str(strategy), float(seed_fraction), _canonical(definition)
-    )
-
-
-def _async_summary_id(label: str, definition: dict) -> str:
-    return _tagged_id("async-summary", str(label), _canonical(definition))
-
-
-@dataclass
-class ScaleFreeCellRecord:
-    """One cached scale-free takeover-census cell.
-
-    A cell is one ``(strategy, seed_fraction)`` point of
-    :func:`repro.ext.scale_free.scale_free_takeover_census`: its
-    aggregated takeover statistics (``row``) plus the exact experiment
-    definition they were computed under.  Like census cells, hits
-    require an exact definition match, and the plan / process count
-    never join the cache key — they are bitwise-invisible to outcomes.
-    """
-
-    strategy: str
-    seed_fraction: float
-    #: the cell's experiment definition (seed, graph/replica counts,
-    #: dynamics version, ...) — cache hits require an exact match
-    definition: dict
-    #: aggregated statistics for the cell, as a plain dict
-    row: dict
-    schema: int = WITNESS_SCHEMA
-    id: str = ""
-
-    def __post_init__(self) -> None:
-        self.strategy = str(self.strategy)
-        self.seed_fraction = float(self.seed_fraction)
-        self.definition = _canonical(self.definition)
-        self.row = _canonical(self.row)
-        if not self.id:
-            self.id = _scale_free_cell_id(
-                self.strategy, self.seed_fraction, self.definition
-            )
-
-
-def _scale_free_cell_to_dict(cell: ScaleFreeCellRecord) -> dict:
-    return {
-        "type": "scale-free-cell",
-        "schema": int(cell.schema),
-        "id": cell.id,
-        "strategy": cell.strategy,
-        "seed_fraction": cell.seed_fraction,
+        **cell.key,
         "definition": cell.definition,
         "row": cell.row,
     }
+    if cell.type == "census-cell":
+        payload["witness_id"] = cell.witness_id
+    return payload
 
 
-def _scale_free_cell_from_dict(payload: dict) -> ScaleFreeCellRecord:
+def _decoded(payload: dict, build: Callable[[], _Rec]) -> _Rec:
+    """Build a record from a loaded line, checking schema and stored id."""
+    what = payload.get("type")
     schema = payload.get("schema")
     if not isinstance(schema, int) or schema > WITNESS_SCHEMA:
-        raise WitnessFormatError(f"bad scale-free-cell schema {schema!r}")
+        raise WitnessFormatError(f"bad {what} schema {schema!r}")
     try:
-        cell = ScaleFreeCellRecord(
-            strategy=str(payload["strategy"]),
-            seed_fraction=float(payload["seed_fraction"]),
-            definition=payload["definition"],
-            row=payload["row"],
-        )
+        rec = build()
     except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessFormatError(
-            f"malformed scale-free-cell record: {exc}"
-        ) from None
-    if not isinstance(cell.definition, dict) or not isinstance(cell.row, dict):
-        raise WitnessFormatError("scale-free-cell definition/row must be objects")
-    stored = payload.get("id", "")
-    if stored and stored != cell.id:
-        raise WitnessFormatError(
-            f"stored scale-free-cell id {stored!r} does not match {cell.id!r}"
-        )
-    return cell
-
-
-@dataclass
-class AsyncSummaryRecord:
-    """One cached async-robustness summary.
-
-    ``label`` names the configuration under test (a construction name);
-    ``definition`` pins everything that influences the outcome — the
-    schedule root seed, trial count, sweep cap, and dynamics version —
-    so a hit reproduces the :class:`repro.ext.asynchrony.AsyncRobustness`
-    statistics bitwise without re-running a single sweep.
-    """
-
-    label: str
-    #: the experiment definition — cache hits require an exact match
-    definition: dict
-    #: the AsyncRobustness fields, as a plain dict
-    row: dict
-    schema: int = WITNESS_SCHEMA
-    id: str = ""
-
-    def __post_init__(self) -> None:
-        self.label = str(self.label)
-        self.definition = _canonical(self.definition)
-        self.row = _canonical(self.row)
-        if not self.id:
-            self.id = _async_summary_id(self.label, self.definition)
-
-
-def _async_summary_to_dict(rec: AsyncSummaryRecord) -> dict:
-    return {
-        "type": "async-summary",
-        "schema": int(rec.schema),
-        "id": rec.id,
-        "label": rec.label,
-        "definition": rec.definition,
-        "row": rec.row,
-    }
-
-
-def _async_summary_from_dict(payload: dict) -> AsyncSummaryRecord:
-    schema = payload.get("schema")
-    if not isinstance(schema, int) or schema > WITNESS_SCHEMA:
-        raise WitnessFormatError(f"bad async-summary schema {schema!r}")
-    try:
-        rec = AsyncSummaryRecord(
-            label=str(payload["label"]),
-            definition=payload["definition"],
-            row=payload["row"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessFormatError(f"malformed async-summary record: {exc}") from None
-    if not isinstance(rec.definition, dict) or not isinstance(rec.row, dict):
-        raise WitnessFormatError("async-summary definition/row must be objects")
+        raise WitnessFormatError(f"malformed {what} record: {exc}") from None
+    if not isinstance(rec.definition, dict):
+        raise WitnessFormatError(f"{what} definition must be an object")
     stored = payload.get("id", "")
     if stored and stored != rec.id:
         raise WitnessFormatError(
-            f"stored async-summary id {stored!r} does not match {rec.id!r}"
+            f"stored {what} id {stored!r} does not match {rec.id!r}"
         )
     return rec
+
+
+def _cell_from_dict(payload: dict) -> CellRecord:
+    return _decoded(
+        payload,
+        lambda: CellRecord(
+            type=payload["type"],
+            key=payload,
+            definition=payload["definition"],
+            row=payload["row"],
+            witness_id=payload.get("witness_id"),
+        ),
+    )
 
 
 @dataclass
@@ -440,27 +354,16 @@ def _search_to_dict(rec: SearchRecord) -> dict:
 
 
 def _search_from_dict(payload: dict) -> SearchRecord:
-    schema = payload.get("schema")
-    if not isinstance(schema, int) or schema > WITNESS_SCHEMA:
-        raise WitnessFormatError(f"bad search-record schema {schema!r}")
-    try:
-        rec = SearchRecord(
+    return _decoded(
+        payload,
+        lambda: SearchRecord(
             definition=payload["definition"],
             witness_ids=payload.get("witness_ids") or [],
             examined=payload.get("examined", 0),
             exhaustive=payload.get("exhaustive", False),
             witnesses_found=payload.get("witnesses_found", 0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessFormatError(f"malformed search record: {exc}") from None
-    if not isinstance(rec.definition, dict):
-        raise WitnessFormatError("search definition must be an object")
-    stored = payload.get("id", "")
-    if stored and stored != rec.id:
-        raise WitnessFormatError(
-            f"stored search id {stored!r} does not match {rec.id!r}"
-        )
-    return rec
+        ),
+    )
 
 
 @dataclass
@@ -559,12 +462,8 @@ class WitnessDB:
         self._store = JsonlStore(self.path)
         #: witness records by id, last-appended-wins
         self._records: Dict[str, WitnessRecord] = {}
-        #: census-cell records by id
-        self._cells: Dict[str, CensusCellRecord] = {}
-        #: scale-free census cells by id
-        self._scale_free_cells: Dict[str, ScaleFreeCellRecord] = {}
-        #: async-robustness summaries by id
-        self._async_summaries: Dict[str, AsyncSummaryRecord] = {}
+        #: cell records by type, then id
+        self._cells: Dict[str, Dict[str, CellRecord]] = {t: {} for t in _CELL_KEYS}
         #: search summaries by id
         self._searches: Dict[str, SearchRecord] = {}
         #: index: (rule, kind, m, n, colors) -> [witness ids]
@@ -612,21 +511,9 @@ class WitnessDB:
                 continue
             payload = scanned.payload
             try:
-                if isinstance(payload, dict) and payload.get("type") == "census-cell":
+                if isinstance(payload, dict) and payload.get("type") in _CELL_KEYS:
                     cell = _cell_from_dict(payload)
-                    self._cells[cell.id] = cell
-                elif (
-                    isinstance(payload, dict)
-                    and payload.get("type") == "scale-free-cell"
-                ):
-                    sf = _scale_free_cell_from_dict(payload)
-                    self._scale_free_cells[sf.id] = sf
-                elif (
-                    isinstance(payload, dict)
-                    and payload.get("type") == "async-summary"
-                ):
-                    asum = _async_summary_from_dict(payload)
-                    self._async_summaries[asum.id] = asum
+                    self._cells[cell.type][cell.id] = cell
                 elif isinstance(payload, dict) and payload.get("type") == "search":
                     rec = _search_from_dict(payload)
                     self._searches[rec.id] = rec
@@ -660,7 +547,7 @@ class WitnessDB:
         )
 
     @staticmethod
-    def _probed(cache: str, record: Optional[_R]) -> Optional[_R]:
+    def _probed(cache: str, record: Optional[_Rec]) -> Optional[_Rec]:
         # cache-effectiveness telemetry on the consult-before-recompute
         # probes; the record itself is never touched
         if record is None:
@@ -694,35 +581,14 @@ class WitnessDB:
         self._append(witness_to_dict(record))
         return True
 
-    def add_cell(self, cell: CensusCellRecord) -> bool:
-        """Record a census cell; identical cells are not re-appended."""
-        existing = self._cells.get(cell.id)
+    def add_cell(self, cell: CellRecord) -> bool:
+        """Record a cell of any type; identical cells are not re-appended."""
+        cells = self._cells[cell.type]
+        existing = cells.get(cell.id)
         if existing is not None and _cell_to_dict(existing) == _cell_to_dict(cell):
             return False
-        self._cells[cell.id] = cell
+        cells[cell.id] = cell
         self._append(_cell_to_dict(cell))
-        return True
-
-    def add_scale_free_cell(self, cell: ScaleFreeCellRecord) -> bool:
-        """Record a scale-free cell; identical cells are not re-appended."""
-        existing = self._scale_free_cells.get(cell.id)
-        if existing is not None and _scale_free_cell_to_dict(
-            existing
-        ) == _scale_free_cell_to_dict(cell):
-            return False
-        self._scale_free_cells[cell.id] = cell
-        self._append(_scale_free_cell_to_dict(cell))
-        return True
-
-    def add_async_summary(self, rec: AsyncSummaryRecord) -> bool:
-        """Record an async summary; identical summaries are not re-appended."""
-        existing = self._async_summaries.get(rec.id)
-        if existing is not None and _async_summary_to_dict(
-            existing
-        ) == _async_summary_to_dict(rec):
-            return False
-        self._async_summaries[rec.id] = rec
-        self._append(_async_summary_to_dict(rec))
         return True
 
     def add_search(self, rec: SearchRecord) -> bool:
@@ -742,16 +608,17 @@ class WitnessDB:
         return iter(self._records.values())
 
     @property
-    def cells(self) -> List[CensusCellRecord]:
-        return list(self._cells.values())
+    def cells(self) -> List[CellRecord]:
+        """The census cells (the other cell types have their own views)."""
+        return list(self._cells["census-cell"].values())
 
     @property
-    def scale_free_cells(self) -> List[ScaleFreeCellRecord]:
-        return list(self._scale_free_cells.values())
+    def scale_free_cells(self) -> List[CellRecord]:
+        return list(self._cells["scale-free-cell"].values())
 
     @property
-    def async_summaries(self) -> List[AsyncSummaryRecord]:
-        return list(self._async_summaries.values())
+    def async_summaries(self) -> List[CellRecord]:
+        return list(self._cells["async-summary"].values())
 
     @property
     def searches(self) -> List[SearchRecord]:
@@ -838,30 +705,15 @@ class WitnessDB:
         return self._probed("search", self._searches.get(_search_id(definition)))
 
     def find_cell(
-        self, kind: str, n: int, definition: dict
-    ) -> Optional[CensusCellRecord]:
-        """Census-cell cache probe (exact experiment-definition match)."""
-        return self._probed("cell", self._cells.get(_cell_id(kind, n, definition)))
+        self, type: str, definition: dict, **key: object
+    ) -> Optional[CellRecord]:
+        """Cell cache probe (exact key and experiment-definition match).
 
-    def find_scale_free_cell(
-        self, strategy: str, seed_fraction: float, definition: dict
-    ) -> Optional[ScaleFreeCellRecord]:
-        """Scale-free-cell cache probe (exact definition match)."""
-        return self._probed(
-            "scale-free-cell",
-            self._scale_free_cells.get(
-                _scale_free_cell_id(strategy, seed_fraction, definition)
-            ),
-        )
-
-    def find_async_summary(
-        self, label: str, definition: dict
-    ) -> Optional[AsyncSummaryRecord]:
-        """Async-summary cache probe (exact definition match)."""
-        return self._probed(
-            "async-summary",
-            self._async_summaries.get(_async_summary_id(label, definition)),
-        )
+        ``key`` names the type's key fields, e.g.
+        ``find_cell("census-cell", definition, kind="mesh", n=4)``.
+        """
+        cell = self._cells[type].get(_cell_id(type, key, definition))
+        return self._probed(type, cell)
 
     # -- verification --------------------------------------------------
     def verify(

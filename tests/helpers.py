@@ -17,6 +17,8 @@ import numpy as np
 
 from repro.core.complement import _wavefront_order
 from repro.engine import plans
+from repro.engine.batch import BatchRunResult
+from repro.engine.schedulers import AsyncSchedule, run_asynchronous
 from repro.engine.stencil import fallback_stepper
 from repro.engine.runner import run_synchronous
 from repro.rules.base import Rule
@@ -156,6 +158,53 @@ def reference_dynamo_complement(
     if dfs(0):
         return colors.astype(np.int32)
     return None
+
+
+def reference_async_trials(
+    con, schedule: AsyncSchedule, *, max_sweeps: Optional[int] = None
+) -> BatchRunResult:
+    """The scalar oracle for the batched schedule engine.
+
+    Replays every trial of ``schedule`` through
+    :func:`~repro.engine.schedulers.run_asynchronous`, one row at a time,
+    and assembles the results into the :class:`BatchRunResult` that
+    :func:`~repro.engine.batch.run_batch` returns for the same schedule.
+    """
+    trials = schedule.batch_size
+    n = con.topo.num_vertices
+    final = np.empty((trials, n), dtype=np.int32)
+    rounds = np.zeros(trials, dtype=np.int32)
+    converged = np.zeros(trials, dtype=bool)
+    cycle_length = np.zeros(trials, dtype=np.int32)
+    fixed_point_round = np.full(trials, -1, dtype=np.int32)
+    monotone = np.ones(trials, dtype=bool)
+    for i in range(trials):
+        res = run_asynchronous(
+            con.topo,
+            con.colors,
+            SMPRule(),
+            order=schedule.order,
+            rng=schedule.row_rng(i) if schedule.order == "random" else None,
+            target_color=con.k,
+            max_sweeps=max_sweeps,
+        )
+        final[i] = res.final
+        rounds[i] = res.rounds
+        converged[i] = res.converged
+        cycle_length[i] = res.cycle_length or 0
+        fixed_point_round[i] = (
+            -1 if res.fixed_point_round is None else res.fixed_point_round
+        )
+        monotone[i] = bool(res.monotone)
+    return BatchRunResult(
+        final=final,
+        rounds=rounds,
+        converged=converged,
+        cycle_length=cycle_length,
+        fixed_point_round=fixed_point_round,
+        monotone=monotone,
+        target_color=con.k,
+    )
 
 
 class CyclicRule(Rule):

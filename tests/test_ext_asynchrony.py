@@ -2,9 +2,13 @@
 
 import numpy as np
 
+from helpers import reference_async_trials
+
 from repro.core import build_minimum_dynamo
 from repro.engine import RunStats
+from repro.engine.schedulers import AsyncSchedule
 from repro.ext import async_robustness, order_sensitivity
+from repro.ext.asynchrony import _run_trials, _summarize, derive_schedule_root
 
 
 def test_constructions_robust_to_random_order(torus_kind):
@@ -55,27 +59,27 @@ def test_sweep_cap_respected():
 
 
 # ----------------------------------------------------------------------
-# the batched rewiring: engine equivalence, seeding, and db caching
+# the batched rewiring: equivalence to the scalar oracle, seeding, and
+# db caching
 # ----------------------------------------------------------------------
+def _scalar_summary(con, trials, root):
+    schedule = AsyncSchedule.derive(root, trials)
+    return _summarize(reference_async_trials(con, schedule), trials)
+
+
 def test_engines_bitwise_identical(torus_kind):
     con = build_minimum_dynamo(torus_kind, 5, 5)
-    batch = async_robustness(con, trials=8, seed=0xFACE, engine="batch")
-    scalar = async_robustness(con, trials=8, seed=0xFACE, engine="scalar")
-    assert batch == scalar
-    with_rng = async_robustness(
-        con, trials=8, rng=np.random.default_rng(2), engine="batch"
-    )
-    assert with_rng == async_robustness(
-        con, trials=8, rng=np.random.default_rng(2), engine="scalar"
-    )
-
-
-def test_unknown_engine_rejected():
-    con = build_minimum_dynamo("mesh", 5, 5)
-    import pytest
-
-    with pytest.raises(ValueError, match="unknown engine"):
-        async_robustness(con, trials=2, seed=1, engine="quantum")
+    batch = async_robustness(con, trials=8, seed=0xFACE)
+    assert batch == _scalar_summary(con, 8, 0xFACE)
+    with_rng = async_robustness(con, trials=8, rng=np.random.default_rng(2))
+    root = derive_schedule_root(None, np.random.default_rng(2), 0)
+    assert with_rng == _scalar_summary(con, 8, root)
+    # not just the summaries: every trial's final state and clock
+    schedule = AsyncSchedule.derive(0xFACE, 8)
+    got = _run_trials(con, schedule, max_sweeps=None)
+    want = reference_async_trials(con, schedule)
+    for name in ("final", "rounds", "converged", "monotone"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_explicit_seed_reproducible_and_independent_of_rng():
@@ -88,9 +92,9 @@ def test_explicit_seed_reproducible_and_independent_of_rng():
 
 def test_order_sensitivity_seeded_and_engine_invariant():
     con = build_minimum_dynamo("cordalis", 5, 5)
-    a = order_sensitivity(con, trials=12, seed=3, engine="batch")
-    b = order_sensitivity(con, trials=12, seed=3, engine="scalar")
-    assert np.array_equal(a, b)
+    a = order_sensitivity(con, trials=12, seed=3)
+    b = reference_async_trials(con, AsyncSchedule.derive(3, 12)).rounds
+    assert np.array_equal(a, b.astype(np.int64))
     assert np.array_equal(a, order_sensitivity(con, trials=12, seed=3))
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.core.search import exhaustive_dynamo_search, random_dynamo_search
 from repro.experiments import below_bound_census
 from repro.io import (
     WITNESS_SCHEMA,
-    CensusCellRecord,
+    CellRecord,
     WitnessDB,
     WitnessFormatError,
     WitnessQueryIndex,
@@ -342,9 +343,9 @@ def test_verified_stamp_survives_rediscovery(tmp_path):
 def test_cell_records_roundtrip_and_mismatch(tmp_path):
     path = tmp_path / "w.jsonl"
     db = WitnessDB(path)
-    cell = CensusCellRecord(
-        kind="mesh",
-        n=4,
+    cell = CellRecord(
+        type="census-cell",
+        key={"kind": "mesh", "n": 4},
         definition={"experiment": "x", "seed": 1},
         row={
             "kind": "mesh", "n": 4, "paper_bound": 6,
@@ -355,9 +356,14 @@ def test_cell_records_roundtrip_and_mismatch(tmp_path):
     assert db.add_cell(cell) is True
     assert db.add_cell(cell) is False
     back = WitnessDB(path)
-    assert back.find_cell("mesh", 4, {"experiment": "x", "seed": 1}) is not None
-    assert back.find_cell("mesh", 4, {"experiment": "x", "seed": 2}) is None
-    assert back.find_cell("cordalis", 4, {"experiment": "x", "seed": 1}) is None
+    definition = {"experiment": "x", "seed": 1}
+    assert back.find_cell("census-cell", definition, kind="mesh", n=4) is not None
+    assert back.find_cell(
+        "census-cell", {"experiment": "x", "seed": 2}, kind="mesh", n=4
+    ) is None
+    assert back.find_cell(
+        "census-cell", definition, kind="cordalis", n=4
+    ) is None
 
 
 # ----------------------------------------------------------------------
@@ -425,96 +431,117 @@ def test_cli_search_records_and_caches(tmp_path, capsys):
 # scale-free-cell / async-summary record kinds
 # ----------------------------------------------------------------------
 def test_scale_free_cell_roundtrip_idempotence_and_probes(tmp_path):
-    from repro.io import ScaleFreeCellRecord
-
     path = tmp_path / "w.jsonl"
     db = WitnessDB(path)
-    rec = ScaleFreeCellRecord(
-        strategy="hubs",
-        seed_fraction=0.05,
+    rec = CellRecord(
+        type="scale-free-cell",
+        key={"strategy": "hubs", "seed_fraction": 0.05},
         definition={"experiment": "scale-free-takeover", "seed": 1},
         row={"strategy": "hubs", "seed_fraction": 0.05, "takeover_rate": 0.5},
     )
-    assert db.add_scale_free_cell(rec) is True
-    assert db.add_scale_free_cell(rec) is False  # idempotent
+    assert db.add_cell(rec) is True
+    assert db.add_cell(rec) is False  # idempotent
     back = WitnessDB(path)
-    hit = back.find_scale_free_cell(
-        "hubs", 0.05, {"experiment": "scale-free-takeover", "seed": 1}
+    definition = {"experiment": "scale-free-takeover", "seed": 1}
+    hit = back.find_cell(
+        "scale-free-cell", definition, strategy="hubs", seed_fraction=0.05
     )
     assert hit is not None and hit.row == rec.row and hit.id == rec.id
-    assert back.find_scale_free_cell(
-        "hubs", 0.05, {"experiment": "scale-free-takeover", "seed": 2}
+    assert back.find_cell(
+        "scale-free-cell", {"experiment": "scale-free-takeover", "seed": 2},
+        strategy="hubs", seed_fraction=0.05,
     ) is None
-    assert back.find_scale_free_cell(
-        "random", 0.05, {"experiment": "scale-free-takeover", "seed": 1}
+    assert back.find_cell(
+        "scale-free-cell", definition, strategy="random", seed_fraction=0.05
     ) is None
     assert len(back.scale_free_cells) == 1
+    # the types keep separate views: a scale-free cell is no census cell
+    assert back.cells == [] and back.async_summaries == []
 
 
 def test_async_summary_roundtrip_idempotence_and_probes(tmp_path):
-    from repro.io import AsyncSummaryRecord
-
     path = tmp_path / "w.jsonl"
     db = WitnessDB(path)
-    rec = AsyncSummaryRecord(
-        label="theorem2_mesh",
+    rec = CellRecord(
+        type="async-summary",
+        key={"label": "theorem2_mesh"},
         definition={"experiment": "async-robustness", "root": 7, "trials": 5},
         row={"trials": 5, "takeover_rate": 1.0},
     )
-    assert db.add_async_summary(rec) is True
-    assert db.add_async_summary(rec) is False
+    assert db.add_cell(rec) is True
+    assert db.add_cell(rec) is False
     back = WitnessDB(path)
-    hit = back.find_async_summary(
-        "theorem2_mesh",
+    hit = back.find_cell(
+        "async-summary",
         {"experiment": "async-robustness", "root": 7, "trials": 5},
+        label="theorem2_mesh",
     )
     assert hit is not None and hit.row == rec.row
-    assert back.find_async_summary("other", rec.definition) is None
-    assert back.find_async_summary("theorem2_mesh", {"root": 8}) is None
+    assert back.find_cell("async-summary", rec.definition, label="other") is None
+    assert back.find_cell(
+        "async-summary", {"root": 8}, label="theorem2_mesh"
+    ) is None
     assert len(back.async_summaries) == 1
 
 
 def test_new_record_kind_ids_are_seed_stable():
     """Content-derived ids pin the cache-key derivation: a change to the
     canonicalization or tag layout shows up as an id drift here."""
-    from repro.io import AsyncSummaryRecord, ScaleFreeCellRecord
-
-    cell = ScaleFreeCellRecord(
-        strategy="hubs", seed_fraction=0.05,
+    cell = CellRecord(
+        type="scale-free-cell",
+        key={"strategy": "hubs", "seed_fraction": 0.05},
         definition={"experiment": "scale-free-takeover", "seed": 1},
         row={},
     )
     assert cell.id == "1220f5146a57"
     # key-order-insensitive (canonical JSON) and fraction-exact
-    reordered = ScaleFreeCellRecord(
-        strategy="hubs", seed_fraction=0.05,
+    reordered = CellRecord(
+        type="scale-free-cell",
+        key={"seed_fraction": 0.05, "strategy": "hubs"},
         definition={"seed": 1, "experiment": "scale-free-takeover"},
         row={"extra": "row content is not part of the key"},
     )
     assert reordered.id == cell.id
-    summary = AsyncSummaryRecord(
-        label="theorem2_mesh",
+    summary = CellRecord(
+        type="async-summary",
+        key={"label": "theorem2_mesh"},
         definition={"experiment": "async-robustness", "root": 7},
         row={},
     )
     assert summary.id == "1254bc6d9790"
+    census = CellRecord(
+        type="census-cell",
+        key={"kind": "mesh", "n": 4},
+        definition={"experiment": "x", "seed": 1},
+        row={},
+    )
+    assert census.id == "79a84baeea4e"
+    # key fields are coerced before hashing: n=4.0 is n=4
+    coerced = dataclasses.replace(census, key={"kind": "mesh", "n": 4.0}, id="")
+    assert coerced.id == census.id
 
 
-def test_new_record_kinds_reject_tampering(tmp_path):
-    from repro.io import ScaleFreeCellRecord
+_TAMPER_CASES = {
+    "census-cell": ({"kind": "mesh", "n": 4}, "kind", "cordalis"),
+    "scale-free-cell": (
+        {"strategy": "hubs", "seed_fraction": 0.05}, "strategy", "random"
+    ),
+    "async-summary": ({"label": "theorem2_mesh"}, "label", "other"),
+}
 
+
+@pytest.mark.parametrize("cell_type", sorted(_TAMPER_CASES))
+def test_new_record_kinds_reject_tampering(tmp_path, cell_type):
+    key, field, forged = _TAMPER_CASES[cell_type]
     path = tmp_path / "w.jsonl"
-    WitnessDB(path).add_scale_free_cell(
-        ScaleFreeCellRecord(
-            strategy="hubs", seed_fraction=0.05,
-            definition={"seed": 1}, row={},
-        )
+    WitnessDB(path).add_cell(
+        CellRecord(type=cell_type, key=key, definition={"seed": 1}, row={})
     )
     line = json.loads(path.read_text())
-    line["strategy"] = "random"  # id no longer matches the content
+    line[field] = forged  # id no longer matches the content
     path.write_text(json.dumps(line) + "\n")
     back = WitnessDB(path)
-    assert len(back.scale_free_cells) == 0
+    assert len(back.cells + back.scale_free_cells + back.async_summaries) == 0
     assert back.corrupt and "does not match" in back.corrupt[0][1]
 
 
@@ -538,10 +565,9 @@ def test_cli_async_summary_cached(tmp_path, capsys):
     code, out2, err2 = _run_cli(argv, capsys)
     assert code == 0 and "served from cache" in err2
     assert out1 == out2
-    # the scalar engine replays the identical numbers (no db)
+    # the served summary equals a fresh computation (no db)
     code, out3, _ = _run_cli(
-        ["async", "mesh", "5", "5", "--trials", "5", "--seed", "3",
-         "--engine", "scalar"], capsys)
+        ["async", "mesh", "5", "5", "--trials", "5", "--seed", "3"], capsys)
     assert code == 0 and out3 == out1
 
 
@@ -623,9 +649,10 @@ def test_catch_up_matches_full_load_scripted(tmp_path):
     steps = [
         ("new witness", lambda: WitnessDB(path).add(_numbered_record(1)), True),
         ("verify stamp", lambda: WitnessDB(path).verify(dynamo.id), True),
-        ("census cell", lambda: WitnessDB(path).add_cell(CensusCellRecord(
-            kind="mesh", n=4, definition={"seed": 1},
-            row={"kind": "mesh", "n": 4}, witness_id=dynamo.id,
+        ("census cell", lambda: WitnessDB(path).add_cell(CellRecord(
+            type="census-cell", key={"kind": "mesh", "n": 4},
+            definition={"seed": 1}, row={"kind": "mesh", "n": 4},
+            witness_id=dynamo.id,
         )), True),
         ("search", lambda: WitnessDB(path).add_search(SearchRecord(
             definition={"mode": "random", "seed": 1},
@@ -687,9 +714,9 @@ def _mutate(path, op, x):
             rec = records[x % len(records)]
             writer.add(dataclasses.replace(rec, verified=True), replace=True)
     elif op == "cell":
-        WitnessDB(path).add_cell(CensusCellRecord(
-            kind="mesh", n=3 + x % 3, definition={"seed": x % 5},
-            row={"x": x},
+        WitnessDB(path).add_cell(CellRecord(
+            type="census-cell", key={"kind": "mesh", "n": 3 + x % 3},
+            definition={"seed": x % 5}, row={"x": x},
         ))
     elif op == "search":
         WitnessDB(path).add_search(SearchRecord(
@@ -774,3 +801,50 @@ def test_query_index_catch_up_builds_only_the_appended_record(
     page = index.witnesses()
     assert page.total == 6
     assert built == [_numbered_record(5).id]
+
+
+# ----------------------------------------------------------------------
+# the shipped corpus
+# ----------------------------------------------------------------------
+SHIPPED = Path(__file__).resolve().parents[1] / "results" / "witnesses.jsonl"
+
+#: what the store appends for each record type
+_ENCODERS = {
+    "witness": witness_to_dict,
+    "search": witnessdb_mod._search_to_dict,
+    "census-cell": witnessdb_mod._cell_to_dict,
+    "scale-free-cell": witnessdb_mod._cell_to_dict,
+    "async-summary": witnessdb_mod._cell_to_dict,
+}
+
+
+def _loaded(db, record_type, record_id):
+    if record_type == "witness":
+        return db.get(record_id)
+    if record_type == "search":
+        return {r.id: r for r in db.searches}[record_id]
+    cells = db.cells + db.scale_free_cells + db.async_summaries
+    return {c.id: c for c in cells}[record_id]
+
+
+def test_shipped_corpus_reencodes_byte_for_byte(tmp_path):
+    """Every shipped line is exactly what the store appends for the
+    record it loads to — witness, search and all three cell types,
+    superseded lines included — so no stored id or byte drifts."""
+    path = tmp_path / "w.jsonl"
+    path.touch()
+    db = WitnessDB(path, strict=True)
+    types = Counter()
+    for line in SHIPPED.read_bytes().splitlines(keepends=True):
+        _raw_append(path, line)
+        assert db.catch_up()
+        payload = json.loads(line)
+        types[payload["type"]] += 1
+        record = _loaded(db, payload["type"], payload["id"])
+        assert _line(_ENCODERS[payload["type"]](record)) == line
+    # 87 witnesses, each once as found and once verified-stamped
+    assert types == {
+        "witness": 174, "census-cell": 12, "scale-free-cell": 9,
+        "async-summary": 1, "search": 7,
+    }
+    assert len(db) == 87
