@@ -21,10 +21,11 @@ thousands of rounds across batches) the allocator and the generic
   **sorting network** built from ``np.minimum``/``np.maximum`` — the same
   sorted values, an order of magnitude less per-element overhead;
 * replaces the histogram's ``np.add.at`` scatter (notoriously slow: one
-  non-fused scatter per neighbor slot) with one fused equality-reduce per
-  color on regular tables — and, on padded irregular tables where a hub
-  makes ``O(N * max_degree)`` gathers pathological, with an ``O(edges)``
-  CSR gather + one ``np.bincount`` over precomputed flat offsets;
+  non-fused scatter per neighbor slot) with per-color count planes over
+  the slot planes on regular tables — and, on padded irregular tables
+  where a hub makes ``O(N * max_degree)`` gathers pathological, with an
+  ``O(edges)`` CSR gather + one ``np.bincount`` over precomputed flat
+  offsets;
 * writes results with masked ``np.copyto`` into persistent buffers —
   **zero allocations per round** once compiled (the CSR histogram's one
   ``bincount`` output is the sole exception).
@@ -265,42 +266,50 @@ class _MajorityPlan(_Plan):
 
 
 class _PluralityPlan(_Plan):
-    """Unique-plurality histogram kernel, two shapes:
+    """Unique-plurality kernel: both shapes fill an ``nreach`` plane (how
+    many colors reach the threshold) and a ``win`` plane, and a vertex
+    adopts ``win`` where ``nreach == 1``.
 
-    * **dense** (regular tables, no padding) — one fused equality-reduce
-      per color over the ``(B, N, d)`` gather;
-    * **CSR** (padded irregular tables) — the dense gather is
+    * **dense** (regular tables, no padding) — per color, the equalities
+      of the per-slot ``(B, N)`` planes sum into a count plane and
+      ``win`` keeps the last color with ``count >= thr``.  A unique
+      reaching color is the strict argmax for any integer threshold, so
+      no ``(B, N, colors)`` tensor and no ``argmax`` are needed;
+    * **CSR** (padded irregular tables) — a dense gather is
       ``O(N * max_degree)`` and a scale-free hub inflates ``max_degree``
       far past the mean, so instead gather only the real edges (row-major
       ``nb[mask]`` keeps them grouped by vertex) and histogram them with
       one ``np.bincount`` over precomputed ``(replica, vertex, color)``
-      flat offsets: ``O(E)`` work per round, no per-slot scatter.
+      flat offsets: ``O(E)`` work per round; ``win`` is its argmax.
 
-    Both shapes produce the exact same integer ``counts`` tensor, so the
-    threshold/argmax/adopt tail — and the bitwise contract with the
-    reference kernel — is shared.
+    Thresholds are clipped once to ``[0, deg + 1]``: counts lie in
+    ``0..deg``, so ``count >= thr`` is unchanged whatever
+    ``threshold_fn`` returns, and the dense planes fit a narrow dtype.
+    The reference's ``deg > 0`` guard needs no plane: at degree 0 no
+    color or every color reaches, and every color is unique only on a
+    one-color palette, where adopting color 0 changes nothing.
     """
 
     def __init__(self, spec: KernelSpec, topo: Topology):
         super().__init__(topo, spec.validate)
         nb = topo.neighbors
-        self._d = nb.shape[1]
         self._colors = int(spec.num_colors)
         mask = nb >= 0
         self._dense = bool(mask.all())
-        self._thr = np.asarray(spec.thresholds)[:, None]  # (N, 1) over colors
         audible = (
             np.asarray(spec.degrees, dtype=np.int64)
             if spec.degrees is not None
             else mask.sum(axis=1)
         )
-        self._audible_pos = audible > 0
+        thr = np.clip(np.asarray(spec.thresholds), 0, audible + 1)
         if self._dense:
-            self._mask = np.ascontiguousarray(mask)
-            self._flat_idx = np.ascontiguousarray(
-                np.where(mask, nb, 0).reshape(-1), dtype=np.intp
-            )
+            self._idx = _slot_indices(topo)
+            # clipped thresholds fit d + 1, nreach fits the palette size
+            self._cnt_t = np.min_scalar_type(len(self._idx) + 1)
+            self._nreach_t = np.min_scalar_type(self._colors)
+            self._thr = thr.astype(self._cnt_t)
         else:
+            self._thr = thr[:, None]  # (N, 1) over colors
             # CSR arrays: audible neighbor ids grouped by vertex, plus the
             # owning vertex's color-plane offset for the flat histogram
             self._csr_idx = np.ascontiguousarray(nb[mask], dtype=np.intp)
@@ -308,11 +317,12 @@ class _PluralityPlan(_Plan):
             self._owner_off = owner * self._colors  # (E,)
 
     def _alloc(self, b: int) -> None:
-        n, d, c = self._n, self._d, self._colors
+        n, c = self._n, self._colors
         if self._dense:
-            self._g = np.empty((b, n * d), np.int32)
-            self._eq = np.empty((b, n, d), bool)
-            self._counts = np.empty((b, n, c), np.int32)
+            self._planes = [np.empty((b, n), np.int32) for _ in self._idx]
+            self._cnt = np.empty((b, n), self._cnt_t)
+            self._nreach = np.empty((b, n), self._nreach_t)
+            self._win = np.empty((b, n), np.int32)
         else:
             e = self._csr_idx.size
             self._g = np.empty((b, e), np.int32)
@@ -322,42 +332,50 @@ class _PluralityPlan(_Plan):
                 np.arange(b, dtype=np.int64)[:, None] * (n * c)
                 + self._owner_off[None, :]
             )
-        self._reach = np.empty((b, n, c), bool)
-        self._nreach = np.empty((b, n), np.int32)
-        self._winner = np.empty((b, n), np.intp)
-        self._adopt = np.empty((b, n), bool)
+            self._reach = np.empty((b, n, c), bool)
+            self._nreach = np.empty((b, n), np.int32)
+            self._win = np.empty((b, n), np.intp)
+        self._eq = np.empty((b, n), bool)
         self._out = np.empty((b, n), np.int32)
 
-    def _counts_for(self, colors: np.ndarray, b: int) -> np.ndarray:
-        n, d, c = self._n, self._d, self._colors
-        g = self._g[:b]
-        if self._dense:
-            np.take(colors, self._flat_idx, axis=1, out=g, mode="clip")
-            g3 = g.reshape(b, n, d)
-            eq, counts = self._eq[:b], self._counts[:b]
-            for color in range(c):
-                np.equal(g3, color, out=eq)
-                np.logical_and(eq, self._mask, out=eq)
-                eq.sum(axis=2, dtype=np.int32, out=counts[..., color])
-            return counts
+    def _tally_dense(self, colors: np.ndarray, b: int) -> None:
+        planes = [p[:b] for p in self._planes]
+        for idx, dst in zip(self._idx, planes):
+            np.take(colors, idx, axis=1, out=dst, mode="clip")
+        eq, cnt = self._eq[:b], self._cnt[:b]
+        nreach, win = self._nreach[:b], self._win[:b]
+        nreach[...] = 0
+        for color in range(self._colors):
+            cnt[...] = 0
+            for plane in planes:
+                np.equal(plane, color, out=eq)
+                cnt += eq
+            np.greater_equal(cnt, self._thr, out=eq)
+            nreach += eq
+            np.copyto(win, color, where=eq)
+
+    def _tally_csr(self, colors: np.ndarray, b: int) -> None:
+        n, c = self._n, self._colors
+        g, bins = self._g[:b], self._bins[:b]
         np.take(colors, self._csr_idx, axis=1, out=g)
-        bins = self._bins[:b]
         np.add(g, self._addend[:b], out=bins)
-        return np.bincount(bins.reshape(-1), minlength=b * n * c).reshape(
+        counts = np.bincount(bins.reshape(-1), minlength=b * n * c).reshape(
             b, n, c
         )
+        reach = self._reach[:b]
+        np.greater_equal(counts, self._thr, out=reach)
+        reach.sum(axis=2, dtype=np.int32, out=self._nreach[:b])
+        np.argmax(counts, axis=2, out=self._win[:b])
 
     def _step(self, colors: np.ndarray, b: int) -> np.ndarray:
-        counts = self._counts_for(colors, b)
-        reach, nreach = self._reach[:b], self._nreach[:b]
-        np.greater_equal(counts, self._thr, out=reach)
-        reach.sum(axis=2, dtype=np.int32, out=nreach)
-        winner, adopt, out = self._winner[:b], self._adopt[:b], self._out[:b]
-        np.argmax(counts, axis=2, out=winner)
-        np.equal(nreach, 1, out=adopt)
-        np.logical_and(adopt, self._audible_pos, out=adopt)
+        if self._dense:
+            self._tally_dense(colors, b)
+        else:
+            self._tally_csr(colors, b)
+        adopt, out = self._eq[:b], self._out[:b]
+        np.equal(self._nreach[:b], 1, out=adopt)
         np.copyto(out, colors)
-        np.copyto(out, winner, where=adopt)
+        np.copyto(out, self._win[:b], where=adopt)
         return out
 
 

@@ -10,6 +10,7 @@ seed-stability tests pin that searches and censuses (including their
 recorded witness ids) come out the same on either kernel.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -27,6 +28,7 @@ from repro.rules import (
     Rule,
     SMPRule,
 )
+from repro.rules.plurality import ceil_half, strong_threshold
 from repro.topology import GraphTopology, ToroidalMesh
 
 from helpers import TORUS_KINDS, rule_kernel_only
@@ -162,6 +164,98 @@ def test_fractional_plurality_thresholds_fall_back(rng, compiled):
     assert spec is not None and spec.thresholds.dtype == np.int64
     stepper = compiled(exact, topo, 16)
     assert np.array_equal(stepper(batch), exact.step_batch(batch, topo))
+
+
+# ----------------------------------------------------------------------
+# the dense plurality plan beyond degree 4: thresholds x palettes x
+# degrees x batch widths, against the rule's own step_batch
+# ----------------------------------------------------------------------
+#: integer thresholds spanning "every color reaches" (0) to "none does"
+#: (d + 1), and four far outside the clip range [0, d + 1]; the last two
+#: read as 2 (ceil-half on a torus) if truncated to a byte
+PLURALITY_THRESHOLDS = {
+    "ceil-half": ceil_half,
+    "strong": strong_threshold,
+    "zero": lambda d: 0 * d,
+    "degree": lambda d: d,
+    "degree+1": lambda d: d + 1,
+    "2**40": lambda d: 0 * d + 2**40,
+    "minus-5": lambda d: 0 * d - 5,
+    "2**40+2": lambda d: 0 * d + 2**40 + 2,
+    "minus-254": lambda d: 0 * d - 254,
+}
+
+#: regular (unpadded) neighbor tables of degree 2, 3 and 4
+DENSE_TABLES = {
+    "cycle-7": lambda: GraphTopology(nx.cycle_graph(7)),
+    "petersen": lambda: GraphTopology(nx.petersen_graph()),
+    **{kind: (lambda cls=cls: cls(4, 5)) for kind, cls in TORUS_KINDS.items()},
+}
+
+#: batch widths through one stepper compiled at max_batch 8: one row,
+#: shrinking, then regrowing past the compile-time capacity
+PLURALITY_WIDTHS = (8, 1, 5, 3, 13, 2, 20)
+
+
+@pytest.mark.parametrize("table", sorted(DENSE_TABLES))
+@pytest.mark.parametrize("threshold", sorted(PLURALITY_THRESHOLDS))
+def test_dense_plurality_plan_matches_step_batch(rng, compiled, threshold, table):
+    topo = DENSE_TABLES[table]()
+    assert (topo.neighbors >= 0).all()  # the dense shape, not CSR
+    for palette in range(1, 7):
+        rule = GeneralizedPluralityRule(palette, PLURALITY_THRESHOLDS[threshold])
+        stepper = compiled(rule, topo, 8)
+        for b in PLURALITY_WIDTHS:
+            batch = rng.integers(0, palette, size=(b, topo.num_vertices))
+            batch = batch.astype(np.int32)
+            assert np.array_equal(
+                stepper(batch), rule.step_batch(batch, topo)
+            ), (palette, b)
+
+
+@pytest.mark.parametrize("threshold", ["zero", "ceil-half"])
+def test_dense_plurality_plan_counts_past_a_byte_of_colors(rng, compiled, threshold):
+    """At threshold 0 all 257 colors reach; a one-byte reach count would
+    wrap to 1 and adopt."""
+    topo = GraphTopology(nx.cycle_graph(5))
+    rule = GeneralizedPluralityRule(257, PLURALITY_THRESHOLDS[threshold])
+    batch = rng.integers(0, 257, size=(6, 5)).astype(np.int32)
+    batch[0] = 256
+    stepper = compiled(rule, topo, 6)
+    assert np.array_equal(stepper(batch), rule.step_batch(batch, topo))
+
+
+@pytest.mark.parametrize("threshold", ["2**40", "minus-5", "2**40+2", "minus-254"])
+def test_padded_plurality_plan_clips_extreme_thresholds(rng, compiled, threshold):
+    """Thresholds far outside [0, d + 1] on padded (CSR) tables, including
+    an isolated vertex (no audible neighbor, so no adoption)."""
+    graph = nx.star_graph(5)
+    graph.add_node(6)
+    for topo in (GraphTopology(nx.path_graph(7)), GraphTopology(graph)):
+        assert not (topo.neighbors >= 0).all()
+        for palette in (1, 3):
+            rule = GeneralizedPluralityRule(
+                palette, PLURALITY_THRESHOLDS[threshold]
+            )
+            batch = rng.integers(0, palette, size=(9, topo.num_vertices))
+            batch = batch.astype(np.int32)
+            stepper = compiled(rule, topo, 9)
+            assert np.array_equal(stepper(batch), rule.step_batch(batch, topo))
+
+
+def test_compiled_plurality_equals_compiled_smp(rng, compiled, torus_kind):
+    """Two independent plans the paper's definition says must agree: on
+    a degree-4 torus the ceil(d/2) plurality rule is SMP, round by round."""
+    topo = TORUS_KINDS[torus_kind](6, 6)
+    smp = compiled(SMPRule(), topo, 64)
+    for palette in range(2, 7):
+        plurality = compiled(GeneralizedPluralityRule(palette), topo, 64)
+        state = rng.integers(0, palette, size=(64, topo.num_vertices))
+        state = state.astype(np.int32)
+        for _ in range(6):
+            nxt = plurality(state).copy()
+            assert np.array_equal(nxt, smp(state)), palette
+            state = nxt
 
 
 def test_subclassed_kernel_override_beats_inherited_spec(rng, compiled):
