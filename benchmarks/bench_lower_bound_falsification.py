@@ -65,13 +65,13 @@ def test_exhaustive_minimum_3x3_four_colors(benchmark):
     benchmark.extra_info.update(true_minimum=size, paper_bound=4, palette=4)
 
 
-def test_random_below_bound_scan_4x4(benchmark, rng):
+def test_random_below_bound_scan_4x4(benchmark):
     """Random search alone already beats the 4x4 bound: seeds of size 3
     (below even the diagonal's 4) admit monotone dynamos at a rate of
     roughly one per 3k random complements."""
     topo = ToroidalMesh(4, 4)
     out = once(
-        benchmark, random_dynamo_search, topo, 3, 5, 60_000, rng,
+        benchmark, random_dynamo_search, topo, 3, 5, 60_000, 0xD1CE,
         monotone_only=True,
     )
     found = sum(1 for _, mono in out.witnesses if mono)

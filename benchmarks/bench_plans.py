@@ -1,29 +1,34 @@
-"""Execution-plan throughput: plans on vs off on search-shaped workloads.
+"""Engine throughput with and without its two speed-ups on
+search-shaped workloads.
+
+``run_batch`` serves compiled steppers from the process-local registry
+and retires cycling ``detect_cycles=False`` rows by lockstep Brent
+detection ("plans on").  The "plans off" side is :func:`_full_simulation`,
+a bench-local loop that compiles a fresh stepper per call, retires rows
+at fixed points only, and steps every cycling row to the cap.
 
 Two entry points, mirroring ``bench_backends.py``:
 
 * **pytest-benchmark suite** (``pytest benchmarks/bench_plans.py``) —
-  times the many-small-batch search workload (the regime ROADMAP named:
-  thousands of ``run_batch`` calls over small replica blocks, cycling
-  rows burning the Theorem-8 cap) with the default plan against the
-  legacy no-plan path, asserts the >= 1.5x acceptance floor (skipped
-  under ``REPRO_BENCH_RELAX``; bitwise parity asserted always), and
-  records every ratio in ``extra_info``;
+  times the many-small-batch search workload (thousands of
+  ``run_batch`` calls over small replica blocks, cycling rows burning
+  the Theorem-8 cap) on both sides, asserts the >= 1.5x acceptance
+  floor (skipped under ``REPRO_BENCH_RELAX``; bitwise parity asserted
+  always), and records every ratio in ``extra_info``;
 * **standalone emitter** (``python benchmarks/bench_plans.py
   [--out BENCH_plans.json]``) — measures the same workloads plus the
   census-sized block and writes the machine-readable comparison CI
   archives and ``tools/compare_bench.py`` gates.  The JSON records,
-  never asserts (timings move with the hardware; the escalation parity
-  matrix in ``tests/test_engine_plans.py`` is the correctness gate).
+  never asserts (timings move with the hardware; the oracle matrix in
+  ``tests/test_engine_plans.py`` is the correctness gate).
 
-The headline numbers come from escalation: in the search regime
-(``detect_cycles=False``) two thirds of random rows cycle and — without
-plans — simulate every round to the ``4N + 64`` bound even though their
+The headline numbers come from Brent retirement: in the search regime
+(``detect_cycles=False``) two thirds of random rows cycle and, simulated
+in full, step every round to the ``4N + 64`` bound even though their
 period is 2.  Lockstep Brent detection, armed from round 1, finds each
 period within a few rounds of the row entering its cycle and retires
 the row with its state fast-forwarded to the cap, bitwise-identically.
-The stepper cache rides along, paying off on scalar loops and on
-compiles of large tables.
+The stepper cache rides along, paying off on many small calls.
 """
 
 import json
@@ -40,7 +45,7 @@ import pytest
 _RELAX_SPEEDUP = os.environ.get("REPRO_BENCH_RELAX", "") not in ("", "0")
 
 from repro import obs
-from repro.engine import NO_PLAN, run_batch
+from repro.engine import BatchRunResult, compile_stepper, run_batch
 from repro.obs.report import summarize_stream
 from repro.rules import GeneralizedPluralityRule, SMPRule
 from repro.topology import ToroidalMesh
@@ -81,9 +86,53 @@ def _tmin(fn, repeats=3):
     return best
 
 
-def _search_calls(topo, rule, palette, plan, *, calls=CALLS, batch=SMALL_BATCH,
-                  seed=0xBEEF):
-    """The many-small-batch search loop: fresh random blocks, search flags."""
+def _full_simulation(topo, batch, rule, *, max_rounds, target_color,
+                     detect_cycles=False):
+    """``run_batch(..., detect_cycles=False)`` without its speed-ups: a
+    fresh stepper per call, fixed-point retirement only, and every
+    cycling row stepped to ``max_rounds``.  Called like ``run_batch``;
+    there is no cycle detection to turn on."""
+    assert not detect_cycles
+    colors = np.array(batch, dtype=np.int32)
+    b = colors.shape[0]
+    stepper = compile_stepper(rule, topo, b)
+    converged = np.zeros(b, dtype=bool)
+    rounds = np.zeros(b, dtype=np.int32)
+    cycle_length = np.zeros(b, dtype=np.int32)
+    fixed_point_round = np.full(b, -1, dtype=np.int32)
+    monotone = np.ones(b, dtype=bool)
+    ids = np.arange(b)
+    work = colors
+    for t in range(1, max_rounds + 1):
+        if not ids.size:
+            break
+        new = stepper(work)
+        changed = new != work
+        moved = changed.any(axis=1)
+        rounds[ids] = np.where(moved, t, t - 1)
+        monotone[ids[(changed & (work == target_color)).any(axis=1)]] = False
+        if moved.all():
+            work = new.copy()  # the scratch is reused by the next call
+            continue
+        done = ids[~moved]
+        converged[done] = True
+        cycle_length[done] = 1
+        fixed_point_round[done] = t - 1
+        colors[done] = work[~moved]
+        ids, work = ids[moved], new[moved]
+    colors[ids] = work
+    return BatchRunResult(
+        final=colors, rounds=rounds, converged=converged,
+        cycle_length=cycle_length, fixed_point_round=fixed_point_round,
+        monotone=monotone, target_color=target_color,
+    )
+
+
+def _search_calls(topo, rule, palette, engine=run_batch, *, calls=CALLS,
+                  batch=SMALL_BATCH, seed=0xBEEF):
+    """The many-small-batch search loop: fresh random blocks, search flags.
+
+    ``engine`` is ``run_batch`` or :func:`_full_simulation`."""
     rng = np.random.default_rng(seed)
     cap = 4 * topo.num_vertices + 16
     results = []
@@ -92,8 +141,8 @@ def _search_calls(topo, rule, palette, plan, *, calls=CALLS, batch=SMALL_BATCH,
             np.int32
         )
         results.append(
-            run_batch(topo, block, rule, max_rounds=cap, target_color=0,
-                      detect_cycles=False, plan=plan)
+            engine(topo, block, rule, max_rounds=cap, target_color=0,
+                   detect_cycles=False)
         )
     return results
 
@@ -103,23 +152,25 @@ def _assert_parity(on, off):
         assert np.array_equal(a.final, b.final)
         assert np.array_equal(a.rounds, b.rounds)
         assert np.array_equal(a.converged, b.converged)
+        assert np.array_equal(a.monotone, b.monotone)
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_plan_search_speedup(benchmark, workload):
-    """Plans on vs off on the many-small-batch search workload, parity
-    included.  This is the acceptance bar: >= 1.5x end-to-end."""
+    """``run_batch`` vs full simulation on the many-small-batch search
+    workload, parity included.  This is the acceptance bar: >= 1.5x
+    end-to-end."""
     factory, palette = WORKLOADS[workload]
     rule = factory()
     topo = ToroidalMesh(TORUS_SIZE, TORUS_SIZE)
-    on = _search_calls(topo, rule, palette, None)  # warm the plan cache
-    off = _search_calls(topo, rule, palette, NO_PLAN)
+    on = _search_calls(topo, rule, palette)  # warm the stepper registry
+    off = _search_calls(topo, rule, palette, _full_simulation)
     _assert_parity(on, off)
-    t_off = _tmin(lambda: _search_calls(topo, rule, palette, NO_PLAN))
-    t_on = _tmin(lambda: _search_calls(topo, rule, palette, None))
+    t_off = _tmin(lambda: _search_calls(topo, rule, palette, _full_simulation))
+    t_on = _tmin(lambda: _search_calls(topo, rule, palette))
     speedup = t_off / t_on
     benchmark.pedantic(
-        _search_calls, args=(topo, rule, palette, None), rounds=1, iterations=1
+        _search_calls, args=(topo, rule, palette), rounds=1, iterations=1
     )
     benchmark.extra_info.update(
         workload=workload,
@@ -129,23 +180,25 @@ def test_plan_search_speedup(benchmark, workload):
     )
     if not _RELAX_SPEEDUP:
         assert speedup >= 1.5, (
-            f"plans only {speedup:.2f}x over the no-plan path on the "
+            f"run_batch only {speedup:.2f}x over full simulation on the "
             f"{workload} many-small-batch search workload"
         )
 
 
 def collect_plan_timings(rounds: int = 5) -> dict:
-    """Measure plans on/off on the search workloads; the
-    ``BENCH_plans.json`` payload."""
+    """Measure ``run_batch`` ("plans on") against full simulation
+    ("plans off") on the search workloads; the ``BENCH_plans.json``
+    payload."""
     payload = {
         "workload": {
             "search": f"mesh {TORUS_SIZE}x{TORUS_SIZE}, {CALLS} run_batch "
             f"calls of ({SMALL_BATCH}, N) random rows, detect_cycles=False",
             "census": f"mesh {CENSUS_TORUS}x{CENSUS_TORUS}, one "
             f"({CENSUS_BATCH}, N) block, detect_cycles=False",
-            "note": "plans = stepper cache + Brent cycle retirement; "
-            "results are bitwise-identical on/off (tests/test_engine_plans"
-            ".py), so these ratios are pure speed",
+            "note": "plans on = run_batch (stepper cache + Brent cycle "
+            "retirement); plans off = a fresh stepper per call, every "
+            "cycling row stepped to the cap; results are bitwise-identical "
+            "(tests/test_engine_plans.py), so these ratios are pure speed",
         },
         "results": {},
     }
@@ -153,12 +206,14 @@ def collect_plan_timings(rounds: int = 5) -> dict:
         rule = factory()
         topo = ToroidalMesh(TORUS_SIZE, TORUS_SIZE)
         _assert_parity(
-            _search_calls(topo, rule, palette, None),
-            _search_calls(topo, rule, palette, NO_PLAN),
+            _search_calls(topo, rule, palette),
+            _search_calls(topo, rule, palette, _full_simulation),
         )
-        t_off = _tmin(lambda: _search_calls(topo, rule, palette, NO_PLAN),
-                      repeats=rounds)
-        t_on = _tmin(lambda: _search_calls(topo, rule, palette, None),
+        t_off = _tmin(
+            lambda: _search_calls(topo, rule, palette, _full_simulation),
+            repeats=rounds,
+        )
+        t_on = _tmin(lambda: _search_calls(topo, rule, palette),
                      repeats=rounds)
         big = ToroidalMesh(CENSUS_TORUS, CENSUS_TORUS)
         block = np.random.default_rng(0xD1CE).integers(
@@ -166,7 +221,7 @@ def collect_plan_timings(rounds: int = 5) -> dict:
         ).astype(np.int32)
         kw = dict(max_rounds=4 * big.num_vertices + 16, target_color=0,
                   detect_cycles=False)
-        c_off = _tmin(lambda: run_batch(big, block, rule, plan=NO_PLAN, **kw),
+        c_off = _tmin(lambda: _full_simulation(big, block, rule, **kw),
                       repeats=rounds)
         c_on = _tmin(lambda: run_batch(big, block, rule, **kw), repeats=rounds)
         # cache effectiveness, from the telemetry counters: by now the
@@ -174,7 +229,7 @@ def collect_plan_timings(rounds: int = 5) -> dict:
         # served from it — a hit-rate collapse means cache identity broke
         # (an unstable plan token, say), which compare_bench.py gates
         cache = _plan_cache_counters(
-            lambda: _search_calls(topo, rule, palette, None)
+            lambda: _search_calls(topo, rule, palette)
         )
         payload["results"][label] = {
             "search_seconds_plans_off": round(t_off, 3),
@@ -194,7 +249,7 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="emit the execution-plan comparison JSON (BENCH_plans.json)"
+        description="emit the engine speed-up comparison JSON (BENCH_plans.json)"
     )
     parser.add_argument("--out", default="BENCH_plans.json", metavar="FILE")
     parser.add_argument("--rounds", type=int, default=5,

@@ -129,28 +129,6 @@ def _port_arg(value: str) -> int:
     return port
 
 
-def _add_plan_args(sp, what: str) -> None:
-    """``--plan-cache/--no-plan-cache``: the stepper-cache knob of the
-    execution plan (:mod:`repro.engine.plans`).  Plans are
-    bitwise-invisible — results, witness ids, and cached cells are
-    identical under every setting; the flag only trades compile reuse
-    for speed."""
-    sp.add_argument(
-        "--plan-cache",
-        dest="plan_cache",
-        action="store_true",
-        default=True,
-        help=f"serve compiled kernel steppers for {what} from the "
-        "per-process plan cache (default)",
-    )
-    sp.add_argument(
-        "--no-plan-cache",
-        dest="plan_cache",
-        action="store_false",
-        help="compile a fresh stepper on every engine call",
-    )
-
-
 def _settings_from_args(args):
     """The one ExecutionSettings a subcommand's execution flags describe.
 
@@ -158,16 +136,11 @@ def _settings_from_args(args):
     ``None`` so the driver applies its own default.
     """
     from .engine.context import ExecutionSettings
-    from .engine.plans import ExecutionPlan
 
     return ExecutionSettings(
         processes=args.processes,
         shard_size=getattr(args, "shard_size", None),
         batch_size=getattr(args, "batch_size", None),
-        plan=(
-            None if getattr(args, "plan_cache", True)
-            else ExecutionPlan(cache=False)
-        ),
         ledger=args.run_ledger,
         resume=args.resume,
     )
@@ -302,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the batch size); results are identical at any --processes "
         "count but depend on this value",
     )
-    _add_plan_args(sp, "--convergence replica blocks")
     _add_ledger_args(sp, "--convergence sweeps")
     _add_telemetry_args(sp, "the sweep")
 
@@ -341,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="random trials per process shard (default: the batch size)",
     )
-    _add_plan_args(sp, "the census searches")
     sp.add_argument(
         "--seed",
         type=int,
@@ -391,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--shard-size", type=_positive_arg("--shard-size"),
                     default=None, metavar="S")
-    _add_plan_args(sp, "the search batches")
     sp.add_argument("--max-configs", type=int, default=20_000_000)
     sp.add_argument("--db", metavar="FILE",
                     help="witness database to consult and record into")
@@ -739,7 +709,6 @@ def _dispatch(parser, args) -> int:
             "--colors": args.colors,
             "--batch-size": args.batch_size,
             "--shard-size": args.shard_size,
-            "--no-plan-cache": None if args.plan_cache else True,
             "--run-ledger": args.run_ledger,
             "--resume": True if args.resume else None,
         }

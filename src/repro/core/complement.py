@@ -26,7 +26,7 @@ Two engines:
   Leaves are verified in fixed blocks: each leaf's coloring is queued as
   one row of a 256-row block that :func:`~repro.engine.batch.run_batch`
   simulates in a single call (a short final block is padded with copies
-  of a queued row, so the plan cache compiles one stepper per topology).
+  of a queued row, so the stepper registry compiles one per topology).
   The first passing row in DFS order is re-certified by
   :func:`~repro.engine.runner.run_synchronous` and returned.
 

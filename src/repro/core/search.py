@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # runtime import stays lazy: io.serialize imports core
 from .. import obs
 from ..engine.batch import DYNAMICS_VERSION, run_batch
 from ..engine.context import ExecutionSettings, LedgerSetting
-from ..engine.plans import ExecutionPlan, resolve_plan
 from ..engine.parallel import (
     DEFAULT_SHARD_RETRIES,
     RunCancelled,
@@ -53,13 +52,6 @@ __all__ = [
     "random_dynamo_search",
     "count_configs",
 ]
-
-#: how callers select an execution plan (:mod:`repro.engine.plans`):
-#: an :class:`~repro.engine.plans.ExecutionPlan` or ``None`` for the
-#: default.  Plans are bitwise-invisible — they never enter search
-#: definitions or witness ids.
-PlanSpec = Optional[ExecutionPlan]
-
 
 def _open_top_ledger(
     ledger: LedgerSetting,
@@ -203,8 +195,9 @@ def _db_record_outcome(
     shard_of: Optional[List[int]] = None,
 ) -> None:
     """Persist a finished search: its witnesses (up to ``_DB_RECORD_CAP``)
-    and, when a definition identifies it, the summary the cache matches."""
-    if db is None or spec is None or not outcome.witnesses:
+    and the summary the cache matches.  A search has a definition
+    whenever it has a database and a registry torus (``spec``)."""
+    if db is None or definition is None or not outcome.witnesses:
         return
     from .. import __version__
     from ..io.serialize import WitnessRecord
@@ -225,9 +218,7 @@ def _db_record_outcome(
             indices[-1] = first_mono
     # witnesses reference their search summary by id — the definition
     # itself is stored once, on the SearchRecord the cache consults
-    summary_id = (
-        SearchRecord(definition=definition).id if definition is not None else None
-    )
+    summary_id = SearchRecord(definition=definition).id
     recorded_ids: List[str] = []
     for j in indices:
         cfg, mono = outcome.witnesses[j]
@@ -238,9 +229,8 @@ def _db_record_outcome(
             "witnesses_found": len(outcome.witnesses),
             "recorded": len(indices),
             "engine": __version__,
+            "search_id": summary_id,
         }
-        if summary_id is not None:
-            provenance["search_id"] = summary_id
         if shard_of is not None:
             provenance["shard"] = int(shard_of[j])
         record = WitnessRecord(
@@ -258,20 +248,19 @@ def _db_record_outcome(
         )
         db.add(record)
         recorded_ids.append(record.id)
-    if definition is not None:
-        # the summary lists this definition's witnesses even when the
-        # configurations themselves were first appended by an earlier
-        # search (witness rows dedupe by id; summaries must not, or a
-        # cache hit would return an incomplete witness set)
-        db.add_search(
-            SearchRecord(
-                definition=definition,
-                witness_ids=recorded_ids,
-                examined=int(outcome.examined),
-                exhaustive=bool(outcome.exhaustive),
-                witnesses_found=len(outcome.witnesses),
-            )
+    # the summary lists this definition's witnesses even when the
+    # configurations themselves were first appended by an earlier search
+    # (witness rows dedupe by id; summaries must not, or a cache hit
+    # would return an incomplete witness set)
+    db.add_search(
+        SearchRecord(
+            definition=definition,
+            witness_ids=recorded_ids,
+            examined=int(outcome.examined),
+            exhaustive=bool(outcome.exhaustive),
+            witnesses_found=len(outcome.witnesses),
         )
+    )
 
 
 def exhaustive_dynamo_search(
@@ -306,11 +295,6 @@ def exhaustive_dynamo_search(
     parent driver (the census) passes instead — mutually exclusive with
     ``settings.ledger``.
 
-    ``settings.plan`` selects the execution plan
-    (:mod:`repro.engine.plans`: stepper caching + early retirement of
-    cycling rows); plans are bitwise-invisible and excluded from the
-    definition.
-
     ``k`` defaults to 0 and the other colors are ``1..num_colors-1``; by
     color symmetry of the SMP rule this loses no generality.  ``rule``
     defaults to the paper's SMP-Protocol; any
@@ -331,7 +315,6 @@ def exhaustive_dynamo_search(
     batch_size = settings.resolved_batch_size(8192)
     ledger = settings.ledger
     validate_positive(batch_size, flag="batch_size")
-    plan = resolve_plan(settings.plan)
     n = topo.num_vertices
     total = count_configs(n, seed_size, num_colors)
     if total > max_configs:
@@ -423,7 +406,6 @@ def exhaustive_dynamo_search(
             max_rounds=max_rounds,
             target_color=k,
             detect_cycles=False,
-            plan=plan,
         )
         hits = np.flatnonzero(
             res.k_monochromatic & (res.monotone if monotone_only else True)
@@ -512,15 +494,13 @@ def exhaustive_min_dynamo_size(
     return None, outcomes
 
 
-#: seed material accepted by :func:`random_dynamo_search` for the sharded
-#: deterministic path (a plain int, SeedSequence entropy words, or a
-#: SeedSequence itself); a ``numpy.random.Generator`` selects the legacy
-#: single-stream path instead.
+#: seed material accepted by :func:`random_dynamo_search`: a plain int,
+#: SeedSequence entropy words, or a SeedSequence itself
 SeedMaterial = Union[int, Sequence[int], np.random.SeedSequence]
 
 
-def _seed_entropy(rng: Union[np.random.Generator, SeedMaterial]) -> Optional[List[int]]:
-    """Entropy words of seed material, or ``None`` for a Generator."""
+def _seed_entropy(rng: SeedMaterial) -> List[int]:
+    """Entropy words of seed material; anything else is a TypeError."""
     if isinstance(rng, np.random.SeedSequence):
         ent = rng.entropy
         words = [int(x) for x in ent] if isinstance(ent, (list, tuple)) else [int(ent)]
@@ -532,28 +512,41 @@ def _seed_entropy(rng: Union[np.random.Generator, SeedMaterial]) -> Optional[Lis
         return [int(rng)]
     if isinstance(rng, (list, tuple)):
         return [int(x) for x in rng]
-    return None
+    raise TypeError(
+        "random_dynamo_search needs seed material (an int, a sequence of "
+        f"ints, or a SeedSequence), got {type(rng).__name__}: shards, the "
+        "witness cache and the run ledger all derive from those words"
+    )
 
 
-def _random_trials(
-    topo: Topology,
-    rng: np.random.Generator,
-    trials: int,
-    seed_size: int,
-    others: np.ndarray,
-    k: int,
-    rule: Rule,
-    max_rounds: int,
-    batch_size: int,
-    monotone_only: bool,
-    plan: PlanSpec = None,
-) -> List[Tuple[np.ndarray, bool]]:
-    """Run ``trials`` random configurations; return the witnesses found.
+def _random_search_shard(shard: tuple) -> List[Tuple[np.ndarray, bool]]:
+    """Pool worker: one replica block of a sharded random search; returns
+    the witnesses found.
 
-    Draw order is (complements, then seed placements) per ``batch_size``
-    block, so the stream consumed depends on ``batch_size`` but never on
-    how the caller distributed trials over processes.
+    The shard is a small picklable tuple; the topology is rebuilt locally
+    from its spec (tori) and the RNG is derived from the shard *index*,
+    so any process count draws identical streams.  Draw order is
+    (complements, then seed placements) per ``batch_size`` block.
+    Compiled steppers never cross process boundaries: each worker fills
+    its own stepper registry.
     """
+    (
+        spec,
+        topo_obj,
+        entropy,
+        shard_idx,
+        trials,
+        seed_size,
+        others,
+        k,
+        rule,
+        max_rounds,
+        batch_size,
+        monotone_only,
+    ) = shard
+    topo = build_topology(spec, topo_obj)
+    rng = np.random.default_rng(np.random.SeedSequence([*entropy, shard_idx]))
+    others = np.asarray(others)
     n = topo.num_vertices
     witnesses: List[Tuple[np.ndarray, bool]] = []
     remaining = trials
@@ -571,7 +564,6 @@ def _random_trials(
             max_rounds=max_rounds,
             target_color=k,
             detect_cycles=False,
-            plan=plan,
         )
         hits = np.flatnonzero(
             res.k_monochromatic & (res.monotone if monotone_only else True)
@@ -581,53 +573,12 @@ def _random_trials(
     return witnesses
 
 
-def _random_search_shard(shard: tuple) -> List[Tuple[np.ndarray, bool]]:
-    """Pool worker: one replica block of a sharded random search.
-
-    The shard is a small picklable tuple; the topology is rebuilt locally
-    from its spec (tori) and the RNG is derived from the shard *index*, so any process
-    count draws identical streams.  The execution plan travels as plain
-    settings (compiled steppers never cross process boundaries — each
-    worker fills its own plan cache).
-    """
-    (
-        spec,
-        topo_obj,
-        entropy,
-        shard_idx,
-        trials,
-        seed_size,
-        others,
-        k,
-        rule,
-        max_rounds,
-        batch_size,
-        monotone_only,
-        plan,
-    ) = shard
-    topo = build_topology(spec, topo_obj)
-    rng = np.random.default_rng(np.random.SeedSequence([*entropy, shard_idx]))
-    return _random_trials(
-        topo,
-        rng,
-        trials,
-        seed_size,
-        np.asarray(others),
-        k,
-        rule,
-        max_rounds,
-        batch_size,
-        monotone_only,
-        plan=plan,
-    )
-
-
 def random_dynamo_search(
     topo: Topology,
     seed_size: int,
     num_colors: int,
     trials: int,
-    rng: Union[np.random.Generator, SeedMaterial],
+    rng: SeedMaterial,
     *,
     k: int = 0,
     rule: Optional[Rule] = None,
@@ -651,37 +602,31 @@ def random_dynamo_search(
     :data:`~repro.engine.parallel.DEFAULT_SHARD_RETRIES` times before a
     structured :class:`~repro.engine.parallel.ShardError` surfaces.
     ``ledger_scope`` is the nested form a parent driver (the census)
-    passes instead — mutually exclusive with ``settings.ledger``.  Both
-    require the deterministic seed-material path (a ``Generator`` stream
-    is not reconstructible after a crash).
+    passes instead — mutually exclusive with ``settings.ledger``.
 
     Used where exhaustion is infeasible; finding no witness in many trials
     is (only) statistical evidence for the lower bound — the benches report
     the trial count alongside.
 
-    ``rng`` selects the execution mode.  Seed *material* — an int, a
-    sequence of entropy words, or a ``SeedSequence`` — picks the sharded
-    deterministic path: trials split into shards of
+    ``rng`` is seed *material* — an int, a sequence of entropy words, or
+    a ``SeedSequence``; anything else (a ``numpy.random.Generator``
+    included) raises :class:`TypeError`.  Trials split into shards of
     ``settings.shard_size`` (default: the batch size), shard ``i`` draws
     from ``SeedSequence([*entropy, i])``, and shards fan out over
     ``settings.processes`` pool workers (``0`` = inline, ``None`` = one
     per core).  Witnesses are reduced in shard order, so the outcome is
     **bitwise-identical at any process count** (it does depend on
     ``shard_size``/``batch_size``, which are part of the experiment
-    definition).  A ``Generator`` keeps
-    the legacy single-stream sequential behaviour and cannot be sharded —
-    combining one with ``processes > 0`` raises :class:`ValueError`.
+    definition).
 
-    ``db`` plugs in a :class:`~repro.io.witnessdb.WitnessDB`.  On the
-    deterministic seed-material path the store is consulted first: a
-    record whose search definition matches exactly (entropy words,
-    trials, seed size, palette, batch/shard geometry, rule) returns
-    immediately with ``cached=True`` and **skips the sharded pool
-    entirely**.  After a fresh search, witnesses are recorded with their
-    originating shard index in provenance.  Generator-path witnesses are
-    recorded too (they are replayable even though the stream is not
-    reconstructible), but never consulted.  Searches that find nothing
-    record nothing and therefore always re-run.
+    ``db`` plugs in a :class:`~repro.io.witnessdb.WitnessDB`.  The store
+    is consulted first: a record whose search definition matches
+    exactly (entropy words, trials, seed size, palette, batch/shard
+    geometry, rule) returns immediately with ``cached=True`` and
+    **skips the sharded pool entirely**.  After a fresh search,
+    witnesses are recorded with their originating shard index in
+    provenance.  Searches that find nothing record nothing and therefore
+    always re-run.
     """
     rule = rule if rule is not None else SMPRule()
     batch_size = settings.resolved_batch_size(4096)
@@ -691,42 +636,16 @@ def random_dynamo_search(
     if shard_size is not None:
         validate_positive(shard_size, flag="shard_size")
     nproc = validate_processes(settings.processes)
-    plan = resolve_plan(settings.plan)
+    entropy = _seed_entropy(rng)
     n = topo.num_vertices
     if max_rounds is None:
         max_rounds = 4 * n + 16
     others = np.asarray([c for c in range(num_colors) if c != k][: num_colors - 1])
     outcome = SearchOutcome(seed_size=seed_size, examined=0, exhaustive=False)
 
-    entropy = _seed_entropy(rng)
     spec = topology_spec(topo)
     if ledger is not None and ledger_scope is not None:
         raise ValueError("pass either ledger or ledger_scope, not both")
-    if entropy is None:
-        if ledger is not None or ledger_scope is not None:
-            raise ValueError(
-                "a run ledger needs reconstructible seed material — a "
-                "Generator stream cannot be replayed after a crash; pass "
-                "an int, a sequence of ints, or a SeedSequence"
-            )
-        if nproc is None or nproc > 0:
-            raise ValueError(
-                "a Generator cannot be split deterministically across "
-                "processes; pass seed material (an int, a sequence of "
-                "ints, or a SeedSequence) to shard the search"
-            )
-        outcome.witnesses.extend(
-            _random_trials(
-                topo, rng, trials, seed_size, others, k, rule,
-                max_rounds, batch_size, monotone_only, plan=plan,
-            )
-        )
-        outcome.examined = trials
-        _db_record_outcome(
-            db, None, spec, rule, num_colors, k, outcome, "random",
-        )
-        return outcome
-
     definition = None
     if spec is not None and (db is not None or ledger is not None):
         from ..io.witnessdb import rule_registry_name
@@ -773,7 +692,6 @@ def random_dynamo_search(
             max_rounds,
             batch_size,
             monotone_only,
-            plan,
         )
         for i, count in enumerate(counts)
     ]

@@ -8,15 +8,7 @@ from .metrics import (
 )
 from .batch import BatchRunResult, as_color_batch, run_batch
 from .context import ExecutionSettings, RunStats
-from .plans import (
-    DEFAULT_PLAN,
-    NO_PLAN,
-    ExecutionPlan,
-    PlanCacheStats,
-    clear_plan_cache,
-    plan_cache_stats,
-    resolve_plan,
-)
+from .plans import PlanCacheStats, clear_plan_cache, plan_cache_stats
 from .parallel import (
     RunCancelled,
     kind_tag,
@@ -55,13 +47,9 @@ __all__ = [
     "validate_positive",
     "validate_processes",
     "compile_stepper",
-    "ExecutionPlan",
     "PlanCacheStats",
-    "DEFAULT_PLAN",
-    "NO_PLAN",
     "plan_cache_stats",
     "clear_plan_cache",
-    "resolve_plan",
     "default_round_cap",
     "validate_round_cap",
     "adoption_curve",

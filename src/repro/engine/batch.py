@@ -30,9 +30,10 @@ The generic :meth:`step_batch` falls back to looping the rule's scalar
 one; the five shipped rules override it with flat vectorized kernels.
 
 A round executes through one **compiled kernel**
-(:func:`~repro.engine.stencil.compile_stepper`, served by the plan
-cache): each rule's declarative kernel spec becomes a zero-allocation
-NumPy plan, and a rule without one runs its own ``step_batch``.  The
+(:func:`~repro.engine.stencil.compile_stepper`, served by the stepper
+registry of :mod:`repro.engine.plans`): each rule's declarative kernel
+spec becomes a zero-allocation NumPy plan, and a rule without one runs
+its own ``step_batch``.  The
 compiled kernel is bitwise-identical to ``step_batch`` (the parity
 matrix in ``tests/test_engine_backends.py`` pins it), so it never
 affects results, seeds, or witness-database cache keys.
@@ -48,7 +49,7 @@ import numpy as np
 from .. import obs
 from ..rules.base import Rule
 from ..topology.base import Topology
-from .plans import ExecutionPlan, resolve_plan
+from .plans import stepper_for
 from .result import RunResult
 from .runner import parse_frozen, validate_round_cap
 
@@ -170,19 +171,16 @@ def run_batch(
     frozen: Optional[Iterable[int]] = None,
     irreversible_color: Optional[int] = None,
     detect_cycles: bool = True,
-    plan: Optional[ExecutionPlan] = None,
     schedule: Optional["AsyncSchedule"] = None,
 ) -> BatchRunResult:
     """Run every row of ``batch`` to fixed point, cycle, or round cap.
 
     Parameters mirror :func:`~repro.engine.runner.run_synchronous`; the
     returned arrays are indexed by row.  ``detect_cycles=False`` lets
-    cycling rows run to the cap (cheaper for searches that only consume
-    converged outcomes).  ``plan`` selects the
-    :class:`~repro.engine.plans.ExecutionPlan` (stepper caching +
-    early retirement of cycling rows; ``None`` uses the default plan
-    with both enabled) — plans are bitwise-interchangeable, so they
-    only affect speed.
+    cycling rows report the cap's state (cheaper for searches that only
+    consume converged outcomes).  The compiled stepper comes from the
+    process-local registry of :mod:`repro.engine.plans`, so repeated
+    calls on one ``(rule, topology, batch width)`` compile once.
 
     ``schedule`` switches the *update model*: instead of synchronous
     lockstep rounds, each row evolves under its own sequential
@@ -199,12 +197,15 @@ def run_batch(
     loops over rows in Python.  With ``detect_cycles=True`` a row whose
     digest matches an earlier round's is compared with that round's
     stored state and retires at its first repeat, so no row is stepped
-    past it.  Under an escalating plan, ``detect_cycles=False`` runs
-    use lockstep Brent detection from round 1 instead: a row that
-    returns to its snapshot (retaken at rounds 1, 2, 4, ...) has a known
-    period and retires at the round congruent to the cap, with its
-    state fast-forwarded to the cap — bitwise what full simulation would
-    report, at a fraction of the rounds (see :mod:`repro.engine.plans`).
+    past it.  ``detect_cycles=False`` runs use lockstep Brent detection
+    from round 1 instead: a row that returns to its snapshot (retaken at
+    rounds 1, 2, 4, ...) has period exactly ``t - snap_t`` and retires
+    at the round congruent to the cap, in the cap's state with
+    ``rounds`` = the cap.  The verdict compares whole states and a
+    cycling row changes every round, so every field is bitwise what
+    stepping the row to the cap would report (per-row
+    :func:`~repro.engine.runner.run_synchronous` with
+    ``detect_cycles=False`` is that oracle), at a fraction of the rounds.
     """
     if schedule is not None:
         if frozen is not None or irreversible_color is not None:
@@ -224,8 +225,7 @@ def run_batch(
         )
     colors = as_color_batch(batch, topo.num_vertices).copy()
     b = colors.shape[0]
-    plan = resolve_plan(plan)
-    stepper = plan.stepper_for(rule, topo, b)
+    stepper = stepper_for(rule, topo, b)
     max_rounds = validate_round_cap(max_rounds, topo)
     n = topo.num_vertices
 
@@ -258,8 +258,7 @@ def run_batch(
         states = np.empty((b, width, n), dtype=_history_dtype(work))
         states[:, 0] = work
         slot = np.arange(b)
-    brent = not detect_cycles and plan.escalate
-    if brent:
+    else:
         # lockstep Brent detection: one snapshot per row, retaken at
         # rounds 1, 2, 4, 8, ...; a row that returns to its snapshot
         # has period exactly ``t - snap_t`` and is due to retire at the
@@ -313,7 +312,7 @@ def run_batch(
                 leave[rows] = True
             digests[:, t] = d
             states[slot, t] = new
-        elif brent:
+        else:
             if snap is not None:
                 hit = moved & (due > max_rounds) & (new == snap).all(axis=1)
                 period = t - snap_t
@@ -334,13 +333,13 @@ def run_batch(
             if detect_cycles:
                 digests = digests[keep]
                 slot = slot[keep]
-            elif brent:
+            else:
                 due = due[keep]
                 if snap is not None:
                     snap = snap[keep]
         else:
             work = new.copy()  # the scratch is reused by the next call
-        if brent and t & (t - 1) == 0:
+        if not detect_cycles and t & (t - 1) == 0:
             snap, snap_t = work, t  # ``work`` is rebound, never mutated
 
     if ids.size and work is not colors:

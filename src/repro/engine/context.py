@@ -15,8 +15,8 @@ determinism contract:
 * **definitional** knobs (``shard_size``, ``batch_size``) shape RNG draw
   order and thus the results — they are part of an experiment's
   definition and cache key;
-* **bitwise-invisible** knobs (``processes``, ``plan``, ``ledger``,
-  ``resume``, ``telemetry``, ``cancel``) may change how fast or how
+* **bitwise-invisible** knobs (``processes``, ``ledger``, ``resume``,
+  ``telemetry``, ``cancel``) may change how fast or how
   safely a run executes, never what it computes.
 
 A driver that has no use for an invisible knob ignores it; a driver
@@ -47,7 +47,6 @@ from .. import obs
 
 if TYPE_CHECKING:  # type-only: avoid runtime engine -> io import cycles
     from ..io.ledger import RunLedger
-    from .plans import ExecutionPlan
 
 __all__ = [
     "ExecutionSettings",
@@ -72,6 +71,14 @@ class ExecutionSettings:
     the drivers' own defaults, so ``ExecutionSettings()`` is always a
     valid "run inline, no ledger, no telemetry" request.
 
+    How the engine steps a block is not a setting: every driver serves
+    compiled steppers from the process-local registry of
+    :mod:`repro.engine.plans` and retires cycling rows by Brent
+    detection inside :func:`~repro.engine.batch.run_batch`, neither of
+    which changes a result.  A cached stepper owns scratch and must not
+    be driven from two threads at once; the service honours that by
+    running every job on its one worker thread.
+
     Parameters
     ----------
     processes:
@@ -84,9 +91,6 @@ class ExecutionSettings:
     batch_size:
         Replica rows advanced per engine step (``None`` = the driver's
         default).  **Definitional.**
-    plan:
-        An :class:`~repro.engine.plans.ExecutionPlan` tuning memory/
-        layout.  Bitwise-invisible.
     ledger:
         Run ledger (object or path) for crash-safe checkpointing.
         Bitwise-invisible — replayed shards return recorded payloads.
@@ -114,7 +118,6 @@ class ExecutionSettings:
     processes: Optional[int] = 0
     shard_size: Optional[int] = None
     batch_size: Optional[int] = None
-    plan: Optional["ExecutionPlan"] = None
     ledger: LedgerSetting = None
     resume: bool = False
     telemetry: Union[str, Path, None] = None

@@ -1,58 +1,39 @@
-"""Execution plans: compiled-stepper caching + early cycle retirement.
+"""The stepper registry: compiled steppers cached per process.
 
-Two engine-wide costs named in ROADMAP.md live here:
+Every :func:`~repro.engine.batch.run_batch` and
+:func:`~repro.engine.runner.run_synchronous` call needs a compiled
+stepper (:func:`~repro.engine.stencil.compile_stepper`).  Compiling one
+per call is harmless for one census-sized block and real money for
+many-small-batch search loops that issue thousands of calls against the
+same ``(rule, topology)``, so the engine serves steppers from a bounded,
+process-local LRU registry keyed by ``(rule identity, topology
+identity, max_batch)``.  Rule identity is ``(type, plan_token())`` —
+rules publish a :meth:`~repro.rules.base.Rule.plan_token` that changes
+whenever any state their compiled kernel depends on changes (tie
+policy, palette size, threshold spec), so mutating a rule invalidates
+its cache entries on the next call.  Rules that publish no token
+(custom rules, subclasses whose kernel overrides are not covered by
+their inherited token) are simply compiled fresh every call — caching
+is an opt-in contract, never a guess.  The registry holds raw steppers
+only: the ``debug``-level per-step timing shim (below) wraps a stepper
+each time it is served, so a telemetry session never changes what the
+cache holds and always times the steps it runs.
 
-**Stepper recompilation.**  Every :func:`~repro.engine.batch.run_batch`
-call used to compile its stepper (:func:`~repro.engine.stencil.
-compile_stepper`) from scratch — harmless for one census-sized block,
-real money for many-small-batch search loops that issue thousands of
-calls against the same ``(rule, topology)``.  :class:`ExecutionPlan`
-routes compilation through a bounded, process-local LRU registry keyed
-by ``(rule identity, topology identity, max_batch)``.  Rule identity is
-``(type, plan_token())`` — rules publish a
-:meth:`~repro.rules.base.Rule.plan_token` that changes whenever any state
-their compiled kernel depends on changes (tie policy, palette size,
-threshold spec), so mutating a rule invalidates its cache entries on the
-next call.  Rules that publish no token (custom rules, subclasses whose
-kernel overrides are not covered by their inherited token) are simply
-compiled fresh every call — caching is an opt-in contract, never a guess.
-The registry holds raw steppers only: the ``debug``-level per-step
-timing shim (below) wraps a stepper each time it is served, so a
-telemetry session never changes what the cache holds and always times
-the steps it runs.
+The engine's other speed-up, retiring the cycling rows of
+``detect_cycles=False`` runs by lockstep Brent detection, lives in
+:func:`~repro.engine.batch.run_batch` itself.  Neither changes a
+result: witness ids, census rows and per-row round counts are what
+compiling fresh and simulating every row to the cap would give, which
+the oracle matrix in ``tests/test_engine_plans.py`` pins against
+per-row :func:`~repro.engine.runner.run_synchronous`.
 
-**The Theorem-8 worst-case round bound.**  ``run_batch`` caps runs at
-:func:`~repro.engine.runner.default_round_cap` (``4N + 64``).  Rows that
-reach a fixed point retire early, but search workloads run with
-``detect_cycles=False`` and their *cycling* rows (two thirds of random
-configurations in the census regime) would pay the full bound.  With
-``escalate`` enabled, such runs use lockstep Brent detection from round
-1: every live row keeps one snapshot, retaken at rounds 1, 2, 4, 8, ...,
-and a row equal to its snapshot at round ``t`` has period exactly
-``L = t - snap_t``.  It is simulated on to the round ``t + (cap - t) mod
-L``, where its state is the cap's state, and retires there with
-``rounds`` = the cap.  The verdict compares whole states, never a hash,
-and a cycling row changes every round, so the retired row's ``final``,
-``rounds``, ``converged``, ``cycle_length`` and ``monotone`` fields are
-*bitwise* what full simulation to the cap would produce — escalation is
-a pure optimization, proven by the parity matrix in
-``tests/test_engine_plans.py``.  ``detect_cycles=True`` runs stop at
-their first repeated state under every plan (see :func:`~repro.engine.
-batch.run_batch`), so the switch does not apply to them.
-
-Determinism contract: plans never change results.  Witness ids, census
-rows, and per-row round counts are identical under any cache/escalation
-setting, so plan settings are excluded from witness-database cache
-definitions.
-
-Process model: the stepper registry is **process-local** (module state).
-:class:`ExecutionPlan` itself is a small frozen dataclass of settings —
-safe to pickle into pool shards — and workers resolve compilations
-against their own local registry, so nothing compiled ever crosses a
-process boundary.
-Steppers own preallocated scratch, so a cached stepper must not be
-driven from two threads at once; use ``ExecutionPlan(cache=False)`` for
-thread-per-engine setups.
+Process model: the registry is **process-local** (module state).  Pool
+workers fill their own, so nothing compiled ever crosses a process
+boundary.  Steppers own preallocated scratch, so one cached stepper
+must not be driven from two threads at once.  That holds in every
+shipped entry point: the CLI and the drivers run inline or in worker
+processes, and the HTTP service runs every job on its one worker
+thread.
 """
 
 from __future__ import annotations
@@ -62,7 +43,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Union
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -70,23 +51,17 @@ from .. import obs
 from ..rules.base import Rule
 from ..topology.base import Topology
 from .parallel import topology_spec
-from .runner import validate_round_cap  # noqa: F401  (re-exported: the
-# shared budget validator lives next to default_round_cap and is part of
-# this module's public face)
 from .stencil import Stepper, _definer, compile_stepper
 
 __all__ = [
-    "ExecutionPlan",
     "PlanCacheStats",
     "DEFAULT_PLAN",
-    "NO_PLAN",
     "clear_plan_cache",
     "plan_cache_stats",
-    "resolve_plan",
     "rule_plan_token",
     "stepper_cache_key",
+    "stepper_for",
     "topology_token",
-    "validate_round_cap",
 ]
 
 
@@ -208,6 +183,11 @@ class _StepperCache:
     already unsound; see the module docstring."""
 
     def __init__(self, maxsize: int):
+        self.reset(maxsize)
+
+    def reset(self, maxsize: int) -> None:
+        """Drop every entry and zero the counters, keeping the object
+        (callers hold references to the registry, never copies)."""
         self.maxsize = int(maxsize)
         self._data: "OrderedDict[tuple, Stepper]" = OrderedDict()
         self.hits = self.misses = self.evictions = 0
@@ -240,6 +220,24 @@ class _StepperCache:
             maxsize=self.maxsize,
         )
 
+    def stepper_for(self, rule: Rule, topo: Topology, max_batch: int) -> Stepper:
+        """A compiled stepper for ``(rule, topo)``, served from the
+        registry when the pair is cacheable.
+
+        Never cached: rules without an authoritative
+        :func:`rule_plan_token` and topologies without a
+        :func:`topology_token`.  The registry stores the raw stepper;
+        the ``debug`` timing shim is applied on every serve.
+        """
+        key = stepper_cache_key(rule, topo, max_batch)
+        if key is None:
+            return instrumented_stepper(timed_compile(rule, topo, max_batch))
+        stepper = self.get(key)
+        if stepper is None:
+            stepper = timed_compile(rule, topo, max_batch)
+            self.put(key, stepper)
+        return instrumented_stepper(stepper)
+
 
 #: compiled steppers cached per process.  32 entries comfortably covers
 #: a census (3 kinds x 4 sizes x a couple of batch geometries) while
@@ -250,6 +248,14 @@ class _StepperCache:
 _DEFAULT_CACHE_SIZE = 32
 _STEPPER_CACHE = _StepperCache(_DEFAULT_CACHE_SIZE)
 
+#: the registry under the name callers use to warm it directly
+#: (``DEFAULT_PLAN.stepper_for(rule, topo, max_batch)``)
+DEFAULT_PLAN = _STEPPER_CACHE
+
+#: the stepper every engine call runs (:meth:`_StepperCache.stepper_for`);
+#: valid for the life of the process, as the registry is reset in place
+stepper_for = _STEPPER_CACHE.stepper_for
+
 
 def plan_cache_stats() -> PlanCacheStats:
     """Counters of this process's stepper registry (hits/misses/...)."""
@@ -257,62 +263,12 @@ def plan_cache_stats() -> PlanCacheStats:
 
 
 def clear_plan_cache(maxsize: Optional[int] = None) -> None:
-    """Drop every cached stepper and reset counters.
+    """Drop every cached stepper and reset counters, in place.
 
     ``maxsize`` resizes the registry (tests use tiny sizes to exercise
     eviction); ``None`` keeps the current bound.
     """
-    global _STEPPER_CACHE
-    _STEPPER_CACHE = _StepperCache(
-        _STEPPER_CACHE.maxsize if maxsize is None else maxsize
-    )
-
-
-# ----------------------------------------------------------------------
-# the plan
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """How the batched engine executes a run: stepper caching + early
-    retirement of cycling rows.  Results are bitwise-identical under
-    every setting; a plan only chooses how fast they arrive.
-
-    Parameters
-    ----------
-    cache:
-        Serve compiled steppers from the process-local registry when the
-        rule/topology pair is cacheable (see :func:`stepper_cache_key`).
-    escalate:
-        Retire the cycling rows of ``detect_cycles=False`` runs as soon
-        as Brent detection has found their period, with their state
-        fast-forwarded to the cap (see the module docstring).
-
-    Plans are small frozen settings objects: pickle them into pool
-    shards freely — compiled steppers live in each process's own
-    registry and never travel.
-    """
-
-    cache: bool = True
-    escalate: bool = True
-
-    # ------------------------------------------------------------------
-    def stepper_for(self, rule: Rule, topo: Topology, max_batch: int) -> Stepper:
-        """A compiled stepper for ``(rule, topo)``, served from the
-        registry when allowed and possible.
-
-        Never cached: ``cache=False`` plans, rules without an
-        authoritative :func:`rule_plan_token`, and topologies without a
-        :func:`topology_token`.  The registry stores the raw stepper; the
-        ``debug`` timing shim is applied on every serve.
-        """
-        key = stepper_cache_key(rule, topo, max_batch) if self.cache else None
-        if key is None:
-            return instrumented_stepper(timed_compile(rule, topo, max_batch))
-        stepper = _STEPPER_CACHE.get(key)
-        if stepper is None:
-            stepper = timed_compile(rule, topo, max_batch)
-            _STEPPER_CACHE.put(key, stepper)
-        return instrumented_stepper(stepper)
+    _STEPPER_CACHE.reset(_STEPPER_CACHE.maxsize if maxsize is None else maxsize)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +298,7 @@ class _TimedStepper:
     Wraps a compiled stepper to accumulate ``backend.steps`` /
     ``backend.step-us`` counters — aggregate totals, not per-round
     events, so a thousand-round run adds two counter deltas, not a
-    thousand lines.  :meth:`ExecutionPlan.stepper_for` applies it to
+    thousand lines.  :func:`stepper_for` applies it to
     each stepper it serves and never caches it, so turning telemetry on
     or off cannot change what the cache serves.
     """
@@ -365,24 +321,3 @@ def instrumented_stepper(stepper: Stepper) -> Stepper:
     if not obs.enabled("debug"):
         return stepper
     return _TimedStepper(stepper)
-
-
-#: the plan every engine entry point resolves when none is given:
-#: caching and escalation on — both are bitwise-invisible
-DEFAULT_PLAN = ExecutionPlan()
-
-#: the legacy behaviour: compile fresh every call, run every row under
-#: the full cap (useful as the parity baseline and for thread-per-engine
-#: setups that must not share scratch)
-NO_PLAN = ExecutionPlan(cache=False, escalate=False)
-
-
-def resolve_plan(plan: Union[ExecutionPlan, None]) -> ExecutionPlan:
-    """Normalize a ``plan=`` argument (``None`` means :data:`DEFAULT_PLAN`)."""
-    if plan is None:
-        return DEFAULT_PLAN
-    if isinstance(plan, ExecutionPlan):
-        return plan
-    raise TypeError(
-        f"plan must be an ExecutionPlan or None, got {type(plan).__name__}"
-    )

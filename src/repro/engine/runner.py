@@ -15,7 +15,8 @@ unit.  :func:`run_synchronous` executes that loop with:
 
 Each round runs the same compiled kernel as the batched engine
 (:func:`~repro.engine.stencil.compile_stepper` on a ``(1, N)`` view,
-served by the plan cache) unless the rule overrides its scalar ``step``.
+served by the stepper registry) unless the rule overrides its scalar
+``step``.
 
 ``max_rounds`` defaults to a generous bound derived from Theorem 8 — the
 slowest construction in the paper needs ``O(m * n)`` rounds, so we cap at
@@ -26,16 +27,14 @@ otherwise; callers can always override.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..rules.base import Rule, as_color_array
 from ..topology.base import Topology
+from .plans import stepper_for
 from .result import RunResult
-
-if TYPE_CHECKING:  # type-only: runner must stay importable before plans
-    from .plans import ExecutionPlan
 
 __all__ = [
     "run_synchronous",
@@ -109,7 +108,6 @@ def run_synchronous(
     track_changes: bool = True,
     detect_cycles: bool = True,
     record: bool = False,
-    plan: "ExecutionPlan | None" = None,
 ) -> RunResult:
     """Run the synchronous dynamics to a fixed point, cycle, or round cap.
 
@@ -140,25 +138,20 @@ def run_synchronous(
         benchmarks.
     record:
         Keep a copy of every state in ``result.trajectory`` (index = round).
-    plan:
-        The :class:`~repro.engine.plans.ExecutionPlan` for the per-round
-        kernel, exactly as in
-        :func:`~repro.engine.batch.run_batch` (the compiled stepper runs
-        on a ``(1, N)`` view and is served from the plan's cache, so
-        repeated scalar runs skip recompilation too).  It is honored
-        only while the rule's scalar :meth:`~repro.rules.base.Rule.step`
-        is the stock batched delegation — a rule overriding ``step``
-        keeps its own kernel, mirroring how inherited kernel specs are
-        withheld from the compiler.
-    """
-    # lazy import: plans imports this module for the shared validators
-    from .plans import resolve_plan
 
+    Each round runs the compiled stepper of
+    :func:`~repro.engine.batch.run_batch` on a ``(1, N)`` view, served
+    from the stepper registry so repeated scalar runs skip
+    recompilation — but only while the rule's scalar
+    :meth:`~repro.rules.base.Rule.step` is the stock batched delegation:
+    a rule overriding ``step`` keeps its own kernel, mirroring how
+    inherited kernel specs are withheld from the compiler.
+    """
     colors = as_color_array(initial, topo.num_vertices).copy()
     max_rounds = validate_round_cap(max_rounds, topo)
     stepper = None
     if type(rule).step is Rule.step:
-        stepper = resolve_plan(plan).stepper_for(rule, topo, 1)
+        stepper = stepper_for(rule, topo, 1)
 
     frozen_idx = parse_frozen(frozen, topo.num_vertices)
     frozen_values = colors[frozen_idx].copy() if frozen_idx is not None else None

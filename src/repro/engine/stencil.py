@@ -441,7 +441,7 @@ def compile_stepper(rule: Rule, topo: Topology, max_batch: int) -> Stepper:
     ``max_batch`` sizes the preallocated scratch; steppers accept
     smaller batches (sliced views) and transparently grow for larger
     ones.  Compilation is cheap (index copies, buffer allocation), and
-    :meth:`~repro.engine.plans.ExecutionPlan.stepper_for` caches it, so
+    :func:`~repro.engine.plans.stepper_for` caches it, so
     per-round work allocates nothing.
     """
     spec = rule_spec(rule, topo)

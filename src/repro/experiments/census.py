@@ -192,11 +192,6 @@ def below_bound_census(
     from the store without running any search, and freshly computed
     cells store their witness and summary on the way out.
 
-    ``settings.plan`` selects the execution plan
-    (:mod:`repro.engine.plans`) the searches run under; plans are
-    bitwise-invisible, so cached cells serve identically whatever the
-    plan settings.
-
     ``settings.ledger`` (a :class:`~repro.io.ledger.RunLedger` or a
     path) makes the census crash-safe: the run — identified by a digest
     of this definition plus the ``kinds``/``sizes`` grid — commits every
@@ -206,12 +201,9 @@ def below_bound_census(
     mid-grid; the resumed run's rows, witness ids, and db contents are
     identical to an uninterrupted run at any process count.  Worker
     death inside the sharded searches is retried (bounded) before a
-    structured error surfaces.  ``processes``/``plan`` stay
-    excluded from the run identity — they are bitwise-invisible.
+    structured error surfaces.  ``processes`` stays excluded from the
+    run identity — it is bitwise-invisible.
     """
-    from ..engine.plans import resolve_plan
-
-    plan = resolve_plan(settings.plan)  # reject junk before any cell runs
     validate_processes(settings.processes)
     batch_size = settings.resolved_batch_size(8192)
     validate_positive(batch_size, flag="batch_size")
@@ -225,7 +217,6 @@ def below_bound_census(
         settings,
         batch_size=batch_size,
         shard_size=shard_size,
-        plan=plan,
         ledger=None,
         resume=False,
         telemetry=None,

@@ -143,7 +143,7 @@ def _convergence_shard(shard: tuple) -> Tuple[int, int, int, int, int]:
     from ..topology.tori import make_torus
 
     (kind, m, n, rule_name, num_colors, count, shard_idx, seed, batch_size,
-     max_rounds, plan) = shard
+     max_rounds) = shard
     topo = make_torus(kind, m, n)
     rule = make_rule(rule_name, num_colors=num_colors)
     low, palette, target = replica_palette(rule_name, num_colors)
@@ -164,7 +164,7 @@ def _convergence_shard(shard: tuple) -> Tuple[int, int, int, int, int]:
             low, low + palette, size=(b, topo.num_vertices)
         ).astype(np.int32)
         res = run_batch(
-            topo, batch, rule, max_rounds=cap, target_color=target, plan=plan,
+            topo, batch, rule, max_rounds=cap, target_color=target,
         )
         converged += int(res.converged.sum())
         monochromatic += int(res.k_monochromatic.sum())
@@ -201,10 +201,6 @@ def convergence_sweep(
     partials are reduced in shard order, so the records are
     bitwise-identical at any process count.
 
-    ``settings.plan`` is the :class:`~repro.engine.plans.ExecutionPlan`
-    each worker executes under (settings travel; compiled steppers stay
-    per-process) — plans are bitwise-invisible.
-
     ``settings.ledger`` (a :class:`~repro.io.ledger.RunLedger` or a
     path) commits each ``(point, shard)`` partial durably as it
     completes; rerunning the same sweep with ``settings.resume``
@@ -212,15 +208,13 @@ def convergence_sweep(
     bitwise-identically at any process count.
     The run identity pins the sweep definition (rule, grid, replicas,
     seed, batch/shard geometry, ``max_rounds``, dynamics version) and
-    excludes ``processes``/``plan``.
+    excludes ``processes``.
     """
     from ..engine.batch import DYNAMICS_VERSION
-    from ..engine.plans import resolve_plan
     from ..rules import make_rule  # validate the rule name before forking
 
     batch_size = settings.resolved_batch_size(256)
     shard_size = settings.shard_size
-    plan = resolve_plan(settings.plan)
     validate_positive(replicas, flag="replicas")
     validate_positive(batch_size, flag="batch_size")
     if shard_size is not None:
@@ -231,7 +225,7 @@ def convergence_sweep(
     counts = shard_counts(replicas, shard_size if shard_size is not None else batch_size)
     shards = [
         (kind, m, n, rule_name, num_colors, count, si, seed, batch_size,
-         max_rounds, plan)
+         max_rounds)
         for kind, m, n in pts
         for si, count in enumerate(counts)
     ]

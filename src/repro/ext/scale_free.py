@@ -113,17 +113,14 @@ def run_scale_free_experiment(
     num_colors: int = 4,
     rng: Optional[np.random.Generator] = None,
     max_rounds: int = 400,
-    plan=None,
 ) -> ScaleFreeOutcome:
     """Seed color-k vertices on a BA graph, run plurality SMP, report.
 
     Non-seed vertices get uniform random colors from the rest of the
     palette (the multi-colored analogue of the torus experiments).  The
     run executes as a one-row block through
-    :func:`~repro.engine.batch.run_batch` — plans are
-    bitwise-interchangeable, so ``plan`` only affects speed, and the RNG
-    draw order (graph, then colors, then seeds) is exactly the
-    historical one.
+    :func:`~repro.engine.batch.run_batch`; the RNG draw order (graph,
+    then colors, then seeds) is exactly the historical one.
     """
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
     topo = barabasi_albert_topology(n, m_attach, rng)
@@ -141,7 +138,6 @@ def run_scale_free_experiment(
         rule,
         max_rounds=max_rounds,
         target_color=k,
-        plan=plan,
     )
     final = res.final[0]
     return ScaleFreeOutcome(
@@ -226,8 +222,8 @@ def _fraction_tag(seed_fraction: float) -> int:
 
 #: one shard = one BA graph of one cell:
 #: (seed, n, m_attach, num_colors, strategy, fraction, graph, replicas,
-#:  max_rounds, plan)
-_GraphShard = Tuple[int, int, int, int, str, float, int, int, int, object]
+#:  max_rounds)
+_GraphShard = Tuple[int, int, int, int, str, float, int, int, int]
 
 
 def _scale_free_graph_worker(shard: _GraphShard) -> dict:
@@ -241,7 +237,7 @@ def _scale_free_graph_worker(shard: _GraphShard) -> dict:
     """
     (
         seed, n, m_attach, num_colors, strategy, fraction,
-        graph, replicas, max_rounds, plan,
+        graph, replicas, max_rounds,
     ) = shard
     rng = np.random.default_rng(
         np.random.SeedSequence(
@@ -267,7 +263,6 @@ def _scale_free_graph_worker(shard: _GraphShard) -> dict:
         max_rounds=max_rounds,
         target_color=k,
         detect_cycles=False,
-        plan=plan,
     )
     return {
         "takeovers": int(res.k_monochromatic.sum()),
@@ -297,8 +292,7 @@ def scale_free_takeover_census(
     configures execution.  This census has fixed shard geometry (one
     graph's replicas advance as one block), so a ``shard_size`` or
     ``batch_size`` in the settings is refused rather than silently
-    ignored; ``settings.plan`` is honoured by every graph worker, and
-    ``settings.cancel`` is checked between cells and shards.
+    ignored; ``settings.cancel`` is checked between cells and shards.
 
     Each cell runs ``graphs`` independent Barabási–Albert graphs with
     ``replicas`` random initial configurations each; a graph is one
@@ -340,9 +334,6 @@ def scale_free_takeover_census(
                 f"unknown strategy {strategy!r}; expected one of "
                 f"{sorted(SCALE_FREE_STRATEGIES)}"
             )
-    from ..engine.plans import resolve_plan
-
-    plan = resolve_plan(settings.plan)
     cache_hits = recorded = 0
 
     scope: Optional[LedgerScope] = None
@@ -407,7 +398,6 @@ def scale_free_takeover_census(
                         (
                             int(seed), n, int(m_attach), int(num_colors),
                             strategy, fraction, g, replicas, int(max_rounds),
-                            plan,
                         )
                         for g in range(graphs)
                     ]

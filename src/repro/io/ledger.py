@@ -7,7 +7,7 @@ parts:
 * **Run identity.**  A run is named by :func:`run_id` — a digest of its
   *definition*: the experiment parameters that determine every bit of
   output (dynamics version, grid, seed, trial counts, shard plan).
-  Anything bitwise-invisible (process count, plan) is excluded,
+  Anything bitwise-invisible (process count) is excluded,
   so the same ledger resumes a run at any parallelism.  Wall-clock
   stamps, pids, and other ambient entropy are banned from definitions —
   they would make the "same" run unreachable after a crash (and

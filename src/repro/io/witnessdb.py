@@ -35,7 +35,7 @@ Three record types share the file:
     (:class:`~repro.io.serialize.WitnessRecord`).  Provenance carries the
     *search definition* (mode, entropy words, trial counts, batch and
     shard geometry) under which the configuration was first discovered.
-    Nothing about *how* the run executed (process count, plan, telemetry)
+    Nothing about *how* the run executed (process count, telemetry)
     is recorded or keyed: those knobs are bitwise-invisible.
 
 ``"search"``
@@ -224,8 +224,8 @@ class CellRecord:
         one construction.
 
     Key fields read as attributes (``cell.kind``, ``cell.strategy``).
-    Cache hits require an exact definition match; the plan and process
-    count never join it, they are bitwise-invisible to outcomes.
+    Cache hits require an exact definition match; the process count
+    never joins it, it is bitwise-invisible to outcomes.
     """
 
     type: str

@@ -15,7 +15,7 @@ The contract, enforced by ``tests/test_obs.py`` and reprolint RPL-O001:
   and ledger contents to a run without it, at any process count.
 * **Never identity material.**  Telemetry settings and telemetry values
   (timestamps, durations, counters) are excluded from run ids, cache
-  keys, and witness definitions exactly as plans are.
+  keys, and witness definitions exactly as the process count is.
   RPL-O001 statically forbids ``repro.obs`` values from reaching digest
   sinks or record payload codecs.
 * **Deterministic merge.**  Pool workers append events to per-worker

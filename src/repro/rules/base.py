@@ -179,7 +179,7 @@ class Rule(abc.ABC):
     def plan_token(self) -> Optional[object]:
         """Hashable token identifying this rule's compiled-kernel state.
 
-        The execution-plan layer (:mod:`repro.engine.plans`) caches
+        The stepper registry (:mod:`repro.engine.plans`) caches
         compiled steppers across ``run_batch`` calls keyed on
         ``(rule type + this token, topology, batch width)``.
         Publishing a token is a *contract*: two instances of the same

@@ -71,7 +71,7 @@ class Topology(abc.ABC):
 
         Two topologies with equal tokens must have bitwise-identical
         neighbor tables (same shape, same entries, same padding), because
-        the execution-plan layer (:mod:`repro.engine.plans`) serves
+        the stepper registry (:mod:`repro.engine.plans`) serves
         compiled steppers across instances keyed on this token — exactly
         how pool workers rebuilding the same graph share compilations.
         The base implementation returns ``None`` (unknown structure,

@@ -64,8 +64,8 @@ class GraphTopology(Topology):
     def structure_token(self) -> Optional[Hashable]:
         """Content hash of the degree/neighbor tables (computed once).
 
-        Equal tokens imply bitwise-equal tables, so the plan layer's
-        stepper cache (:mod:`repro.engine.plans`) is shared between
+        Equal tokens imply bitwise-equal tables, so the stepper
+        registry (:mod:`repro.engine.plans`) is shared between
         instances built from the same graph — e.g. pool workers that
         each rebuild one BA topology from the same seed.  Distinct
         graphs (different edges, vertex counts, or table widths) hash

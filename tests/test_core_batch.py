@@ -3,7 +3,9 @@ agree with the single-configuration engine bit for bit.
 
 The searches batch through :func:`repro.engine.run_batch` under
 :class:`~repro.rules.smp.SMPRule`; the rule-agnostic contract for every
-rule family lives in ``test_engine_batch.py``.
+rule family lives in ``test_engine_batch.py``, and the row-for-row
+match with :func:`repro.engine.run_synchronous` in the oracle matrix of
+``test_engine_plans.py``.
 """
 
 import sys
@@ -13,12 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import run_batch, run_synchronous
+from repro.engine import run_batch
 from repro.rules import SMPRule
 from repro.rules.smp import smp_step_batch
 from repro.topology import ToroidalMesh
-
-from helpers import TORUS_KINDS
 
 
 def _run_smp(topo, batch, k, max_rounds):
@@ -49,22 +49,6 @@ def test_batch_step_equals_single_step(seed, batch):
     rule = SMPRule()
     for b in range(batch):
         assert np.array_equal(stepped[b], rule.step(configs[b], topo))
-
-
-def test_batch_run_matches_engine(rng, torus_kind):
-    topo = TORUS_KINDS[torus_kind](4, 4)
-    k = 0
-    configs = rng.integers(0, 3, size=(32, 16)).astype(np.int32)
-    out = _run_smp(topo, configs, k, max_rounds=80)
-    for b in range(configs.shape[0]):
-        res = run_synchronous(
-            topo, configs[b], SMPRule(), max_rounds=80, target_color=k
-        )
-        assert out.converged[b] == res.converged
-        if res.converged:
-            assert np.array_equal(out.final[b], res.final)
-            assert out.k_monochromatic[b] == res.is_dynamo_run(k)
-            assert out.monotone[b] == res.monotone
 
 
 def test_batch_includes_constructions(torus_kind):

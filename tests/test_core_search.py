@@ -182,22 +182,23 @@ def test_exhaustive_witnesses_verify(rng):
     assert res_ok == bool(res.monotone)
 
 
-def test_random_search_finds_planted_dynamo(rng):
+def test_random_search_finds_planted_dynamo():
     """Random search at the full-torus seed size must trivially succeed."""
     topo = ToroidalMesh(3, 3)
-    out = random_dynamo_search(topo, seed_size=9, num_colors=3, trials=5, rng=rng)
+    out = random_dynamo_search(topo, seed_size=9, num_colors=3, trials=5, rng=0xC0FFEE)
     assert out.found_dynamo
     assert out.examined == 5
     assert not out.exhaustive
 
 
-def test_random_search_finds_below_bound_dynamos_on_4x4(rng):
+def test_random_search_finds_below_bound_dynamos_on_4x4():
     """The Theorem-1 violation persists at 4x4: random search readily
     finds monotone dynamos of size 5 < 6 = m + n - 2 (the diagonal-plus-
     one family), so the failure is not a 3x3 wraparound artifact."""
     topo = ToroidalMesh(4, 4)
     out = random_dynamo_search(
-        topo, seed_size=5, num_colors=4, trials=5000, rng=rng, monotone_only=True
+        topo, seed_size=5, num_colors=4, trials=5000, rng=0xC0FFEE,
+        monotone_only=True,
     )
     assert out.found_monotone_dynamo
     colors, _ = out.witnesses[0]

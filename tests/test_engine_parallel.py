@@ -180,10 +180,13 @@ def test_random_search_seed_material_forms_agree():
         assert np.array_equal(wa, wb) and np.array_equal(wa, wc)
 
 
-def test_random_search_generator_cannot_shard(rng):
-    with pytest.raises(ValueError, match="Generator"):
-        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, rng,
-                             settings=ExecutionSettings(processes=2))
+def test_random_search_rejects_generator(rng):
+    """Seed material is the only input: shards, the witness cache and
+    the run ledger all derive from its entropy words."""
+    for processes in (0, 2):
+        with pytest.raises(TypeError, match="seed material.*Generator"):
+            random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, rng,
+                                 settings=ExecutionSettings(processes=processes))
 
 
 def test_census_cells_are_independent():

@@ -1,13 +1,15 @@
-"""Execution-plan subsystem tests (:mod:`repro.engine.plans`).
+"""Engine oracle matrix and stepper-registry tests (:mod:`repro.engine.plans`).
 
 Two contracts are pinned here:
 
-* **bitwise invisibility** — caching and escalation never change any
-  result: the escalation parity matrix runs plans on/off x kernels
-  (compiled, and the rules' own ``step_batch``) x torus kinds x
-  engine-flag variants and compares every
-  :class:`BatchRunResult` field, and the seed-stability tests pin that
-  witnesses, census rows, and stored ids are identical under any plan;
+* **the engine's speed-ups are invisible** — :func:`run_batch` serves
+  compiled steppers from the registry and retires cycling
+  ``detect_cycles=False`` rows by lockstep Brent detection; the oracle
+  matrix compares every :class:`BatchRunResult` field of every row
+  with per-row :func:`run_synchronous` (which steps each row to the cap
+  with neither) across rule cases x engine-flag variants x kernels
+  (compiled, and the rules' own ``step_batch``) x torus kinds, and a
+  census run from a cold registry matches one from a warm registry;
 * **cache correctness** — hits/misses/evictions behave, a mutated rule
   misses (plan tokens change with spec-relevant state), non-authoritative
   tokens are withheld (subclassed kernels), compiled steppers stay
@@ -15,7 +17,6 @@ Two contracts are pinned here:
   raw steppers whatever telemetry level compiled them.
 """
 
-import pickle
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -25,14 +26,10 @@ import pytest
 from repro import obs
 from repro.core.search import random_dynamo_search
 from repro.engine import (
-    DEFAULT_PLAN,
-    NO_PLAN,
-    ExecutionPlan,
     ExecutionSettings,
     clear_plan_cache,
     default_round_cap,
     plan_cache_stats,
-    resolve_plan,
     run_batch,
     run_synchronous,
     run_temporal,
@@ -40,11 +37,13 @@ from repro.engine import (
 )
 from repro.engine.plans import (
     _DEFAULT_CACHE_SIZE,
+    DEFAULT_PLAN,
     rule_plan_token,
     stepper_cache_key,
+    stepper_for,
     topology_token,
 )
-from repro.experiments import below_bound_census, convergence_sweep
+from repro.experiments import below_bound_census
 from repro.io.witnessdb import WitnessDB
 from repro.obs.report import load_stream, summarize
 from repro.rules import (
@@ -69,7 +68,7 @@ RESULT_FIELDS = (
     "monotone",
 )
 
-#: rule cases of the escalation parity matrix (factory, low, palette, target)
+#: rule cases of the oracle matrix (factory, low, palette, target)
 RULE_CASES = {
     "smp": (lambda: SMPRule(), 0, 4, 0),
     "majority": (lambda: ReverseSimpleMajority("prefer-black"), 1, 2, 2),
@@ -102,17 +101,37 @@ def _fresh_cache():
     clear_plan_cache(maxsize=_DEFAULT_CACHE_SIZE)
 
 
-def _assert_results_equal(res, ref, context):
-    for field in RESULT_FIELDS:
-        a, b = getattr(res, field), getattr(ref, field)
-        if a is None or b is None:
-            assert a is b, (context, field)
-        else:
-            assert np.array_equal(a, b), (context, field)
+def _variant_kwargs(variant, target):
+    kwargs = dict(VARIANTS[variant])
+    if variant == "irreversible":
+        kwargs["irreversible_color"] = target
+    return kwargs
+
+
+def _oracle(topo, batch, rule, **kwargs):
+    """Per-row :func:`run_synchronous`: every row stepped on its own,
+    without the registry's batch-width steppers or Brent retirement."""
+    return [
+        run_synchronous(topo, row, rule, track_changes=False, **kwargs)
+        for row in batch
+    ]
+
+
+def _assert_matches_oracle(res, oracle, context):
+    """Every :data:`RESULT_FIELDS` entry of every row agrees."""
+    assert res.batch_size == len(oracle), context
+    for b, ref in enumerate(oracle):
+        row = res.row(b)
+        for field in RESULT_FIELDS:
+            got, want = getattr(row, field), getattr(ref, field)
+            if field == "final":
+                assert np.array_equal(got, want), (context, b, field)
+            else:
+                assert got == want, (context, b, field, got, want)
 
 
 # ----------------------------------------------------------------------
-# the escalation parity matrix: plans on/off x kernels x kinds x flags
+# the oracle matrix: run_batch vs per-row run_synchronous
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -124,149 +143,106 @@ def test_escalation_parity_matrix(rng, torus_kind, case, variant, kernel):
     batch = rng.integers(low, low + palette, size=(32, topo.num_vertices)).astype(
         np.int32
     )
-    kwargs = dict(VARIANTS[variant])
-    if variant == "irreversible":
-        kwargs["irreversible_color"] = target
+    kwargs = dict(max_rounds=100, target_color=target)
+    kwargs.update(_variant_kwargs(variant, target))
     with KERNELS[kernel]():
-        ref = run_batch(
-            topo, batch, rule, max_rounds=100, target_color=target,
-            plan=NO_PLAN, **kwargs,
-        )
-        res = run_batch(
-            topo, batch, rule, max_rounds=100, target_color=target,
-            plan=DEFAULT_PLAN, **kwargs,
-        )
-    _assert_results_equal(res, ref, (kernel, case, variant))
+        res = run_batch(topo, batch, rule, **kwargs)
+        oracle = _oracle(topo, batch, rule, **kwargs)
+    _assert_matches_oracle(res, oracle, (kernel, case, variant))
 
 
 def test_escalation_parity_across_round_caps(rng):
     """Sweep the cap through every phase of the Brent fast-forward
     (before the first snapshot, between a detection and its deadline,
     deep cycling) — the modular arithmetic of the cap state must hold at
-    every value, for period-2 blinkers and for longer cycles alike."""
-    topo = ToroidalMesh(4, 4)
-    for case in ("smp", "cyclic"):
-        factory, low, palette, target = RULE_CASES[case]
-        rule = factory()
-        batch = rng.integers(low, low + palette, size=(48, 16)).astype(np.int32)
-        for cap in list(range(0, 24)) + [33, 48, 80, 101]:
-            kw = dict(max_rounds=cap, target_color=target, detect_cycles=False)
-            ref = run_batch(topo, batch, rule, plan=NO_PLAN, **kw)
-            res = run_batch(topo, batch, rule, plan=DEFAULT_PLAN, **kw)
-            _assert_results_equal(res, ref, (case, cap))
-            assert not res.converged.all()  # the pin is meaningful: rows cycle
+    every value, for period-2 blinkers and for longer cycles alike, on
+    every torus kind and engine-flag variant."""
+    cycling = {"smp": 0, "cyclic": 0}
+    for kind, torus in sorted(TORUS_KINDS.items()):
+        topo = torus(4, 4)
+        for case in ("smp", "cyclic"):
+            factory, low, palette, target = RULE_CASES[case]
+            rule = factory()
+            batch = rng.integers(low, low + palette, size=(12, 16)).astype(
+                np.int32
+            )
+            for variant in sorted(VARIANTS):
+                for cap in list(range(0, 24)) + [33, 48, 80, 101]:
+                    kw = dict(max_rounds=cap, target_color=target)
+                    kw.update(_variant_kwargs(variant, target))
+                    res = run_batch(topo, batch, rule, **kw)
+                    oracle = _oracle(topo, batch, rule, **kw)
+                    _assert_matches_oracle(res, oracle, (kind, case, variant, cap))
+                    if variant == "no-cycles" and cap == 101:
+                        cycling[case] += int((~res.converged).sum())
+    # the pin is meaningful: rows of both cases cycle to the cap
+    assert all(cycling.values()), cycling
 
 
 def test_escalation_retires_cycling_rows_early(rng):
-    """The point of the exercise: a cycling-heavy search batch under an
-    escalating plan must not simulate every row to the cap.  Proxy: the
-    escalated run is much faster in rounds actually stepped — asserted
-    through a counting stepper."""
-    calls = {"on": 0, "off": 0}
+    """The point of the exercise: a cycling-heavy search batch must not
+    simulate every row to the cap.  A counting stepper measures the
+    row-rounds run_batch steps; the oracle's per-row outcomes give what
+    full simulation steps (a converged row one round past its last
+    change, a cycling row every round to the cap)."""
+    stepped = [0]
 
     class CountingSMP(SMPRule):
-        def __init__(self, key):
-            self._key = key
-
         def step_batch(self, colors, topo, out=None):
-            calls[self._key] += colors.shape[0]  # row-rounds simulated
+            stepped[0] += colors.shape[0]  # row-rounds simulated
             return SMPRule.step_batch(self, colors, topo, out=out)
 
     topo = ToroidalMesh(4, 4)
     batch = rng.integers(0, 5, size=(128, 16)).astype(np.int32)
     kw = dict(max_rounds=80, target_color=0, detect_cycles=False)
-    ref = run_batch(topo, batch, CountingSMP("off"), plan=NO_PLAN, **kw)
-    res = run_batch(topo, batch, CountingSMP("on"), plan=DEFAULT_PLAN, **kw)
-    _assert_results_equal(res, ref, "counting")
-    assert not ref.converged.all()
+    res = run_batch(topo, batch, CountingSMP(), **kw)
+    oracle = _oracle(topo, batch, SMPRule(), **kw)
+    _assert_matches_oracle(res, oracle, "counting")
+    full = sum(r.rounds + int(r.converged) for r in oracle)
+    assert not all(r.converged for r in oracle)
     # cycling rows retire once their period is known instead of running
     # to 80
-    assert calls["on"] < calls["off"] / 2, calls
+    assert stepped[0] < full / 2, (stepped[0], full)
 
 
 # ----------------------------------------------------------------------
-# seed stability: witnesses / census rows / ids are plan-independent
+# results do not depend on what the registry already holds
 # ----------------------------------------------------------------------
-def test_random_search_is_plan_independent():
-    topo = ToroidalMesh(4, 4)
-    settings = ExecutionSettings(batch_size=128, processes=0)
-    ref = random_dynamo_search(
-        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
-        settings=replace(settings, plan=NO_PLAN),
-    )
-    out = random_dynamo_search(
-        topo, 3, 5, 4096, 0xBEEF, k=0, monotone_only=True,
-        settings=replace(settings, plan=DEFAULT_PLAN),
-    )
-    assert out.examined == ref.examined
-    assert len(out.witnesses) == len(ref.witnesses)
-    for (ca, ma), (cb, mb) in zip(out.witnesses, ref.witnesses):
-        assert ma == mb and np.array_equal(ca, cb)
-    assert ref.found_monotone_dynamo  # the pin is meaningful: hits exist
-
-
-def test_census_rows_and_witness_ids_are_plan_independent(tmp_path):
+def test_census_rows_and_witness_ids_cold_vs_warm_registry(tmp_path):
+    """A census from an empty stepper registry and one served entirely
+    from a warm registry give the same rows and the same witness ids."""
     kwargs = dict(kinds=["mesh"], sizes=[3, 4], random_trials=400)
     dbs, rows = {}, {}
-    for name, plan in (("off", NO_PLAN), ("on", DEFAULT_PLAN)):
+    for name in ("cold", "warm"):
         db = WitnessDB(tmp_path / f"{name}.jsonl")
-        rows[name] = below_bound_census(
-            db=db, settings=ExecutionSettings(plan=plan), **kwargs
-        )
+        misses = plan_cache_stats().misses
+        rows[name] = below_bound_census(db=db, **kwargs)
         dbs[name] = db
-    assert rows["off"] == rows["on"]
-    ids_off = sorted(r.id for r in dbs["off"])
-    assert ids_off == sorted(r.id for r in dbs["on"])
-    assert ids_off  # witnesses were actually recorded
+    # the cold run compiled, the warm one was served every stepper
+    assert misses > 0 and plan_cache_stats().misses == misses
+    assert rows["cold"] == rows["warm"]
+    ids_cold = sorted(r.id for r in dbs["cold"])
+    assert ids_cold == sorted(r.id for r in dbs["warm"])
+    assert ids_cold  # witnesses were actually recorded
     assert (
-        sorted(c.id for c in dbs["off"].cells)
-        == sorted(c.id for c in dbs["on"].cells)
-    )
-
-
-def test_cached_census_serves_across_plans(tmp_path):
-    """A census computed under one plan serves cache hits to another —
-    plan settings never enter the cell definition."""
-    path = tmp_path / "w.jsonl"
-    kwargs = dict(kinds=["mesh"], sizes=[3], random_trials=400)
-    first = below_bound_census(
-        db=WitnessDB(path), settings=ExecutionSettings(plan=NO_PLAN), **kwargs
-    )
-    second = below_bound_census(
-        db=WitnessDB(path),
-        settings=ExecutionSettings(plan=DEFAULT_PLAN),
-        **kwargs,
-    )
-    assert first == second
-    assert second.run_stats.cache_hits == second.run_stats.cells == 1
-
-
-def test_convergence_sweep_is_plan_independent():
-    pts = [("mesh", 4, 4), ("cordalis", 5, 5)]
-    settings = ExecutionSettings(batch_size=64, processes=0)
-    assert np.array_equal(
-        convergence_sweep(
-            pts, replicas=128, settings=replace(settings, plan=NO_PLAN)
-        ),
-        convergence_sweep(
-            pts, replicas=128,
-            settings=replace(settings, plan=DEFAULT_PLAN),
-        ),
+        sorted(c.id for c in dbs["cold"].cells)
+        == sorted(c.id for c in dbs["warm"].cells)
     )
 
 
 def test_run_synchronous_backend_and_plan_are_bitwise_invisible(rng):
+    """run_synchronous on the compiled kernel, from a cold and then a
+    warm registry, matches it on the rules' own kernel."""
     topo = ToroidalMesh(4, 5)
     for case in sorted(RULE_CASES):
         factory, low, palette, target = RULE_CASES[case]
         rule = factory()
         colors = rng.integers(low, low + palette, size=20).astype(np.int32)
-        ref = run_synchronous(topo, colors, rule, target_color=target,
-                              plan=NO_PLAN)
-        for kernel in KERNELS.values():
-            with kernel():
-                res = run_synchronous(topo, colors, rule, target_color=target)
-            assert np.array_equal(res.final, ref.final), (case, kernel)
+        with rule_kernel_only():
+            ref = run_synchronous(topo, colors, rule, target_color=target)
+        for served in ("cold", "warm"):
+            res = run_synchronous(topo, colors, rule, target_color=target)
+            assert np.array_equal(res.final, ref.final), (case, served)
             assert res.rounds == ref.rounds
             assert res.converged == ref.converged
             assert res.cycle_length == ref.cycle_length
@@ -317,14 +293,6 @@ def test_plan_cache_hit_miss_and_eviction(rng):
     clear_plan_cache(maxsize=_DEFAULT_CACHE_SIZE)
 
 
-def test_plan_cache_respects_cache_flag(rng):
-    topo = ToroidalMesh(4, 4)
-    batch = rng.integers(0, 4, size=(8, 16)).astype(np.int32)
-    run_batch(topo, batch, SMPRule(), max_rounds=5, plan=NO_PLAN)
-    s = plan_cache_stats()
-    assert (s.hits, s.misses, s.size) == (0, 0, 0)
-
-
 def test_mutated_rule_state_invalidates_cached_stepper(rng):
     """The plan-token contract: mutating spec-relevant state must miss
     the cache and recompile — never serve the stale kernel."""
@@ -336,14 +304,14 @@ def test_mutated_rule_state_invalidates_cached_stepper(rng):
     rule.threshold = "strong"  # spec-relevant mutation
     mutated = run_batch(topo, batch, rule, max_rounds=30)
     assert plan_cache_stats().misses == 2  # recompiled, not served
-    fresh = run_batch(
-        topo, batch, OrderedIncrementRule(4, threshold="strong"),
-        max_rounds=30, plan=NO_PLAN,
+    strong = OrderedIncrementRule(4, threshold="strong")
+    _assert_matches_oracle(
+        mutated, _oracle(topo, batch, strong, max_rounds=30), "mutated rule"
     )
-    _assert_results_equal(mutated, fresh, "mutated rule")
     rule.threshold = "simple"  # mutating back re-serves the first entry
     again = run_batch(topo, batch, rule, max_rounds=30)
-    _assert_results_equal(again, first, "restored rule")
+    for field in RESULT_FIELDS:
+        assert np.array_equal(getattr(again, field), getattr(first, field))
     assert plan_cache_stats().hits >= 1
 
 
@@ -492,11 +460,10 @@ def _debug_steps(path, fn):
 
 def test_debug_session_leaves_raw_steppers_in_cache(tmp_path):
     """A stepper compiled under debug telemetry is cached raw: telemetry-off
-    runs after the session are served the compiled kernel, no shim."""
+    runs after the session are served the compiled kernel, no shim.
+    ``DEFAULT_PLAN`` is the live registry, also after a clear."""
     topo = ToroidalMesh(4, 4)
-    _debug_steps(
-        tmp_path / "t.tel", lambda: DEFAULT_PLAN.stepper_for(SMPRule(), topo, 8)
-    )
+    _debug_steps(tmp_path / "t.tel", lambda: stepper_for(SMPRule(), topo, 8))
     stepper = DEFAULT_PLAN.stepper_for(SMPRule(), topo, 8)
     assert (plan_cache_stats().hits, plan_cache_stats().misses) == (1, 1)
     assert type(stepper).__module__ == "repro.engine.stencil"
@@ -521,14 +488,8 @@ def test_debug_session_times_steppers_cached_before_it(tmp_path, rng):
 
 
 # ----------------------------------------------------------------------
-# per-worker isolation and plan pickling
+# per-worker isolation
 # ----------------------------------------------------------------------
-def test_plans_pickle_as_settings_only():
-    plan = ExecutionPlan(cache=True, escalate=False)
-    clone = pickle.loads(pickle.dumps(plan))
-    assert clone == plan
-
-
 def test_sharded_search_keeps_parent_cache_untouched():
     """Pool workers fill their own process-local registries; the parent's
     counters must not move while shards run elsewhere."""
@@ -550,15 +511,6 @@ def test_sharded_search_keeps_parent_cache_untouched():
     assert len(out.witnesses) == len(inline.witnesses)
     for (ca, ma), (cb, mb) in zip(out.witnesses, inline.witnesses):
         assert ma == mb and np.array_equal(ca, cb)
-
-
-# ----------------------------------------------------------------------
-# plan settings validation
-# ----------------------------------------------------------------------
-def test_execution_plan_validates_settings():
-    with pytest.raises(TypeError, match="ExecutionPlan"):
-        resolve_plan("fast")
-    assert resolve_plan(None) is DEFAULT_PLAN
 
 
 # ----------------------------------------------------------------------

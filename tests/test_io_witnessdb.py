@@ -175,20 +175,6 @@ def test_cache_complete_when_definitions_overlap(tmp_path):
     assert resmall.cached and len(resmall.witnesses) == len(small.witnesses)
 
 
-def test_generator_rng_records_but_never_caches(tmp_path):
-    topo = ToroidalMesh(4, 4)
-    db = WitnessDB(tmp_path / "w.jsonl")
-    out = random_dynamo_search(
-        topo, 4, 5, 2000, np.random.default_rng(3), monotone_only=True, db=db
-    )
-    assert out.found_monotone_dynamo
-    assert len(db) > 0
-    again = random_dynamo_search(
-        topo, 4, 5, 2000, np.random.default_rng(3), monotone_only=True, db=db
-    )
-    assert not again.cached
-
-
 # ----------------------------------------------------------------------
 # census cache
 # ----------------------------------------------------------------------

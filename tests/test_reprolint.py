@@ -465,7 +465,7 @@ class TestDocsDrift:
         c001 = [f for f in findings if f.rule == "RPL-C001"]
         assert c001, "expected missing-flag findings"
         assert all(f.path == "src/repro/cli.py" for f in c001)
-        assert any("--plan-cache" in f.message for f in c001)
+        assert any("--run-ledger" in f.message for f in c001)
 
     def test_c002_dangling_module_ref(self, tmp_path):
         readme = f"# x\n\nsee `repro.engine.nonexistent_thing`\n\n{_all_flags_blurb()}\n"

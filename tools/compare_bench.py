@@ -3,11 +3,12 @@
 committed one and fail on ratio regressions.
 
 ``BENCH_backends.json`` / ``BENCH_plans.json`` record *ratios* (stencil
-vs reference, plans on vs off) alongside raw timings.  Raw timings move
+vs reference; ``run_batch`` vs a full-simulation loop with no stepper
+cache and no cycle retirement) alongside raw timings.  Raw timings move
 with the hardware and are never compared; ratios are measured on one
 machine against itself, so they transfer across machines up to noise —
-a fresh ratio collapsing below the committed one means a kernel or plan
-actually got slower relative to its baseline.
+a fresh ratio collapsing below the committed one means a kernel or the
+engine loop actually got slower relative to its baseline.
 
 This tool walks both payloads, pairs every numeric leaf whose key ends
 in ``speedup`` or ``hit_rate`` or contains ``speedup_vs`` (the recorded

@@ -2,7 +2,8 @@
 kernel contracts this reproduction's headline claims rest on.
 
 The engine promises bitwise-identical results at any process count,
-on the compiled kernel or the rules' own, with plans on or off.  Those
+on the compiled kernel or the rules' own, with a cold or a warm stepper
+registry.  Those
 promises are upheld by hand-maintained conventions (per-shard
 ``SeedSequence`` derivation, ``plan_token()`` MRO authority, the ``-1``
 padding-mask contract, docs that match the real CLI).  ``reprolint`` encodes each convention as an
