@@ -1,23 +1,13 @@
-"""E12: the future-work extensions — scale-free SMP, Deffuant comparison,
-time-varying links.
+"""E12: the future-work extension — SMP on scale-free graphs.
 
-No paper numbers exist for these (they are the conclusions' open
-questions); the benches record the qualitative outcomes the paper
-anticipates: hub seeding dominates random seeding on scale-free graphs,
-bounded-confidence cluster counts scale like 1/(2*epsilon), and monotone
-dynamos survive link intermittency with proportional slowdown.
+No paper numbers exist for this (it is one of the conclusions' open
+questions); the bench records the qualitative outcome the paper
+anticipates: hub seeding dominates random seeding on scale-free graphs.
 """
 
 import numpy as np
-import pytest
 
-from repro.ext import (
-    compare_with_smp,
-    run_deffuant,
-    run_scale_free_experiment,
-    run_temporal_dynamo,
-)
-from repro.topology import ToroidalMesh
+from repro.ext import run_scale_free_experiment
 
 from bench_helpers import once
 
@@ -41,71 +31,3 @@ def test_hub_vs_random_seeding(benchmark):
     benchmark.extra_info.update(
         hub_fraction=round(hub_frac, 3), random_fraction=round(rand_frac, 3)
     )
-
-
-@pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.5])
-def test_deffuant_cluster_scaling(benchmark, rng, epsilon):
-    topo = ToroidalMesh(10, 10)
-    res = once(benchmark, run_deffuant, topo, epsilon, rng=rng, max_steps=300_000)
-    clusters = len(res.clusters)
-    # classical 1/(2 eps) scaling, with slack for lattice effects
-    assert clusters <= int(1 / epsilon) + 2
-    if epsilon >= 0.5:
-        assert clusters == 1
-    benchmark.extra_info.update(epsilon=epsilon, clusters=clusters)
-
-
-def test_deffuant_vs_smp_comparison(benchmark, rng):
-    topo = ToroidalMesh(8, 8)
-    out = once(benchmark, compare_with_smp, topo, 0.25, 4, rng)
-    assert out["deffuant_clusters"] >= 1
-    assert out["smp_surviving_colors"] >= 1
-    benchmark.extra_info.update(**{k: str(v) for k, v in out.items()})
-
-
-@pytest.mark.parametrize("availability", [1.0, 0.9, 0.7, 0.5])
-def test_temporal_dynamo_slowdown(benchmark, rng, availability):
-    """Monotone dynamos survive moderate link failure with proportional
-    slowdown.  At heavy failure (p = 0.5) takeover is no longer
-    guaranteed: the audible-degree threshold shrinks with the mask, so a
-    seed vertex hearing only two like-colored neighbors defects — the
-    tie/rainbow protection underlying monotone dynamos breaks.  The bench
-    records the outcome either way."""
-    from repro.core import theorem2_mesh_dynamo
-
-    con = theorem2_mesh_dynamo(9, 9)
-    out = once(
-        benchmark, run_temporal_dynamo, con, availability, rng, 100_000
-    )
-    if availability >= 0.7:
-        assert out.reached_monochromatic
-        assert out.slowdown >= 0.99
-    benchmark.extra_info.update(
-        availability=availability,
-        reached=out.reached_monochromatic,
-        rounds=out.rounds,
-        slowdown=None if out.slowdown is None else round(out.slowdown, 2),
-    )
-
-
-def test_temporal_slowdown_monotone_in_failure_rate(benchmark, rng):
-    """Lower availability means more rounds (averaged over 3 runs each)."""
-    from repro.core import theorem2_mesh_dynamo
-
-    con = theorem2_mesh_dynamo(9, 9)
-
-    def run():
-        means = []
-        for p in (1.0, 0.6):
-            rounds = [
-                run_temporal_dynamo(
-                    con, p, np.random.default_rng(17 + i), 100_000
-                ).rounds
-                for i in range(3)
-            ]
-            means.append(sum(rounds) / 3)
-        return means
-
-    full, degraded = once(benchmark, run)
-    assert degraded > full
-    benchmark.extra_info.update(rounds_full=full, rounds_degraded=degraded)

@@ -1,22 +1,16 @@
 #!/usr/bin/env python
 """Future work, implemented: SMP opinion dynamics beyond the torus.
 
-The paper's conclusions propose two follow-ups: run the SMP protocol on
-scale-free networks, and compare against the bounded-confidence (Deffuant)
-model of social influence.  This example does both:
-
-1. hub vs random seeding on Barabasi-Albert graphs (who should get the
-   free samples?);
-2. Deffuant cluster counts vs surviving SMP colors from the same initial
-   opinions on a torus community.
+The paper's conclusions propose running the SMP protocol on scale-free
+networks.  This example compares hub, degree-weighted and random seeding
+on Barabasi-Albert graphs (who should get the free samples?).
 
 Run:  python examples/scale_free_opinions.py
 """
 
 import numpy as np
 
-from repro import ToroidalMesh
-from repro.ext import compare_with_smp, run_scale_free_experiment
+from repro.ext import run_scale_free_experiment
 
 
 def seeding_strategies() -> None:
@@ -41,31 +35,11 @@ def seeding_strategies() -> None:
     print()
     print("Hubs dominate plurality counts: the same 5% budget converts far")
     print("more of the graph when it targets high-degree vertices — the")
-    print("scale-free analogue of a well-placed dynamo.\n")
-
-
-def deffuant_comparison() -> None:
-    print("=== Deffuant bounded confidence vs discretized SMP ===")
-    topo = ToroidalMesh(12, 12)
-    print(f"{'epsilon':>8s} {'Deffuant clusters':>18s} {'SMP colors left':>16s}")
-    for eps in (0.5, 0.25, 0.12):
-        out = compare_with_smp(
-            topo, epsilon=eps, num_colors=6, rng=np.random.default_rng(42)
-        )
-        print(
-            f"{eps:>8.2f} {out['deffuant_clusters']:>18d} "
-            f"{out['smp_surviving_colors']:>16d}"
-        )
-    print()
-    print("Both models fragment as tolerance shrinks: wide confidence bounds")
-    print("merge everyone into one opinion, narrow bounds leave several")
-    print("coexisting clusters — mirroring how SMP fixed points retain")
-    print("multiple colors once no color can assemble local pluralities.")
+    print("scale-free analogue of a well-placed dynamo.")
 
 
 def main() -> None:
     seeding_strategies()
-    deffuant_comparison()
 
 
 if __name__ == "__main__":

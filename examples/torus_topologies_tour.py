@@ -11,8 +11,7 @@ yet their minimum monotone dynamos differ drastically:
 This example makes the mechanism visible: which row/column patterns form
 immovable k-blocks and unreachable non-k-blocks in each torus, how the
 minimum seeds look, and how the takeover waves propagate (diagonal vs
-row-chain), including the time-varying-links robustness experiment from
-the paper's conclusions.
+row-chain).
 
 Run:  python examples/torus_topologies_tour.py
 """
@@ -27,7 +26,6 @@ from repro import (
     make_torus,
     run_synchronous,
 )
-from repro.ext import run_temporal_dynamo
 from repro.viz import render_grid, render_time_matrix
 
 KINDS = ("mesh", "cordalis", "serpentinus")
@@ -83,27 +81,9 @@ def minimum_seeds_and_waves() -> None:
         print()
 
 
-def flaky_links() -> None:
-    print("=== time-varying links (the conclusions' open question) ===")
-    con = build_minimum_dynamo("mesh", 9, 9)
-    print(f"{'availability':>13s} {'reached all-k':>14s} {'rounds':>7s} {'slowdown':>9s}")
-    for p in (1.0, 0.9, 0.7, 0.5):
-        out = run_temporal_dynamo(
-            con, p, rng=np.random.default_rng(11), max_rounds=100_000
-        )
-        slow = f"{out.slowdown:.2f}x" if out.slowdown else "-"
-        print(f"{p:>13.1f} {str(out.reached_monochromatic):>14s} "
-              f"{out.rounds:>7d} {slow:>9s}")
-    print()
-    print("Monotone dynamos tolerate moderate link intermittency (failures")
-    print("delay adoption); under heavy failure the audible-degree threshold")
-    print("shrinks and even seed vertices can defect - takeover may be lost.")
-
-
 def main() -> None:
     block_anatomy()
     minimum_seeds_and_waves()
-    flaky_links()
 
 
 if __name__ == "__main__":

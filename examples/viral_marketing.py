@@ -6,8 +6,10 @@ Selection — pick the cheapest set of early adopters whose influence
 converts the whole network.  This example runs both machineries on the
 same torus "community":
 
-1. classic TSS — greedy seed selection under the linear threshold model,
-   versus the exact minimum on a small instance;
+1. classic TSS — on a degree-4 torus the simple-majority linear threshold
+   model is 2-neighbor bootstrap percolation, so the exact minimum target
+   set is the bootstrap floor; a random seed of the same size typically
+   stalls;
 2. multi-color SMP — the Theorem-4 minimum dynamo as a "campaign" seeding
    one product color against three competitor colors.
 
@@ -17,20 +19,21 @@ Run:  python examples/viral_marketing.py
 import numpy as np
 
 from repro import SMPRule, TorusCordalis, run_synchronous, theorem4_cordalis_dynamo
-from repro.tss import activate, exact_minimum_target_set, greedy_target_set
+from repro.core import bootstrap_closure, min_bootstrap_percolating_size
 from repro.viz import render_grid
 
 
 def classic_tss(topo: TorusCordalis) -> None:
-    print("=== classic TSS (linear threshold, simple majority) ===")
-    greedy = greedy_target_set(topo, "simple")
-    res = activate(topo, np.asarray(greedy), "simple")
-    print(f"greedy target set: {len(greedy)} seeds {greedy}")
-    print(f"activates {res.num_active}/{topo.num_vertices} vertices "
-          f"in {res.rounds} rounds")
-    if topo.num_vertices <= 20:
-        exact = exact_minimum_target_set(topo, "simple")
-        print(f"exact minimum    : {len(exact)} seeds {exact}")
+    print("=== classic TSS (linear threshold = 2-neighbor bootstrap) ===")
+    size, witness = min_bootstrap_percolating_size(topo)
+    active = bootstrap_closure(topo, witness)
+    print(f"exact minimum target set: {size} seeds {witness.tolist()}")
+    print(f"activates {int(active.sum())}/{topo.num_vertices} vertices")
+    rng = np.random.default_rng(3)
+    scatter = rng.choice(topo.num_vertices, size=size, replace=False)
+    reached = int(bootstrap_closure(topo, scatter).sum())
+    print(f"random seeds {sorted(scatter.tolist())}: "
+          f"activates {reached}/{topo.num_vertices} vertices")
     print()
 
 

@@ -6,9 +6,10 @@ dynamo simulation under the SMP-Protocol on toroidal meshes, tori cordalis
 and tori serpentinus, with the paper's explicit minimum-dynamo
 constructions, size bounds, round-count formulas, structural certificates
 (k-blocks / non-k-blocks), exhaustive lower-bound searches, the bi-colored
-majority baselines of Flocchini et al., a TSS substrate, and the paper's
-future-work extensions (scale-free graphs, bounded-confidence comparison,
-time-varying links).
+majority baselines of Flocchini et al., the linear-threshold rule and
+irreversible (bootstrap) bridge of the Target Set Selection framing, and
+the paper's future-work extensions (scale-free graphs, asynchronous
+schedules).
 
 Quickstart
 ----------
@@ -50,7 +51,6 @@ from .engine import (
     run_asynchronous,
     run_batch,
     run_synchronous,
-    run_temporal,
 )
 from .rules import (
     GeneralizedPluralityRule,
@@ -70,7 +70,6 @@ from .structures import (
 )
 from .topology import (
     GraphTopology,
-    TemporalTopology,
     ToroidalMesh,
     TorusCordalis,
     TorusSerpentinus,
@@ -86,7 +85,6 @@ __all__ = [
     "TorusCordalis",
     "TorusSerpentinus",
     "GraphTopology",
-    "TemporalTopology",
     "make_torus",
     # rules
     "Rule",
@@ -102,7 +100,6 @@ __all__ = [
     "run_synchronous",
     "run_batch",
     "run_asynchronous",
-    "run_temporal",
     # structures
     "k_blocks",
     "non_k_blocks",

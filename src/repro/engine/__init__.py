@@ -1,4 +1,4 @@
-"""Simulation engine: synchronous, asynchronous, and temporal drivers."""
+"""Simulation engine: synchronous, batched and asynchronous drivers."""
 
 from .metrics import (
     adoption_curve,
@@ -23,7 +23,6 @@ from .result import RunResult
 from .runner import default_round_cap, run_synchronous, validate_round_cap
 from .schedulers import AsyncSchedule, run_asynchronous, run_asynchronous_batch
 from .stencil import compile_stepper
-from .temporal import run_temporal, run_temporal_batch
 
 __all__ = [
     "RunResult",
@@ -34,8 +33,6 @@ __all__ = [
     "AsyncSchedule",
     "run_asynchronous",
     "run_asynchronous_batch",
-    "run_temporal",
-    "run_temporal_batch",
     "ExecutionSettings",
     "RunStats",
     "RunCancelled",

@@ -21,8 +21,8 @@ Semantics mirror :func:`~repro.engine.runner.run_synchronous` row for row:
   does.  A 128-bit digest history (one array over the live rows, compared
   in one vectorized operation per round) triggers the check, and a stored
   state history decides it, so the verdict is exact;
-* **frozen / irreversible vertices** — stubborn-entity pinning and the
-  Chang-Lyuu irreversible variant, applied batch-wide;
+* **irreversible color** — the Chang-Lyuu irreversible variant, applied
+  batch-wide;
 * **monotonicity monitoring** w.r.t. a target color (Definition 3).
 
 The generic :meth:`step_batch` falls back to looping the rule's scalar
@@ -42,7 +42,7 @@ affects results, seeds, or witness-database cache keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from ..rules.base import Rule
 from ..topology.base import Topology
 from .plans import stepper_for
 from .result import RunResult
-from .runner import parse_frozen, validate_round_cap
+from .runner import validate_round_cap
 
 __all__ = ["BatchRunResult", "DYNAMICS_VERSION", "run_batch", "as_color_batch"]
 
@@ -168,7 +168,6 @@ def run_batch(
     *,
     max_rounds: Optional[int] = None,
     target_color: Optional[int] = None,
-    frozen: Optional[Iterable[int]] = None,
     irreversible_color: Optional[int] = None,
     detect_cycles: bool = True,
     schedule: Optional["AsyncSchedule"] = None,
@@ -188,7 +187,7 @@ def run_batch(
     AsyncSchedule`), with ``max_rounds`` counting sweeps.  Schedule mode
     delegates to :func:`~repro.engine.schedulers.run_asynchronous_batch`
     — kernels are compiled by the scheduler's own vectorizer, and the
-    frozen / irreversible / cycle-detection features of the synchronous
+    irreversible-color and cycle-detection features of the synchronous
     engine are not available.
 
     Execution walks a *compact* working set: retired rows leave it, so a
@@ -208,10 +207,10 @@ def run_batch(
     ``detect_cycles=False`` is that oracle), at a fraction of the rounds.
     """
     if schedule is not None:
-        if frozen is not None or irreversible_color is not None:
+        if irreversible_color is not None:
             raise ValueError(
-                "frozen / irreversible vertices are a synchronous-engine "
-                "feature; schedule mode does not support them"
+                "an irreversible color is a synchronous-engine feature; "
+                "schedule mode does not support it"
             )
         from .schedulers import run_asynchronous_batch
 
@@ -228,9 +227,6 @@ def run_batch(
     stepper = stepper_for(rule, topo, b)
     max_rounds = validate_round_cap(max_rounds, topo)
     n = topo.num_vertices
-
-    frozen_idx = parse_frozen(frozen, topo.num_vertices)
-    frozen_values = colors[:, frozen_idx].copy() if frozen_idx is not None else None
 
     converged = np.zeros(b, dtype=bool)
     rounds = np.zeros(b, dtype=np.int32)
@@ -271,8 +267,6 @@ def run_batch(
         if not ids.size:
             break
         new = stepper(work)
-        if frozen_idx is not None and frozen_idx.size:
-            new[:, frozen_idx] = frozen_values[ids]
         if irreversible_color is not None:
             np.copyto(new, irreversible_color, where=work == irreversible_color)
         changed = new != work

@@ -11,7 +11,7 @@ unit.  :func:`run_synchronous` executes that loop with:
   non-dynamo configurations can oscillate, e.g. under Prefer-Black),
 * per-vertex first/last change tracking for the Figure 5/6 matrices,
 * monotonicity monitoring w.r.t. a target color (Definition 3),
-* optional freezing of a vertex subset (irreversible/stubborn variants).
+* an optional absorbing color (the irreversible variant).
 
 Each round runs the same compiled kernel as the batched engine
 (:func:`~repro.engine.stencil.compile_stepper` on a ``(1, N)`` view,
@@ -27,7 +27,7 @@ otherwise; callers can always override.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .result import RunResult
 __all__ = [
     "run_synchronous",
     "default_round_cap",
-    "parse_frozen",
     "validate_round_cap",
 ]
 
@@ -58,9 +57,9 @@ def validate_round_cap(
     ``None`` means :func:`default_round_cap`; ``0`` is a legal budget
     (the run reports its initial state); negatives and non-integers
     raise :class:`ValueError` with a message naming ``flag``.  The
-    scalar runner, the batched engine, and the temporal driver all
-    route their caps through here, so "how many rounds is a run allowed"
-    has exactly one answer and one failure mode.
+    scalar runner, the batched engine, and both asynchronous drivers
+    (``flag="max_sweeps"``) route their caps through here, so "how many
+    rounds is a run allowed" has exactly one answer and one failure mode.
     """
     if max_rounds is None:
         return default_round_cap(topo)
@@ -80,22 +79,6 @@ def _state_digest(colors: np.ndarray) -> bytes:
     return hashlib.blake2b(colors.tobytes(), digest_size=16).digest()
 
 
-def parse_frozen(
-    frozen: Optional[Iterable[int]], num_vertices: int
-) -> Optional[np.ndarray]:
-    """Normalize a frozen-vertex spec to a sorted unique int64 index array.
-
-    Shared by the scalar and batched runners; returns ``None`` when no
-    freezing was requested.
-    """
-    if frozen is None:
-        return None
-    idx = np.asarray(sorted(set(int(v) for v in frozen)), dtype=np.int64)
-    if idx.size and (idx[0] < 0 or idx[-1] >= num_vertices):
-        raise ValueError("frozen vertex id out of range")
-    return idx
-
-
 def run_synchronous(
     topo: Topology,
     initial: Sequence[int] | np.ndarray,
@@ -103,7 +86,6 @@ def run_synchronous(
     *,
     max_rounds: Optional[int] = None,
     target_color: Optional[int] = None,
-    frozen: Optional[Iterable[int]] = None,
     irreversible_color: Optional[int] = None,
     track_changes: bool = True,
     detect_cycles: bool = True,
@@ -122,9 +104,6 @@ def run_synchronous(
         When given, the run also reports whether it was *monotone* for that
         color: the set of ``target_color``-colored vertices at round ``t``
         is a subset of the one at ``t + 1`` (Definition 3).
-    frozen:
-        Vertex ids whose color is pinned to its initial value (stubborn
-        entities; also used to certify immutability claims in tests).
     irreversible_color:
         When given, vertices that ever hold this color keep it forever
         (the *irreversible* dynamo variant of Chang-Lyuu, ref [9] of the
@@ -152,9 +131,6 @@ def run_synchronous(
     stepper = None
     if type(rule).step is Rule.step:
         stepper = stepper_for(rule, topo, 1)
-
-    frozen_idx = parse_frozen(frozen, topo.num_vertices)
-    frozen_values = colors[frozen_idx].copy() if frozen_idx is not None else None
 
     n = topo.num_vertices
     last_change = np.zeros(n, dtype=np.int32) if track_changes else None
@@ -184,8 +160,6 @@ def run_synchronous(
             # the stepper may return internal scratch; copy into the
             # double buffer before the swap
             np.copyto(buf, stepper(colors[None, :])[0])
-        if frozen_idx is not None and frozen_idx.size:
-            buf[frozen_idx] = frozen_values
         if irreversible_color is not None:
             np.copyto(buf, irreversible_color, where=colors == irreversible_color)
         changed = buf != colors

@@ -40,7 +40,7 @@ from ..rules.base import Rule, as_color_array
 from ..topology.base import Topology
 from .stencil import _definer, rule_spec
 from .result import RunResult
-from .runner import default_round_cap
+from .runner import validate_round_cap
 
 __all__ = ["AsyncSchedule", "run_asynchronous", "run_asynchronous_batch"]
 
@@ -63,8 +63,7 @@ def run_asynchronous(
     """
     colors = as_color_array(initial, topo.num_vertices).copy()
     n = topo.num_vertices
-    if max_sweeps is None:
-        max_sweeps = default_round_cap(topo)
+    max_sweeps = validate_round_cap(max_sweeps, topo, flag="max_sweeps")
 
     if isinstance(order, str):
         if order == "fixed":
@@ -331,10 +330,7 @@ def run_asynchronous_batch(
             f"schedule pins {schedule.batch_size} rows but the batch "
             f"has {b}"
         )
-    if max_sweeps is None:
-        max_sweeps = default_round_cap(topo)
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    max_sweeps = validate_round_cap(max_sweeps, topo, flag="max_sweeps")
 
     update, validate = _compile_vertex_update(rule, topo)
     if validate is not None:

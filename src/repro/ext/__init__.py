@@ -1,4 +1,4 @@
-"""Future-work extensions: scale-free SMP, Deffuant comparison, temporal tori."""
+"""Future-work extensions: scale-free SMP and asynchronous-schedule robustness."""
 
 from .asynchrony import (
     AsyncRobustness,
@@ -6,7 +6,6 @@ from .asynchrony import (
     derive_schedule_root,
     order_sensitivity,
 )
-from .deffuant import DeffuantResult, compare_with_smp, opinion_clusters, run_deffuant
 from .scale_free import (
     SCALE_FREE_STRATEGIES,
     ScaleFreeCell,
@@ -16,13 +15,6 @@ from .scale_free import (
     run_scale_free_experiment,
     scale_free_takeover_census,
     seed_vertices,
-)
-from .stubborn import StubbornOutcome, stubborn_blockade, stubborn_core_experiment
-from .temporal_experiments import (
-    TemporalBatchOutcome,
-    TemporalOutcome,
-    run_temporal_dynamo,
-    run_temporal_dynamo_batch,
 )
 
 __all__ = [
@@ -38,15 +30,4 @@ __all__ = [
     "seed_vertices",
     "run_scale_free_experiment",
     "scale_free_takeover_census",
-    "DeffuantResult",
-    "run_deffuant",
-    "opinion_clusters",
-    "compare_with_smp",
-    "TemporalBatchOutcome",
-    "TemporalOutcome",
-    "run_temporal_dynamo",
-    "run_temporal_dynamo_batch",
-    "StubbornOutcome",
-    "stubborn_blockade",
-    "stubborn_core_experiment",
 ]

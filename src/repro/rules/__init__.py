@@ -13,7 +13,7 @@ from .threshold import ACTIVE, INACTIVE, LinearThresholdRule
 #: The constructor receives the make_rule keyword options; the palette
 #: function maps a palette size to the ``(low, size, target)`` domain of
 #: random replicas for that rule — bi-colored majority baselines live on
-#: ``{WHITE=1, BLACK=2}`` targeting the faulty color, the TSS threshold
+#: ``{WHITE=1, BLACK=2}`` targeting the faulty color, the linear-threshold
 #: rule on ``{0, 1}`` targeting the active state, the ordered rule
 #: targets its absorbing top color, everything else targets color 0 of
 #: ``0..num_colors-1``.  Adding a rule here is the only edit needed for

@@ -2,9 +2,9 @@
 
 The paper's introduction points at a second multi-color model studied by
 the same authors ("Multicolored dynamos on toroidal meshes", CoRR
-abs/1012.4404, and "Stubborn entities in colored toroidal meshes", ICTCS
-2010): when the color set is an *ordered* set of integers, "a node
-recoloring itself increases its color by one".
+abs/1012.4404, and their ICTCS 2010 companion, ref [5]): when the color
+set is an *ordered* set of integers, "a node recoloring itself increases
+its color by one".
 
 Our formalization (documented here because the companion papers give the
 rule informally): colors are ``0..num_colors-1``; a vertex holding color

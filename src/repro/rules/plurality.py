@@ -15,8 +15,7 @@ strong-majority-style variants (``ceil((d+1)/2)``) can be explored.
 The kernel is the *counting* kernel: colors are assumed to be small integers
 ``0..num_colors-1``; a per-vertex histogram is accumulated with one fused
 scatter per neighbor slot (max-degree iterations of vectorized work — fine
-because real max degrees are tiny compared to N).  This kernel also powers
-the temporal-topology path, where a per-round boolean mask removes edges.
+because real max degrees are tiny compared to N).
 """
 
 from __future__ import annotations
@@ -78,69 +77,6 @@ class GeneralizedPluralityRule(Rule):
                 f"colors must lie in [0, {self.num_colors}); "
                 "construct the rule with the full palette size"
             )
-
-    def step_masked(
-        self,
-        colors: np.ndarray,
-        topo: Topology,
-        mask: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One round where only ``mask``-ed neighbor slots are audible.
-
-        ``mask`` has the neighbor-table shape; padding slots must be masked
-        out by the caller (they are whenever the mask came from
-        :class:`~repro.topology.temporal.AvailabilityProcess`).  Runs as a
-        one-row view through :meth:`step_masked_batch` — one masked kernel,
-        no scalar/batched drift.
-        """
-        if out is None:
-            return self.step_masked_batch(colors[None, :], topo, mask)[0]
-        self.step_masked_batch(colors[None, :], topo, mask, out=out[None, :])
-        return out
-
-    def step_masked_batch(
-        self,
-        colors: np.ndarray,
-        topo: Topology,
-        mask: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Masked round for a ``(B, N)`` replica block under one shared mask.
-
-        The replica-batched analogue of :meth:`step_masked`: every row
-        hears the same availability mask (a shared link-failure trace),
-        and the adoption threshold is computed from the *audible* degree.
-        This is the kernel of :func:`repro.engine.temporal.run_temporal_batch`.
-        """
-        self._validate_palette(colors)
-        nb = topo.neighbors
-        if mask.shape != nb.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match the neighbor "
-                f"table {nb.shape}"
-            )
-        b, n = colors.shape
-        counts = np.zeros((b, n, self.num_colors), dtype=np.int32)
-        b_idx = np.arange(b)[:, None]
-        # One vectorized scatter per neighbor slot; max_degree is small.
-        safe_nb = np.where(mask, nb, 0)  # masked slots counted then discarded
-        for s in range(nb.shape[1]):
-            cols = np.flatnonzero(mask[:, s])
-            np.add.at(
-                counts, (b_idx, cols[None, :], colors[:, safe_nb[cols, s]]), 1
-            )
-        audible_degree = mask.sum(axis=1).astype(np.int64)
-        thresholds = self.threshold_fn(audible_degree)
-        reaching = counts >= thresholds[None, :, None]
-        n_reaching = reaching.sum(axis=2)
-        winner = np.argmax(counts, axis=2).astype(np.int32)
-        adopt = (n_reaching == 1) & (audible_degree > 0)
-        result = np.where(adopt, winner, colors).astype(np.int32, copy=False)
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
 
     def step_batch(
         self,

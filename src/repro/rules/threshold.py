@@ -1,4 +1,5 @@
-"""Linear-threshold activation rule — the TSS substrate the paper extends.
+"""Linear-threshold activation rule — the Target Set Selection model the
+paper extends to many colors.
 
 Target Set Selection (Section I of the paper; Kempe-Kleinberg-Tardos 2003,
 Chang-Lyuu 2009) works on two states, inactive (0) and active (1), with a
@@ -12,6 +13,12 @@ Thresholds are per-vertex.  The classical settings from the literature
 * ``"strong"``  — ``floor(d(v)/2) + 1``,
 * ``"unanimous"`` — ``d(v)``,
 * an explicit integer vector.
+
+On the degree-4 tori ``"simple"`` is exactly 2-neighbor bootstrap
+percolation, so the fixed point of a seed set is
+:func:`repro.core.irreversible.bootstrap_closure` of it (pinned in
+``tests/test_core_irreversible_floor.py``); the CLI reaches this rule as
+``sweep --rule threshold``.
 """
 
 from __future__ import annotations

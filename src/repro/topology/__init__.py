@@ -5,19 +5,12 @@ Public classes
 * :class:`ToroidalMesh`, :class:`TorusCordalis`, :class:`TorusSerpentinus` —
   the degree-4 grid variants of Section II-A.
 * :class:`GraphTopology` — any undirected graph (scale-free extension).
-* :class:`TemporalTopology` — time-varying link availability (future work).
+* :class:`OpenMesh` — the non-wrapping grid (boundary-effect comparisons).
 """
 
 from .base import GridTopology, Topology
 from .graph import GraphTopology
 from .lattice import OpenMesh
-from .temporal import (
-    AlwaysAvailable,
-    AvailabilityProcess,
-    BernoulliAvailability,
-    PeriodicAvailability,
-    TemporalTopology,
-)
 from .tori import (
     TORUS_CLASSES,
     ToroidalMesh,
@@ -36,9 +29,4 @@ __all__ = [
     "make_torus",
     "GraphTopology",
     "OpenMesh",
-    "TemporalTopology",
-    "AvailabilityProcess",
-    "AlwaysAvailable",
-    "BernoulliAvailability",
-    "PeriodicAvailability",
 ]

@@ -3,7 +3,7 @@
 A :class:`Topology` is a finite undirected graph given by a dense neighbor
 table.  The simulation engine (:mod:`repro.engine`) consumes only this table,
 so every interaction structure in the library — the three torus variants of
-the paper, arbitrary ``networkx`` graphs, and temporal graphs — presents the
+the paper, the open grid, and arbitrary ``networkx`` graphs — presents the
 same interface.
 
 Design notes (hpc-parallel idioms)

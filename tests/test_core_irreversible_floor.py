@@ -17,8 +17,8 @@ from repro.core import (
     theorem2_mesh_dynamo,
     verify_floor_witnesses,
 )
-from repro.engine import run_synchronous
-from repro.rules import SMPRule
+from repro.engine import run_batch, run_synchronous
+from repro.rules import LinearThresholdRule, SMPRule
 from repro.topology import OpenMesh, ToroidalMesh
 
 from helpers import TORUS_KINDS
@@ -99,6 +99,25 @@ def test_bootstrap_closure_basics(torus_kind):
 def test_full_seed_percolates(torus_kind):
     topo = TORUS_KINDS[torus_kind](3, 3)
     assert bootstrap_percolates(topo, np.arange(9))
+
+
+@pytest.mark.parametrize("n,floor", [(3, 2), (4, 3)])
+def test_simple_threshold_rule_is_two_neighbor_bootstrap(rng, torus_kind, n, floor):
+    """On the degree-4 tori the CLI's ``threshold`` rule (``"simple"``:
+    activate on ceil(4/2) = 2 active neighbors) is exactly 2-neighbor
+    bootstrap percolation: its fixed point is the seed's closure row for
+    row, so both share the bootstrap floor."""
+    topo = TORUS_KINDS[torus_kind](n, n)
+    seeds = rng.integers(0, 2, size=(300, topo.num_vertices)).astype(np.int32)
+    res = run_batch(topo, seeds, LinearThresholdRule("simple"))
+    assert res.converged.all()
+    for row, final in zip(seeds, res.final):
+        assert np.array_equal(final == 1, bootstrap_closure(topo, row == 1, 2))
+    size, witness = min_bootstrap_percolating_size(topo, max_size=n)
+    assert size == floor
+    seed = np.zeros((1, topo.num_vertices), dtype=np.int32)
+    seed[0, witness] = 1
+    assert run_batch(topo, seed, LinearThresholdRule("simple")).final.all()
 
 
 # ----------------------------------------------------------------------

@@ -180,8 +180,10 @@ def test_max_sweeps_cuts_off_unconverged_rows(rng):
     assert np.array_equal(res.rounds[cut], np.ones(cut.sum(), dtype=np.int32))
     assert (res.cycle_length[cut] == 0).all()
     assert (res.fixed_point_round[cut] == -1).all()
-    with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
-        run_asynchronous_batch(topo, batch, rule, sched, max_sweeps=0)
+    with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+        run_asynchronous_batch(topo, batch, rule, sched, max_sweeps=-1)
+    zero = run_asynchronous_batch(topo, batch, rule, sched, max_sweeps=0)
+    assert np.array_equal(zero.final, batch) and not zero.converged.any()
 
 
 def test_batch_size_mismatch_raises(rng):
@@ -223,7 +225,5 @@ def test_run_batch_schedule_mode_rejects_pinning_flags(rng):
     topo = ToroidalMesh(3, 3)
     batch = rng.integers(0, 4, size=(2, 9)).astype(np.int32)
     sched = AsyncSchedule.derive(0, 2)
-    with pytest.raises(ValueError, match="synchronous-engine feature"):
-        run_batch(topo, batch, SMPRule(), schedule=sched, frozen=[0])
     with pytest.raises(ValueError, match="synchronous-engine feature"):
         run_batch(topo, batch, SMPRule(), schedule=sched, irreversible_color=0)

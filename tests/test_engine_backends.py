@@ -45,12 +45,11 @@ RULE_CASES = {
     "threshold": (lambda: LinearThresholdRule("simple"), 0, 2, 1),
 }
 
-#: engine-flag variants of the parity matrix: cycle detection on/off,
-#: frozen vertices, and the irreversible-color mode
+#: engine-flag variants of the parity matrix: cycle detection on/off
+#: and the irreversible-color mode
 VARIANTS = {
     "plain": {},
     "no-cycles": {"detect_cycles": False},
-    "frozen": {"frozen": [0, 3, 7]},
     "irreversible": {},  # irreversible_color filled per-case (target)
 }
 
@@ -327,7 +326,7 @@ def test_threshold_cache_is_identity_safe_and_picklable():
 def test_custom_rule_without_spec_falls_back(rng, compiled):
     """A rule with no kernel spec runs via its own step_batch everywhere."""
 
-    class Stubborn(Rule):
+    class Inert(Rule):
         def step(self, colors, topo, out=None):
             if out is None:
                 return colors.copy()
@@ -338,7 +337,7 @@ def test_custom_rule_without_spec_falls_back(rng, compiled):
             return current
 
     topo = ToroidalMesh(3, 3)
-    rule = Stubborn()
+    rule = Inert()
     assert rule.kernel_spec(topo) is None
     batch = rng.integers(0, 3, size=(4, 9)).astype(np.int32)
     res = run_batch(topo, batch, rule, max_rounds=10)

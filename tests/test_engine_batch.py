@@ -2,8 +2,8 @@
 
 The contract of :func:`repro.engine.batch.run_batch` is row-for-row
 bitwise agreement with :func:`repro.engine.runner.run_synchronous` — for
-*every* rule, on every torus kind, including frozen and irreversible
-vertices and cycle detection.  Seeded property tests below pin that
+*every* rule, on every torus kind, including the irreversible color and
+cycle detection.  Seeded property tests below pin that
 contract for all five rule families; the fast per-rule ``step_batch``
 kernels are additionally checked against the base-class row-loop oracle.
 """
@@ -32,7 +32,7 @@ from helpers import TORUS_KINDS, CyclicRule
 
 #: (name, rule factory, palette low, palette size, target color) — one per
 #: rule family; palettes respect each rule's domain (bi-colored majority
-#: on {WHITE=1, BLACK=2}, TSS threshold on {0, 1}).
+#: on {WHITE=1, BLACK=2}, linear threshold on {0, 1}).
 RULE_CASES = {
     "smp": (lambda: SMPRule(), 0, 4, 0),
     "majority": (lambda: ReverseSimpleMajority("prefer-black"), 1, 2, 2),
@@ -141,21 +141,6 @@ def test_run_batch_matches_run_synchronous_property(seed, b):
         batch = _random_batch(rng, topo, low, palette, b)
         res = run_batch(topo, batch, rule, max_rounds=60, target_color=target)
         _assert_rows_match(res, topo, batch, rule, target, max_rounds=60)
-
-
-def test_run_batch_frozen_matches(rng, torus_kind):
-    topo = TORUS_KINDS[torus_kind](4, 4)
-    rule = SMPRule()
-    frozen = [0, 5, 11]
-    batch = _random_batch(rng, topo, 0, 3, 24)
-    res = run_batch(
-        topo, batch, rule, max_rounds=80, target_color=0, frozen=frozen
-    )
-    _assert_rows_match(
-        res, topo, batch, rule, 0, max_rounds=80, frozen=frozen
-    )
-    # frozen vertices really are pinned to their per-row initial colors
-    assert np.array_equal(res.final[:, frozen], batch[:, frozen])
 
 
 def test_run_batch_irreversible_matches(rng, torus_kind):
@@ -315,7 +300,7 @@ def test_run_batch_row_view(rng):
 def test_run_batch_fallback_rule_without_kernel(rng):
     """A rule that never overrides step_batch still runs batched."""
 
-    class Stubborn(Rule):
+    class Inert(Rule):
         def step(self, colors, topo, out=None):
             if out is None:
                 return colors.copy()
@@ -327,7 +312,7 @@ def test_run_batch_fallback_rule_without_kernel(rng):
 
     topo = ToroidalMesh(3, 3)
     batch = _random_batch(rng, topo, 0, 3, 4)
-    res = run_batch(topo, batch, Stubborn(), max_rounds=10, target_color=0)
+    res = run_batch(topo, batch, Inert(), max_rounds=10, target_color=0)
     assert res.converged.all()
     assert (res.rounds == 0).all()
     assert np.array_equal(res.final, batch)

@@ -23,12 +23,7 @@ from repro.rules import (
     LinearThresholdRule,
     OrderedIncrementRule,
 )
-from repro.topology import (
-    AlwaysAvailable,
-    GraphTopology,
-    TemporalTopology,
-    ToroidalMesh,
-)
+from repro.topology import GraphTopology, ToroidalMesh
 
 from helpers import rule_kernel_only
 
@@ -77,13 +72,12 @@ def _assert_results_equal(res, ref, context):
 # ----------------------------------------------------------------------
 # parity: compiled vs own kernel x rules x irregular graphs, via run_batch
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("variant", ["plain", "no-cycles", "frozen"])
+@pytest.mark.parametrize("variant", ["plain", "no-cycles"])
 def test_irregular_parity_matrix(rng, rule_case, compiled, variant):
     factory, palette, target = RULE_CASES[rule_case]
     kwargs = {
         "plain": {},
         "no-cycles": {"detect_cycles": False},
-        "frozen": {"frozen": [0, 2]},
     }[variant]
     for name, topo in _graphs().items():
         rule = factory()
@@ -176,12 +170,8 @@ def test_structure_token_is_content_addressed():
             != GraphTopology([(0, 1), (1, 2)]).structure_token())
 
 
-def test_structure_token_default_and_temporal_delegation():
-    torus = ToroidalMesh(4, 4)
-    assert torus.structure_token() is None
-    graph = _same_ba()
-    ttopo = TemporalTopology(graph, AlwaysAvailable())
-    assert ttopo.structure_token() == graph.structure_token()
+def test_structure_token_defaults_to_none_on_tori():
+    assert ToroidalMesh(4, 4).structure_token() is None
 
 
 def test_topology_token_uses_structure_token():

@@ -26,13 +26,15 @@ import pytest
 from repro import obs
 from repro.core.search import random_dynamo_search
 from repro.engine import (
+    AsyncSchedule,
     ExecutionSettings,
     clear_plan_cache,
     default_round_cap,
     plan_cache_stats,
+    run_asynchronous,
+    run_asynchronous_batch,
     run_batch,
     run_synchronous,
-    run_temporal,
     validate_round_cap,
 )
 from repro.engine.plans import (
@@ -54,12 +56,7 @@ from repro.rules import (
     Rule,
     SMPRule,
 )
-from repro.topology import (
-    AlwaysAvailable,
-    BernoulliAvailability,
-    TemporalTopology,
-    ToroidalMesh,
-)
+from repro.topology import ToroidalMesh
 
 from helpers import TORUS_KINDS, CyclicRule, rule_kernel_only
 
@@ -79,11 +76,10 @@ RULE_CASES = {
     "cyclic": (lambda: CyclicRule(3), 0, 3, 0),
 }
 
-#: engine-flag variants: cycle detection on/off x frozen/irreversible
+#: engine-flag variants: cycle detection on/off x irreversible color
 VARIANTS = {
     "plain": {},
     "no-cycles": {"detect_cycles": False},
-    "frozen": {"frozen": [0, 3, 7], "detect_cycles": False},
     "irreversible": {"detect_cycles": False},  # irreversible_color per-case
 }
 
@@ -372,7 +368,7 @@ def test_unhashable_plan_token_is_withheld():
 
 
 def test_custom_rule_without_token_is_never_cached(rng):
-    class Stubborn(Rule):
+    class Inert(Rule):
         def step(self, colors, topo, out=None):
             if out is None:
                 return colors.copy()
@@ -383,9 +379,9 @@ def test_custom_rule_without_token_is_never_cached(rng):
             return current
 
     topo = ToroidalMesh(3, 3)
-    assert rule_plan_token(Stubborn()) is None
+    assert rule_plan_token(Inert()) is None
     batch = rng.integers(0, 3, size=(4, 9)).astype(np.int32)
-    run_batch(topo, batch, Stubborn(), max_rounds=5)
+    run_batch(topo, batch, Inert(), max_rounds=5)
     assert plan_cache_stats().size == 0
 
 
@@ -514,7 +510,7 @@ def test_sharded_search_keeps_parent_cache_untouched():
 
 
 # ----------------------------------------------------------------------
-# the shared round-cap validator (batch / scalar / temporal agree)
+# the shared round-cap validator (batch / scalar / async agree)
 # ----------------------------------------------------------------------
 def test_validate_round_cap_shared_semantics():
     topo = ToroidalMesh(3, 3)
@@ -529,27 +525,32 @@ def test_all_drivers_reject_negative_caps_and_accept_zero(rng):
     topo = ToroidalMesh(3, 3)
     colors = rng.integers(0, 3, size=9).astype(np.int32)
     batch = colors[None, :]
-    ttopo = TemporalTopology(topo, AlwaysAvailable())
-    plurality = GeneralizedPluralityRule(3)
-    for call in (
-        lambda mr: run_batch(topo, batch, SMPRule(), max_rounds=mr),
-        lambda mr: run_synchronous(topo, colors, SMPRule(), max_rounds=mr),
-        lambda mr: run_temporal(ttopo, colors, plurality, max_rounds=mr),
+    sched = AsyncSchedule.derive(0, 1)
+    for call, flag in (
+        (lambda mr: run_batch(topo, batch, SMPRule(), max_rounds=mr), "max_rounds"),
+        (
+            lambda mr: run_synchronous(topo, colors, SMPRule(), max_rounds=mr),
+            "max_rounds",
+        ),
+        (
+            lambda mr: run_asynchronous(topo, colors, SMPRule(), max_sweeps=mr),
+            "max_sweeps",
+        ),
+        (
+            lambda mr: run_asynchronous_batch(
+                topo, batch, SMPRule(), sched, max_sweeps=mr
+            ),
+            "max_sweeps",
+        ),
+        (
+            lambda mr: run_batch(topo, batch, SMPRule(), max_rounds=mr, schedule=sched),
+            "max_sweeps",
+        ),
     ):
-        with pytest.raises(ValueError, match="max_rounds"):
-            call(-1)
+        for bad in (-1, 2.5):
+            with pytest.raises(ValueError, match=flag):
+                call(bad)
         res = call(0)
         final = res.final if res.final.ndim == 1 else res.final[0]
         assert np.array_equal(final, colors)
-
-
-def test_temporal_default_cap_is_the_shared_budget():
-    """run_temporal's magic 10_000 is gone: a never-converging run under
-    the default cap stops at default_round_cap(topo)."""
-    topo = ToroidalMesh(4, 4)
-    rng = np.random.default_rng(3)
-    ttopo = TemporalTopology(topo, BernoulliAvailability(0.0, rng))
-    colors = (np.arange(16) % 3).astype(np.int32)
-    res = run_temporal(ttopo, colors, GeneralizedPluralityRule(3))
-    assert not res.converged
-    assert res.rounds == default_round_cap(topo)
+        assert not np.any(res.converged) and np.all(res.rounds == 0)

@@ -122,25 +122,6 @@ def test_monotone_none_without_target():
     assert res.monotone is None and res.target_color is None
 
 
-def test_frozen_vertices_never_change():
-    from repro.core import theorem2_mesh_dynamo
-
-    con = theorem2_mesh_dynamo(5, 5)
-    frozen = [int(np.flatnonzero(~con.seed)[0])]
-    res = run_synchronous(
-        con.topo, con.colors, SMPRule(), target_color=con.k, frozen=frozen
-    )
-    assert res.final[frozen[0]] == con.colors[frozen[0]]
-
-
-def test_frozen_out_of_range_rejected():
-    topo = ToroidalMesh(3, 3)
-    with pytest.raises(ValueError):
-        run_synchronous(
-            topo, np.zeros(9, dtype=np.int32), SMPRule(), frozen=[99]
-        )
-
-
 def test_cycle_detection_reports_period():
     """Under Prefer-Black a 2-row black band on a 4-row torus blinks:
     rows with two black vertical neighbors go black, the old band's rows

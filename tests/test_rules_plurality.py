@@ -96,21 +96,6 @@ def test_strong_threshold_variant_is_stricter(rng):
     assert np.array_equal(strong[strong_changed], simple[strong_changed])
 
 
-def test_masked_step_ignores_masked_neighbors():
-    topo = ToroidalMesh(3, 3)
-    colors = np.zeros(9, dtype=np.int32)
-    colors[4] = 1
-    rule = GeneralizedPluralityRule(num_colors=2)
-    # mask everything -> nobody hears anything -> nothing changes
-    mask = np.zeros_like(topo.neighbors, dtype=bool)
-    out = rule.step_masked(colors, topo, mask)
-    assert np.array_equal(out, colors)
-    # full mask -> the lone 1 is outvoted
-    full = np.ones_like(topo.neighbors, dtype=bool)
-    out2 = rule.step_masked(colors, topo, full)
-    assert out2[4] == 0
-
-
 def test_scalar_oracle_degree_zero():
     rule = GeneralizedPluralityRule(num_colors=3)
     assert rule.update_vertex(2, []) == 2
