@@ -5,10 +5,7 @@ over thousands of independent initial configurations that share one
 topology.  Doing that one :func:`~repro.engine.runner.run_synchronous`
 call at a time drowns in per-call Python overhead, so this driver
 vectorizes *across replicas*: a batch is a ``(B, N)`` int32 array, one
-row per configuration, advanced in lockstep by the rule's
-:meth:`~repro.rules.base.Rule.step_batch` kernel (``colors[:, neighbors]``
-gathers have shape ``(B, N, d)`` — one fused numpy pass per round for the
-whole batch).
+row per configuration, advanced in lockstep one round at a time.
 
 Semantics mirror :func:`~repro.engine.runner.run_synchronous` row for row:
 
@@ -21,37 +18,52 @@ Semantics mirror :func:`~repro.engine.runner.run_synchronous` row for row:
   does.  A 128-bit digest history (one array over the live rows, compared
   in one vectorized operation per round) triggers the check, and a stored
   state history decides it, so the verdict is exact;
+* **Brent retirement** — without cycle detection a cycling row is found
+  by lockstep Brent snapshots and fast-forwarded to the cap's state;
 * **irreversible color** — the Chang-Lyuu irreversible variant, applied
   batch-wide;
 * **monotonicity monitoring** w.r.t. a target color (Definition 3).
 
-The generic :meth:`step_batch` falls back to looping the rule's scalar
-:meth:`step` over rows, so *every* rule works with this driver from day
-one; the five shipped rules override it with flat vectorized kernels.
-
-A round executes through one **compiled kernel**
+A round runs one **compiled plan**
 (:func:`~repro.engine.stencil.compile_stepper`, served by the stepper
 registry of :mod:`repro.engine.plans`): each rule's declarative kernel
-spec becomes a zero-allocation NumPy plan, and a rule without one runs
-its own ``step_batch``.  The
-compiled kernel is bitwise-identical to ``step_batch`` (the parity
-matrix in ``tests/test_engine_backends.py`` pins it), so it never
-affects results, seeds, or witness-database cache keys.
+spec becomes a zero-allocation NumPy plan over per-slot ``(B, N)``
+gathers, and a rule without one runs its own ``step_batch`` (the
+generic one loops the rule's scalar ``step`` over rows, so every rule
+works here).
+
+Two loops drive the plans.  The **int32 loop** serves every rule and
+flag.  The **packed loop** serves SMP runs that do not detect cycles,
+pin no irreversible colour and run no schedule — the census scans and
+the random dynamo search — whenever the registry's raw stepper is the
+compiled SMP plan: the batch is packed once into bit planes of 64
+replicas per ``uint64`` word (:class:`~repro.engine.stencil.PackedSMP`)
+and stays packed, every per-row check becomes a reduction over words,
+and rows are unpacked only as they leave.  The rules' own kernels
+(``tests/helpers.py:rule_kernel_only``) always take the int32 loop.
+
+Both kernels are bitwise-identical to ``step_batch`` and both loops
+retire every row at the round the other would, so neither affects
+results, seeds, or witness-database cache keys: the parity matrix in
+``tests/test_engine_backends.py``, the oracle matrix in
+``tests/test_engine_plans.py`` and ``tests/test_engine_packed.py`` pin
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..rules.base import Rule
 from ..topology.base import Topology
-from .plans import stepper_for
+from .plans import instrumented_stepper, raw_stepper_for
 from .result import RunResult
 from .runner import validate_round_cap
+from .stencil import WORD_BITS, PackedSMP, packed_smp, rows_to_words, words_to_rows
 
 __all__ = ["BatchRunResult", "DYNAMICS_VERSION", "run_batch", "as_color_batch"]
 
@@ -205,6 +217,9 @@ def run_batch(
     stepping the row to the cap would report (per-row
     :func:`~repro.engine.runner.run_synchronous` with
     ``detect_cycles=False`` is that oracle), at a fraction of the rounds.
+    Such a run under SMP, with no irreversible colour, steps packed
+    words of 64 rows on the compiled plan's bit-sliced kernel (see the
+    module docstring); the results are the same.
     """
     if schedule is not None:
         if irreversible_color is not None:
@@ -224,9 +239,14 @@ def run_batch(
         )
     colors = as_color_batch(batch, topo.num_vertices).copy()
     b = colors.shape[0]
-    stepper = stepper_for(rule, topo, b)
+    raw = raw_stepper_for(rule, topo, b)
     max_rounds = validate_round_cap(max_rounds, topo)
     n = topo.num_vertices
+    if not detect_cycles and irreversible_color is None:
+        packed = packed_smp(raw)
+        if packed is not None:
+            return _run_packed(packed, colors, max_rounds, target_color)
+    stepper = instrumented_stepper(raw)
 
     converged = np.zeros(b, dtype=bool)
     rounds = np.zeros(b, dtype=np.int32)
@@ -348,3 +368,145 @@ def run_batch(
         monotone=monotone,
         target_color=target_color,
     )
+
+
+def _run_packed(
+    kernel: PackedSMP,
+    colors: np.ndarray,
+    max_rounds: int,
+    target_color: Optional[int],
+) -> BatchRunResult:
+    """:func:`run_batch` without cycle detection on the bit-sliced SMP
+    kernel: the loop of the int32 path, with every per-row check a
+    reduction over packed words.
+
+    Per-row state is kept over the bit slots of the live words: ``ids``
+    maps a slot to its row, ``alive`` (one bit per slot, packed) marks
+    rows still being decided, ``pending`` the alive rows with no Brent
+    deadline yet.  Padding slots of the last word are never alive.  A
+    row on a fixed point keeps its state, so it is read once, when its
+    word leaves or at loop exit; a row retired by its Brent deadline
+    keeps cycling, so its own words are unpacked at that round.  A word
+    leaves once none of its 64 rows is alive.  The retirement rounds and
+    the step count are those of the int32 loop, so every field matches.
+    """
+    b = colors.shape[0]
+    rounds = np.full(b, max_rounds, dtype=np.int32)
+    converged = np.zeros(b, dtype=bool)
+    cycle_length = np.zeros(b, dtype=np.int32)
+    fixed_point_round = np.full(b, -1, dtype=np.int32)
+    monotone = np.ones(b, dtype=bool) if target_color is not None else None
+    result = BatchRunResult(
+        final=colors,
+        rounds=rounds,
+        converged=converged,
+        cycle_length=cycle_length,
+        fixed_point_round=fixed_point_round,
+        monotone=monotone,
+        target_color=target_color,
+    )
+    if not b or not max_rounds:
+        return result
+
+    step = instrumented_stepper(kernel)
+    x = kernel.pack(colors)
+    planes, _, w = x.shape
+    ids = np.arange(w * WORD_BITS)
+    alive = rows_to_words(ids < b)
+    pending = alive.copy()
+    fixed = np.zeros(ids.size, dtype=bool)  # retired on a fixed point
+    due = np.full(ids.size, max_rounds + 1)  # > max_rounds: no deadline yet
+    snap: Optional[np.ndarray] = None
+    snap_t = 0
+    # monotonicity watch: only a colour the planes can hold is ever seen
+    watch = monotone is not None and 0 <= int(target_color) < 1 << planes
+    if watch:
+        # all-ones planes where the target colour has a 1 bit
+        kbits = np.array(
+            [-((int(target_color) >> p) & 1) for p in range(planes)], np.int64
+        ).astype(np.uint64)[:, None, None]
+        not_k = np.bitwise_or.reduce(x ^ kbits, axis=0)
+
+    # fixed-point states wait here as packed words and are unpacked
+    # once, at exit: (planes, slots to write, their row ids) per piece
+    held: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def hold(state: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> None:
+        """Keep the packed words of ``state`` that hold any of ``rows``."""
+        per_word = rows.reshape(-1, WORD_BITS)
+        words = per_word.any(axis=1)
+        if words.any():
+            held.append((
+                state[:, :, words],
+                per_word[words].ravel(),
+                ids.reshape(-1, WORD_BITS)[words].ravel(),
+            ))
+
+    for t in range(1, max_rounds + 1):
+        if not alive.any():
+            break
+        new = step(x)
+        diff = new ^ x
+        if watch:
+            changed = np.bitwise_or.reduce(diff, axis=0)  # (N, W)
+            moved = np.bitwise_or.reduce(changed, axis=0)
+            # a vertex left the target colour: it was k and changed
+            left = np.bitwise_or.reduce(changed & ~not_k, axis=0) & alive
+            if left.any():
+                monotone[ids[words_to_rows(left)]] = False
+            not_k = np.bitwise_or.reduce(new ^ kbits, axis=0)
+        else:
+            moved = np.bitwise_or.reduce(diff.reshape(-1, w), axis=0)
+        leave = alive & ~moved
+        if leave.any():
+            # fixed-point retirement: the pre-step state is final
+            rows = words_to_rows(leave)
+            done = ids[rows]
+            converged[done] = True
+            cycle_length[done] = 1
+            fixed_point_round[done] = t - 1
+            rounds[done] = t - 1
+            fixed |= rows
+            alive &= moved
+            pending &= moved
+        if snap is not None and pending.any():
+            same = ~np.bitwise_or.reduce((new ^ snap).reshape(-1, w), axis=0)
+            hit = pending & same
+            if hit.any():
+                due[words_to_rows(hit)] = t + (max_rounds - t) % (t - snap_t)
+                pending &= ~hit
+        ready = due == t
+        if ready.any():
+            # genuine cycle, now in the cap's state: read only the
+            # words holding these rows
+            sel = ready.reshape(w, WORD_BITS)
+            words = sel.any(axis=1)
+            colors[ids[ready]] = kernel.unpack(new[:, :, words], sel[words].ravel())
+            alive &= ~rows_to_words(ready)
+            obs.count("plan.shadow-cycle-retire", int(ready.sum()))
+        x = new
+        if t & (t - 1) == 0:
+            snap, snap_t = new.copy(), t
+        dead = alive == 0
+        if dead.any():
+            hold(x, fixed & np.repeat(dead, WORD_BITS), ids)
+            keep = ~dead
+            w = int(keep.sum())
+            x = np.ascontiguousarray(x[:, :, keep])
+            if snap is not None:
+                snap = np.ascontiguousarray(snap[:, :, keep])
+            if watch:
+                not_k = np.ascontiguousarray(not_k[:, keep])
+            alive, pending = alive[keep], pending[keep]
+            rows = np.repeat(keep, WORD_BITS)
+            ids, fixed, due = ids[rows], fixed[rows], due[rows]
+
+    if w:
+        hold(x, words_to_rows(alive) | fixed, ids)
+    if held:
+        planes_held, rows_held, ids_held = zip(*held)
+        rows = np.concatenate(rows_held)
+        state = np.concatenate(planes_held, axis=2)
+        colors[np.concatenate(ids_held)[rows]] = kernel.unpack(state, rows)
+    return result
+

@@ -58,6 +58,7 @@ __all__ = [
     "DEFAULT_PLAN",
     "clear_plan_cache",
     "plan_cache_stats",
+    "raw_stepper_for",
     "rule_plan_token",
     "stepper_cache_key",
     "stepper_for",
@@ -220,23 +221,30 @@ class _StepperCache:
             maxsize=self.maxsize,
         )
 
-    def stepper_for(self, rule: Rule, topo: Topology, max_batch: int) -> Stepper:
-        """A compiled stepper for ``(rule, topo)``, served from the
-        registry when the pair is cacheable.
+    def raw_stepper_for(
+        self, rule: Rule, topo: Topology, max_batch: int
+    ) -> Stepper:
+        """The compiled stepper for ``(rule, topo)`` as the registry
+        holds it, with no timing shim; served from the registry when
+        the pair is cacheable.
 
         Never cached: rules without an authoritative
         :func:`rule_plan_token` and topologies without a
-        :func:`topology_token`.  The registry stores the raw stepper;
-        the ``debug`` timing shim is applied on every serve.
+        :func:`topology_token`.
         """
         key = stepper_cache_key(rule, topo, max_batch)
         if key is None:
-            return instrumented_stepper(timed_compile(rule, topo, max_batch))
+            return timed_compile(rule, topo, max_batch)
         stepper = self.get(key)
         if stepper is None:
             stepper = timed_compile(rule, topo, max_batch)
             self.put(key, stepper)
-        return instrumented_stepper(stepper)
+        return stepper
+
+    def stepper_for(self, rule: Rule, topo: Topology, max_batch: int) -> Stepper:
+        """:meth:`raw_stepper_for` under the ``debug`` timing shim,
+        which is applied on every serve and never cached."""
+        return instrumented_stepper(self.raw_stepper_for(rule, topo, max_batch))
 
 
 #: compiled steppers cached per process.  32 entries comfortably covers
@@ -255,6 +263,10 @@ DEFAULT_PLAN = _STEPPER_CACHE
 #: the stepper every engine call runs (:meth:`_StepperCache.stepper_for`);
 #: valid for the life of the process, as the registry is reset in place
 stepper_for = _STEPPER_CACHE.stepper_for
+
+#: the same, unshimmed (:meth:`_StepperCache.raw_stepper_for`): what
+#: :func:`~repro.engine.batch.run_batch` inspects to pick its path
+raw_stepper_for = _STEPPER_CACHE.raw_stepper_for
 
 
 def plan_cache_stats() -> PlanCacheStats:

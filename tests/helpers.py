@@ -56,6 +56,36 @@ def rule_kernel_only() -> Iterator[None]:
         plans.clear_plan_cache()
 
 
+#: every per-row field of a :class:`BatchRunResult`
+RESULT_FIELDS = (
+    "final", "rounds", "converged", "cycle_length", "fixed_point_round",
+    "monotone",
+)
+
+
+def per_row_oracle(topo, batch, rule, **kwargs):
+    """Per-row :func:`run_synchronous`: every row stepped on its own,
+    without the registry's batch-width steppers, the packed kernel or
+    Brent retirement."""
+    return [
+        run_synchronous(topo, row, rule, track_changes=False, **kwargs)
+        for row in batch
+    ]
+
+
+def assert_matches_oracle(res, oracle, context):
+    """Every :data:`RESULT_FIELDS` entry of every row agrees."""
+    assert res.batch_size == len(oracle), context
+    for b, ref in enumerate(oracle):
+        row = res.row(b)
+        for field in RESULT_FIELDS:
+            got, want = getattr(row, field), getattr(ref, field)
+            if field == "final":
+                assert np.array_equal(got, want), (context, b, field)
+            else:
+                assert got == want, (context, b, field, got, want)
+
+
 def random_coloring(topo, num_colors, rng, low=0):
     """Uniform random coloring with colors in [low, low + num_colors)."""
     return rng.integers(low, low + num_colors, size=topo.num_vertices).astype(

@@ -58,16 +58,20 @@ from repro.rules import (
 )
 from repro.topology import ToroidalMesh
 
-from helpers import TORUS_KINDS, CyclicRule, rule_kernel_only
-
-RESULT_FIELDS = (
-    "final", "rounds", "converged", "cycle_length", "fixed_point_round",
-    "monotone",
+from helpers import (
+    RESULT_FIELDS,
+    TORUS_KINDS,
+    CyclicRule,
+    assert_matches_oracle,
+    per_row_oracle,
+    rule_kernel_only,
 )
 
 #: rule cases of the oracle matrix (factory, low, palette, target)
 RULE_CASES = {
     "smp": (lambda: SMPRule(), 0, 4, 0),
+    # nine bit planes on the packed SMP path: colours 250..257
+    "smp-wide": (lambda: SMPRule(), 250, 8, 256),
     "majority": (lambda: ReverseSimpleMajority("prefer-black"), 1, 2, 2),
     "plurality": (lambda: GeneralizedPluralityRule(5), 0, 5, 0),
     "ordered": (lambda: OrderedIncrementRule(4), 0, 4, 3),
@@ -104,28 +108,6 @@ def _variant_kwargs(variant, target):
     return kwargs
 
 
-def _oracle(topo, batch, rule, **kwargs):
-    """Per-row :func:`run_synchronous`: every row stepped on its own,
-    without the registry's batch-width steppers or Brent retirement."""
-    return [
-        run_synchronous(topo, row, rule, track_changes=False, **kwargs)
-        for row in batch
-    ]
-
-
-def _assert_matches_oracle(res, oracle, context):
-    """Every :data:`RESULT_FIELDS` entry of every row agrees."""
-    assert res.batch_size == len(oracle), context
-    for b, ref in enumerate(oracle):
-        row = res.row(b)
-        for field in RESULT_FIELDS:
-            got, want = getattr(row, field), getattr(ref, field)
-            if field == "final":
-                assert np.array_equal(got, want), (context, b, field)
-            else:
-                assert got == want, (context, b, field, got, want)
-
-
 # ----------------------------------------------------------------------
 # the oracle matrix: run_batch vs per-row run_synchronous
 # ----------------------------------------------------------------------
@@ -143,8 +125,8 @@ def test_escalation_parity_matrix(rng, torus_kind, case, variant, kernel):
     kwargs.update(_variant_kwargs(variant, target))
     with KERNELS[kernel]():
         res = run_batch(topo, batch, rule, **kwargs)
-        oracle = _oracle(topo, batch, rule, **kwargs)
-    _assert_matches_oracle(res, oracle, (kernel, case, variant))
+        oracle = per_row_oracle(topo, batch, rule, **kwargs)
+    assert_matches_oracle(res, oracle, (kernel, case, variant))
 
 
 def test_escalation_parity_across_round_caps(rng):
@@ -167,8 +149,8 @@ def test_escalation_parity_across_round_caps(rng):
                     kw = dict(max_rounds=cap, target_color=target)
                     kw.update(_variant_kwargs(variant, target))
                     res = run_batch(topo, batch, rule, **kw)
-                    oracle = _oracle(topo, batch, rule, **kw)
-                    _assert_matches_oracle(res, oracle, (kind, case, variant, cap))
+                    oracle = per_row_oracle(topo, batch, rule, **kw)
+                    assert_matches_oracle(res, oracle, (kind, case, variant, cap))
                     if variant == "no-cycles" and cap == 101:
                         cycling[case] += int((~res.converged).sum())
     # the pin is meaningful: rows of both cases cycle to the cap
@@ -192,8 +174,8 @@ def test_escalation_retires_cycling_rows_early(rng):
     batch = rng.integers(0, 5, size=(128, 16)).astype(np.int32)
     kw = dict(max_rounds=80, target_color=0, detect_cycles=False)
     res = run_batch(topo, batch, CountingSMP(), **kw)
-    oracle = _oracle(topo, batch, SMPRule(), **kw)
-    _assert_matches_oracle(res, oracle, "counting")
+    oracle = per_row_oracle(topo, batch, SMPRule(), **kw)
+    assert_matches_oracle(res, oracle, "counting")
     full = sum(r.rounds + int(r.converged) for r in oracle)
     assert not all(r.converged for r in oracle)
     # cycling rows retire once their period is known instead of running
@@ -301,8 +283,8 @@ def test_mutated_rule_state_invalidates_cached_stepper(rng):
     mutated = run_batch(topo, batch, rule, max_rounds=30)
     assert plan_cache_stats().misses == 2  # recompiled, not served
     strong = OrderedIncrementRule(4, threshold="strong")
-    _assert_matches_oracle(
-        mutated, _oracle(topo, batch, strong, max_rounds=30), "mutated rule"
+    assert_matches_oracle(
+        mutated, per_row_oracle(topo, batch, strong, max_rounds=30), "mutated rule"
     )
     rule.threshold = "simple"  # mutating back re-serves the first entry
     again = run_batch(topo, batch, rule, max_rounds=30)
