@@ -122,13 +122,13 @@ def test_stencil_stepper_speedup(benchmark, rng, workload):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_run_batch_backend_speedup(benchmark, rng, workload):
-    """End-to-end run_batch on each kernel (census flags: no cycle
-    detection, target color 0), parity asserted, ratio recorded."""
+    """End-to-end run_batch on each kernel (census flags: target color
+    0), parity asserted, ratio recorded."""
     factory, palette = WORKLOADS[workload]
     rule = factory()
     topo = ToroidalMesh(TORUS_SIZE, TORUS_SIZE)
     batch = _census_batch(rng, topo, palette, batch=2048)
-    kwargs = dict(max_rounds=160, target_color=0, detect_cycles=False)
+    kwargs = dict(max_rounds=160, target_color=0)
 
     def reference():
         with rule_kernel_only():
@@ -163,8 +163,8 @@ def collect_backend_timings(rounds: int = 20) -> dict:
     repeat) and each speedup is the median of the per-pair ratios: load
     that drifts over the run hits both members of a pair alike, where
     separate best-of blocks would each see a different slice of it.
-    On SMP the compiled side's ``run_batch`` runs the bit-sliced path
-    (census flags: no cycle detection), so its ratio gates that path.
+    On SMP the compiled side's ``run_batch`` runs the bit-sliced path,
+    so its ratio gates that path.
     """
     rng = np.random.default_rng(0xD1CE)
     topo = ToroidalMesh(TORUS_SIZE, TORUS_SIZE)
@@ -198,10 +198,7 @@ def collect_backend_timings(rounds: int = 20) -> dict:
         ref_step = np.asarray(step_s["reference"])
 
         def run():
-            return run_batch(
-                topo, small, rule, max_rounds=160, target_color=0,
-                detect_cycles=False,
-            )
+            return run_batch(topo, small, rule, max_rounds=160, target_color=0)
 
         # run_batch in interleaved warm pairs too.  rule_kernel_only
         # empties the stepper registry on entry and on exit, so each

@@ -83,7 +83,7 @@ def _tmin(fn, repeats=3):
 
 
 def _paths(topo, block, rule):
-    kwargs = dict(max_rounds=MAX_ROUNDS, target_color=0, detect_cycles=False)
+    kwargs = dict(max_rounds=MAX_ROUNDS, target_color=0)
 
     def batched():
         return run_batch(topo, block, rule, **kwargs)
@@ -94,7 +94,7 @@ def _paths(topo, block, rule):
         # graphs before the generalization)
         with rule_kernel_only():
             return [
-                run_synchronous(topo, block[i], rule, **kwargs)
+                run_synchronous(topo, block[i], rule, detect_cycles=False, **kwargs)
                 for i in range(block.shape[0])
             ]
 

@@ -2,8 +2,7 @@
 search-shaped workloads.
 
 ``run_batch`` serves compiled steppers from the process-local registry
-and retires cycling ``detect_cycles=False`` rows by lockstep Brent
-detection ("plans on").  The "plans off" side is :func:`_full_simulation`,
+and retires cycling rows by lockstep Brent detection ("plans on").  The "plans off" side is :func:`_full_simulation`,
 a bench-local loop that compiles a fresh stepper per call, retires rows
 at fixed points only, and steps every cycling row to the cap.
 
@@ -23,8 +22,7 @@ Two entry points, mirroring ``bench_backends.py``:
   ``tests/test_engine_plans.py`` is the correctness gate).
 
 The headline numbers come from Brent retirement: in the search regime
-(``detect_cycles=False``) two thirds of random rows cycle and, simulated
-in full, step every round to the ``4N + 64`` bound even though their
+two thirds of random rows cycle and, simulated in full, step every round to the ``4N + 64`` bound even though their
 period is 2.  Lockstep Brent detection, armed from round 1, finds each
 period within a few rounds of the row entering its cycle and retires
 the row with its state fast-forwarded to the cap, bitwise-identically.
@@ -86,19 +84,15 @@ def _tmin(fn, repeats=3):
     return best
 
 
-def _full_simulation(topo, batch, rule, *, max_rounds, target_color,
-                     detect_cycles=False):
-    """``run_batch(..., detect_cycles=False)`` without its speed-ups: a
-    fresh stepper per call, fixed-point retirement only, and every
-    cycling row stepped to ``max_rounds``.  Called like ``run_batch``;
-    there is no cycle detection to turn on."""
-    assert not detect_cycles
+def _full_simulation(topo, batch, rule, *, max_rounds, target_color):
+    """``run_batch`` without its speed-ups: a fresh stepper per call,
+    fixed-point retirement only, and every cycling row stepped to
+    ``max_rounds``.  Called like ``run_batch``."""
     colors = np.array(batch, dtype=np.int32)
     b = colors.shape[0]
     stepper = compile_stepper(rule, topo, b)
     converged = np.zeros(b, dtype=bool)
     rounds = np.zeros(b, dtype=np.int32)
-    cycle_length = np.zeros(b, dtype=np.int32)
     fixed_point_round = np.full(b, -1, dtype=np.int32)
     monotone = np.ones(b, dtype=bool)
     ids = np.arange(b)
@@ -116,14 +110,13 @@ def _full_simulation(topo, batch, rule, *, max_rounds, target_color,
             continue
         done = ids[~moved]
         converged[done] = True
-        cycle_length[done] = 1
         fixed_point_round[done] = t - 1
         colors[done] = work[~moved]
         ids, work = ids[moved], new[moved]
     colors[ids] = work
     return BatchRunResult(
         final=colors, rounds=rounds, converged=converged,
-        cycle_length=cycle_length, fixed_point_round=fixed_point_round,
+        fixed_point_round=fixed_point_round,
         monotone=monotone, target_color=target_color,
     )
 
@@ -141,8 +134,7 @@ def _search_calls(topo, rule, palette, engine=run_batch, *, calls=CALLS,
             np.int32
         )
         results.append(
-            engine(topo, block, rule, max_rounds=cap, target_color=0,
-                   detect_cycles=False)
+            engine(topo, block, rule, max_rounds=cap, target_color=0)
         )
     return results
 
@@ -192,9 +184,9 @@ def collect_plan_timings(rounds: int = 5) -> dict:
     payload = {
         "workload": {
             "search": f"mesh {TORUS_SIZE}x{TORUS_SIZE}, {CALLS} run_batch "
-            f"calls of ({SMALL_BATCH}, N) random rows, detect_cycles=False",
+            f"calls of ({SMALL_BATCH}, N) random rows",
             "census": f"mesh {CENSUS_TORUS}x{CENSUS_TORUS}, one "
-            f"({CENSUS_BATCH}, N) block, detect_cycles=False",
+            f"({CENSUS_BATCH}, N) block",
             "note": "plans on = run_batch (stepper cache + Brent cycle "
             "retirement); plans off = a fresh stepper per call, every "
             "cycling row stepped to the cap; results are bitwise-identical "
@@ -219,8 +211,7 @@ def collect_plan_timings(rounds: int = 5) -> dict:
         block = np.random.default_rng(0xD1CE).integers(
             0, palette, size=(CENSUS_BATCH, big.num_vertices)
         ).astype(np.int32)
-        kw = dict(max_rounds=4 * big.num_vertices + 16, target_color=0,
-                  detect_cycles=False)
+        kw = dict(max_rounds=4 * big.num_vertices + 16, target_color=0)
         c_off = _tmin(lambda: _full_simulation(big, block, rule, **kw),
                       repeats=rounds)
         c_on = _tmin(lambda: run_batch(big, block, rule, **kw), repeats=rounds)

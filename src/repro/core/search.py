@@ -405,7 +405,6 @@ def exhaustive_dynamo_search(
             rule,
             max_rounds=max_rounds,
             target_color=k,
-            detect_cycles=False,
         )
         hits = np.flatnonzero(
             res.k_monochromatic & (res.monotone if monotone_only else True)
@@ -554,16 +553,17 @@ def _random_search_shard(shard: tuple) -> List[Tuple[np.ndarray, bool]]:
         b = min(batch_size, remaining)
         remaining -= b
         batch = others[rng.integers(0, others.size, size=(b, n))].astype(np.int32)
-        rows = np.arange(b)[:, None]
-        seeds = np.argsort(rng.random((b, n)), axis=1)[:, :seed_size]
-        batch[rows, seeds] = k
+        keys = rng.random((b, n))
+        if seed_size:
+            # the seed_size smallest keys per row, as a set of cells
+            seeds = np.argpartition(keys, seed_size - 1, axis=1)[:, :seed_size]
+            batch[np.arange(b)[:, None], seeds] = k
         res = run_batch(
             topo,
             batch,
             rule,
             max_rounds=max_rounds,
             target_color=k,
-            detect_cycles=False,
         )
         hits = np.flatnonzero(
             res.k_monochromatic & (res.monotone if monotone_only else True)

@@ -7,22 +7,25 @@ call at a time drowns in per-call Python overhead, so this driver
 vectorizes *across replicas*: a batch is a ``(B, N)`` int32 array, one
 row per configuration, advanced in lockstep one round at a time.
 
-Semantics mirror :func:`~repro.engine.runner.run_synchronous` row for row:
+Semantics mirror :func:`~repro.engine.runner.run_synchronous` with
+``detect_cycles=False`` row for row:
 
 * **fixed-point retirement** — a row whose state did not change this round
   is converged; it is dropped from the live set so a batch costs
   (rounds of the slowest member) x (live rows) work, not B x cap;
-* **cycle detection** — synchronous deterministic dynamics are eventually
-  periodic; a row retires at the first round its state repeats, with the
-  cycle length reported, exactly as the scalar runner's blake2b table
-  does.  A 128-bit digest history (one array over the live rows, compared
-  in one vectorized operation per round) triggers the check, and a stored
-  state history decides it, so the verdict is exact;
-* **Brent retirement** — without cycle detection a cycling row is found
-  by lockstep Brent snapshots and fast-forwarded to the cap's state;
+* **Brent retirement** — synchronous deterministic dynamics are
+  eventually periodic; a cycling row is found by lockstep Brent
+  snapshots and fast-forwarded to the cap's state, so it reports what
+  stepping it to the cap would;
 * **irreversible color** — the Chang-Lyuu irreversible variant, applied
   batch-wide;
 * **monotonicity monitoring** w.r.t. a target color (Definition 3).
+
+Whether a row converged, became k-monochromatic and stayed monotone
+does not depend on where a cycling row stops: by its retirement round
+it has made every transition of its cycle.  Only a cycling row's
+``rounds`` and final state do; a caller that needs the first repeat of
+one configuration runs :func:`~repro.engine.runner.run_synchronous`.
 
 A round runs one **compiled plan**
 (:func:`~repro.engine.stencil.compile_stepper`, served by the stepper
@@ -33,13 +36,14 @@ generic one loops the rule's scalar ``step`` over rows, so every rule
 works here).
 
 Two loops drive the plans.  The **int32 loop** serves every rule and
-flag.  The **packed loop** serves SMP runs that do not detect cycles,
-pin no irreversible colour and run no schedule — the census scans and
-the random dynamo search — whenever the registry's raw stepper is the
-compiled SMP plan: the batch is packed once into bit planes of 64
-replicas per ``uint64`` word (:class:`~repro.engine.stencil.PackedSMP`)
-and stays packed, every per-row check becomes a reduction over words,
-and rows are unpacked only as they leave.  The rules' own kernels
+flag.  The **packed loop** serves SMP runs that pin no irreversible
+colour and run no schedule — the census scans, the random dynamo
+search, the sweeps and the complement DFS leaf blocks — whenever the
+registry's raw stepper is the compiled SMP plan: the batch is packed
+once into bit planes of 64 replicas per ``uint64`` word
+(:class:`~repro.engine.stencil.PackedSMP`) and stays packed, every
+per-row check becomes a reduction over words, and rows are unpacked
+only as they leave.  The rules' own kernels
 (``tests/helpers.py:rule_kernel_only``) always take the int32 loop.
 
 Both kernels are bitwise-identical to ``step_batch`` and both loops
@@ -89,44 +93,6 @@ def as_color_batch(batch: Sequence | np.ndarray, num_vertices: int) -> np.ndarra
     return np.ascontiguousarray(arr)
 
 
-def _digest_rows(colors: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """128-bit polynomial digest of each row, vectorized over the batch.
-
-    ``mult`` is a ``(2, N)`` uint64 array of fixed odd multipliers; the
-    digest of a row is the pair of dot products mod 2**64, computed as
-    one wrapping integer matrix product.  Not collision-resistant:
-    :func:`run_batch` uses a digest match only as a trigger and decides
-    every repeat by comparing the states themselves.
-    """
-    return colors.astype(np.uint64, copy=False) @ mult.T  # (B, 2)
-
-
-def _digest_multipliers(num_vertices: int) -> np.ndarray:
-    """Deterministic odd uint64 multipliers (seeded by N only)."""
-    # plain-int arithmetic: uint64 + int promotes to float64 on numpy 1.x,
-    # which default_rng rejects as a seed
-    rng = np.random.default_rng(0x9E3779B97F4A7C15 + num_vertices)
-    return rng.integers(1, 2**63, size=(2, num_vertices), dtype=np.uint64) * 2 + 1
-
-
-#: rounds of state history a ``detect_cycles`` run allocates up front;
-#: the history doubles whenever a run outlives it
-_HISTORY_ROUNDS = 15
-
-
-def _history_dtype(colors: np.ndarray) -> type:
-    """The narrowest exact dtype for a state history of ``colors``."""
-    fits = not colors.size or (colors.min() >= 0 and colors.max() <= 255)
-    return np.uint8 if fits else np.int32
-
-
-def _widen(history: np.ndarray, width: int) -> np.ndarray:
-    """A copy of ``history`` with room for ``width`` rounds per row."""
-    wider = np.empty((history.shape[0], width) + history.shape[2:], history.dtype)
-    wider[:, : history.shape[1]] = history
-    return wider
-
-
 @dataclass
 class BatchRunResult:
     """Per-row outcomes of a batched run; the vector analogue of
@@ -138,8 +104,6 @@ class BatchRunResult:
     rounds: np.ndarray
     #: row reached a fixed point within the cap
     converged: np.ndarray
-    #: detected cycle length per row (1 == fixed point, 0 == undetected)
-    cycle_length: np.ndarray
     #: round the fixed point was first reached (-1 when not converged)
     fixed_point_round: np.ndarray
     #: row was monotone w.r.t. ``target_color`` (None when no target given)
@@ -159,14 +123,16 @@ class BatchRunResult:
         return self.converged & (self.final == self.target_color).all(axis=1)
 
     def row(self, b: int) -> RunResult:
-        """View one row as a scalar :class:`RunResult` (interop helper)."""
-        cyc = int(self.cycle_length[b])
+        """View one row as a scalar :class:`RunResult` (interop helper):
+        what :func:`~repro.engine.runner.run_synchronous` with
+        ``detect_cycles=False`` reports for it."""
+        converged = bool(self.converged[b])
         fpr = int(self.fixed_point_round[b])
         return RunResult(
             final=self.final[b].copy(),
             rounds=int(self.rounds[b]),
-            converged=bool(self.converged[b]),
-            cycle_length=cyc if cyc > 0 else None,
+            converged=converged,
+            cycle_length=1 if converged else None,
             fixed_point_round=fpr if fpr >= 0 else None,
             monotone=None if self.monotone is None else bool(self.monotone[b]),
             target_color=self.target_color,
@@ -181,16 +147,13 @@ def run_batch(
     max_rounds: Optional[int] = None,
     target_color: Optional[int] = None,
     irreversible_color: Optional[int] = None,
-    detect_cycles: bool = True,
     schedule: Optional["AsyncSchedule"] = None,
 ) -> BatchRunResult:
-    """Run every row of ``batch`` to fixed point, cycle, or round cap.
+    """Run every row of ``batch`` to fixed point or round cap.
 
     Parameters mirror :func:`~repro.engine.runner.run_synchronous`; the
-    returned arrays are indexed by row.  ``detect_cycles=False`` lets
-    cycling rows report the cap's state (cheaper for searches that only
-    consume converged outcomes).  The compiled stepper comes from the
-    process-local registry of :mod:`repro.engine.plans`, so repeated
+    returned arrays are indexed by row.  The compiled stepper comes from
+    the process-local registry of :mod:`repro.engine.plans`, so repeated
     calls on one ``(rule, topology, batch width)`` compile once.
 
     ``schedule`` switches the *update model*: instead of synchronous
@@ -199,27 +162,23 @@ def run_batch(
     AsyncSchedule`), with ``max_rounds`` counting sweeps.  Schedule mode
     delegates to :func:`~repro.engine.schedulers.run_asynchronous_batch`
     — kernels are compiled by the scheduler's own vectorizer, and the
-    irreversible-color and cycle-detection features of the synchronous
-    engine are not available.
+    irreversible color of the synchronous engine is not available.
 
     Execution walks a *compact* working set: retired rows leave it, so a
     batch costs (rounds of the slowest member) x (live rows), and every
     per-row bookkeeping array is compacted with it — no step of a round
-    loops over rows in Python.  With ``detect_cycles=True`` a row whose
-    digest matches an earlier round's is compared with that round's
-    stored state and retires at its first repeat, so no row is stepped
-    past it.  ``detect_cycles=False`` runs use lockstep Brent detection
-    from round 1 instead: a row that returns to its snapshot (retaken at
-    rounds 1, 2, 4, ...) has period exactly ``t - snap_t`` and retires
-    at the round congruent to the cap, in the cap's state with
+    loops over rows in Python.  Cycling rows are found by lockstep Brent
+    detection from round 1: a row that returns to its snapshot (retaken
+    at rounds 1, 2, 4, ...) has period exactly ``t - snap_t`` and
+    retires at the round congruent to the cap, in the cap's state with
     ``rounds`` = the cap.  The verdict compares whole states and a
     cycling row changes every round, so every field is bitwise what
     stepping the row to the cap would report (per-row
     :func:`~repro.engine.runner.run_synchronous` with
     ``detect_cycles=False`` is that oracle), at a fraction of the rounds.
-    Such a run under SMP, with no irreversible colour, steps packed
-    words of 64 rows on the compiled plan's bit-sliced kernel (see the
-    module docstring); the results are the same.
+    An SMP run with no irreversible colour steps packed words of 64 rows
+    on the compiled plan's bit-sliced kernel (see the module
+    docstring); the results are the same.
     """
     if schedule is not None:
         if irreversible_color is not None:
@@ -241,8 +200,7 @@ def run_batch(
     b = colors.shape[0]
     raw = raw_stepper_for(rule, topo, b)
     max_rounds = validate_round_cap(max_rounds, topo)
-    n = topo.num_vertices
-    if not detect_cycles and irreversible_color is None:
+    if irreversible_color is None:
         packed = packed_smp(raw)
         if packed is not None:
             return _run_packed(packed, colors, max_rounds, target_color)
@@ -250,38 +208,23 @@ def run_batch(
 
     converged = np.zeros(b, dtype=bool)
     rounds = np.zeros(b, dtype=np.int32)
-    cycle_length = np.zeros(b, dtype=np.int32)
     fixed_point_round = np.full(b, -1, dtype=np.int32)
     monotone = np.ones(b, dtype=bool) if target_color is not None else None
 
     # Compact working set: ``work[j]`` is the current state of original
     # row ``ids[j]``.  A retiring row's final state is written to
-    # ``colors`` as it leaves; survivors flush at loop exit.  Every
-    # per-row detection array below is compacted together with them.
+    # ``colors`` as it leaves; survivors flush at loop exit.  ``due``
+    # is compacted together with them.
     ids = np.arange(b)
     work = colors  # rebound to a fresh compact array every round
 
-    if detect_cycles:
-        # exact first-repeat detection: ``digests[j, s]`` digests row
-        # j's state at round s and is compacted with ``work``; the
-        # states themselves live in ``states[slot[j], s]`` and are only
-        # compacted when the history grows.  A digest hit is a trigger,
-        # the state comparison is the verdict.
-        mult = _digest_multipliers(n)
-        width = min(max_rounds, _HISTORY_ROUNDS) + 1
-        digests = np.empty((b, width, 2), dtype=np.uint64)
-        digests[:, 0] = _digest_rows(work, mult)
-        states = np.empty((b, width, n), dtype=_history_dtype(work))
-        states[:, 0] = work
-        slot = np.arange(b)
-    else:
-        # lockstep Brent detection: one snapshot per row, retaken at
-        # rounds 1, 2, 4, 8, ...; a row that returns to its snapshot
-        # has period exactly ``t - snap_t`` and is due to retire at the
-        # round congruent to the cap modulo that period
-        snap: Optional[np.ndarray] = None
-        snap_t = 0
-        due = np.full(b, max_rounds + 1)  # > max_rounds: no deadline yet
+    # lockstep Brent detection: one snapshot per row, retaken at rounds
+    # 1, 2, 4, 8, ...; a row that returns to its snapshot has period
+    # exactly ``t - snap_t`` and is due to retire at the round
+    # congruent to the cap modulo that period
+    snap: Optional[np.ndarray] = None
+    snap_t = 0
+    due = np.full(b, max_rounds + 1)  # > max_rounds: no deadline yet
 
     for t in range(1, max_rounds + 1):
         if not ids.size:
@@ -301,59 +244,30 @@ def run_batch(
         if leave.any():
             done = ids[leave]
             converged[done] = True
-            cycle_length[done] = 1
             fixed_point_round[done] = t - 1
             colors[done] = work[leave]
-        if detect_cycles:
-            if t == digests.shape[1]:
-                wider = min(2 * t, max_rounds + 1)
-                digests = _widen(digests, wider)
-                states = _widen(states[slot], wider)
-                slot = np.arange(ids.size)
-            if states.dtype == np.uint8 and _history_dtype(new) is not np.uint8:
-                states = states.astype(np.int32)
-            d = _digest_rows(new, mult)
-            past = digests[:, :t]
-            hit = (past[..., 0] == d[:, None, 0]) & (past[..., 1] == d[:, None, 1])
-            hit = hit.any(axis=1) & moved
-            if hit.any():
-                rows = np.flatnonzero(hit)
-                same = (states[slot[rows], :t] == new[rows, None]).all(axis=2)
-                found = same.any(axis=1)
-                rows = rows[found]
-                cycle_length[ids[rows]] = t - same[found].argmax(axis=1)
-                colors[ids[rows]] = new[rows]
-                leave[rows] = True
-            digests[:, t] = d
-            states[slot, t] = new
-        else:
-            if snap is not None:
-                hit = moved & (due > max_rounds) & (new == snap).all(axis=1)
-                period = t - snap_t
-                due[hit] = t + (max_rounds - t) % period
-            ready = due == t
-            if ready.any():
-                # genuine cycle: the row changes every round through the
-                # cap and is now in the cap's state, so this is bitwise
-                # what full simulation to the cap reports
-                colors[ids[ready]] = new[ready]
-                rounds[ids[ready]] = max_rounds
-                leave |= ready
-                obs.count("plan.shadow-cycle-retire", int(ready.sum()))
+        if snap is not None:
+            hit = moved & (due > max_rounds) & (new == snap).all(axis=1)
+            due[hit] = t + (max_rounds - t) % (t - snap_t)
+        ready = due == t
+        if ready.any():
+            # genuine cycle: the row changes every round through the cap
+            # and is now in the cap's state, so this is bitwise what
+            # full simulation to the cap reports
+            colors[ids[ready]] = new[ready]
+            rounds[ids[ready]] = max_rounds
+            leave |= ready
+            obs.count("plan.shadow-cycle-retire", int(ready.sum()))
         if leave.any():
             keep = ~leave
             ids = ids[keep]
             work = new[keep]  # copies out of the stepper scratch
-            if detect_cycles:
-                digests = digests[keep]
-                slot = slot[keep]
-            else:
-                due = due[keep]
-                if snap is not None:
-                    snap = snap[keep]
+            due = due[keep]
+            if snap is not None:
+                snap = snap[keep]
         else:
             work = new.copy()  # the scratch is reused by the next call
-        if not detect_cycles and t & (t - 1) == 0:
+        if t & (t - 1) == 0:
             snap, snap_t = work, t  # ``work`` is rebound, never mutated
 
     if ids.size and work is not colors:
@@ -363,7 +277,6 @@ def run_batch(
         final=colors,
         rounds=rounds,
         converged=converged,
-        cycle_length=cycle_length,
         fixed_point_round=fixed_point_round,
         monotone=monotone,
         target_color=target_color,
@@ -376,9 +289,8 @@ def _run_packed(
     max_rounds: int,
     target_color: Optional[int],
 ) -> BatchRunResult:
-    """:func:`run_batch` without cycle detection on the bit-sliced SMP
-    kernel: the loop of the int32 path, with every per-row check a
-    reduction over packed words.
+    """:func:`run_batch` on the bit-sliced SMP kernel: the loop of the
+    int32 path, with every per-row check a reduction over packed words.
 
     Per-row state is kept over the bit slots of the live words: ``ids``
     maps a slot to its row, ``alive`` (one bit per slot, packed) marks
@@ -393,14 +305,12 @@ def _run_packed(
     b = colors.shape[0]
     rounds = np.full(b, max_rounds, dtype=np.int32)
     converged = np.zeros(b, dtype=bool)
-    cycle_length = np.zeros(b, dtype=np.int32)
     fixed_point_round = np.full(b, -1, dtype=np.int32)
     monotone = np.ones(b, dtype=bool) if target_color is not None else None
     result = BatchRunResult(
         final=colors,
         rounds=rounds,
         converged=converged,
-        cycle_length=cycle_length,
         fixed_point_round=fixed_point_round,
         monotone=monotone,
         target_color=target_color,
@@ -463,7 +373,6 @@ def _run_packed(
             rows = words_to_rows(leave)
             done = ids[rows]
             converged[done] = True
-            cycle_length[done] = 1
             fixed_point_round[done] = t - 1
             rounds[done] = t - 1
             fixed |= rows

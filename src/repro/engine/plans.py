@@ -19,9 +19,8 @@ only: the ``debug``-level per-step timing shim (below) wraps a stepper
 each time it is served, so a telemetry session never changes what the
 cache holds and always times the steps it runs.
 
-The engine's other speed-up, retiring the cycling rows of
-``detect_cycles=False`` runs by lockstep Brent detection, lives in
-:func:`~repro.engine.batch.run_batch` itself.  Neither changes a
+The engine's other speed-up, retiring cycling rows by lockstep Brent
+detection, lives in :func:`~repro.engine.batch.run_batch` itself.  Neither changes a
 result: witness ids, census rows and per-row round counts are what
 compiling fresh and simulating every row to the cap would give, which
 the oracle matrix in ``tests/test_engine_plans.py`` pins against

@@ -318,8 +318,7 @@ def run_asynchronous_batch(
     drawing), so a batch costs (sweeps of the slowest row) x (live rows).
 
     Returns a :class:`~repro.engine.batch.BatchRunResult` whose
-    ``rounds`` count sweeps (``cycle_length`` is 1 for converged rows, 0
-    for rows cut off at ``max_sweeps``).
+    ``rounds`` count sweeps.
     """
     from .batch import BatchRunResult, as_color_batch  # avoid module cycle
 
@@ -339,7 +338,6 @@ def run_asynchronous_batch(
 
     converged = np.zeros(b, dtype=bool)
     rounds = np.zeros(b, dtype=np.int32)
-    cycle_length = np.zeros(b, dtype=np.int32)
     fixed_point_round = np.full(b, -1, dtype=np.int32)
     monotone = np.ones(b, dtype=bool) if target_color is not None else None
 
@@ -376,7 +374,6 @@ def run_asynchronous_batch(
         if not any_change.all():
             done = ids[~any_change]
             converged[done] = True
-            cycle_length[done] = 1
             fixed_point_round[done] = sweep - 1
             colors[done] = work[~any_change]
             ids = ids[any_change]
@@ -391,7 +388,6 @@ def run_asynchronous_batch(
         final=colors,
         rounds=rounds,
         converged=converged,
-        cycle_length=cycle_length,
         fixed_point_round=fixed_point_round,
         monotone=monotone,
         target_color=target_color,

@@ -34,10 +34,10 @@ The SMP plan also carries a **bit-sliced** twin, :class:`PackedSMP`,
 built with it: colours as ``P`` bit planes of ``(P, N, W)`` ``uint64``
 words, 64 replicas per word, and one round as six pair equalities
 (XOR, OR-reduced across planes), a 2-2 tie mask and three masked
-selects.  :func:`~repro.engine.batch.run_batch` steps it whenever it
-does not detect cycles (:func:`packed_smp` hands it over); on
+selects.  :func:`~repro.engine.batch.run_batch` steps it whenever no
+irreversible colour is pinned (:func:`packed_smp` hands it over); on
 ``(8192, 36)`` blocks a round costs ~0.2 ms against ~8 ms for the
-int32 sorting network, which stays the kernel of cycle-detecting runs.
+int32 sorting network, which stays the kernel of irreversible runs.
 
 Contract:
 

@@ -38,6 +38,7 @@ from ..engine.parallel import (
     run_sharded,
     validate_positive,
 )
+from ..engine.runner import run_synchronous
 from ..io.ledger import LedgerScope, open_ledger
 from ..rules.plurality import GeneralizedPluralityRule
 from ..topology.graph import GraphTopology
@@ -118,9 +119,10 @@ def run_scale_free_experiment(
 
     Non-seed vertices get uniform random colors from the rest of the
     palette (the multi-colored analogue of the torus experiments).  The
-    run executes as a one-row block through
-    :func:`~repro.engine.batch.run_batch`; the RNG draw order (graph,
-    then colors, then seeds) is exactly the historical one.
+    run executes through :func:`~repro.engine.runner.run_synchronous`,
+    which stops a cycling run at its first repeated state, so
+    ``rounds`` counts the rounds up to that repeat; the RNG draw order
+    (graph, then colors, then seeds) is exactly the historical one.
     """
     rng = rng if rng is not None else np.random.default_rng(_DEFAULT_SEED)
     topo = barabasi_albert_topology(n, m_attach, rng)
@@ -132,22 +134,18 @@ def run_scale_free_experiment(
     seeds = seed_vertices(topo, max(1, int(round(seed_fraction * n))), strategy, rng)
     colors[seeds] = k
     rule = GeneralizedPluralityRule(num_colors=num_colors)
-    res = run_batch(
-        topo,
-        colors[None, :],
-        rule,
-        max_rounds=max_rounds,
-        target_color=k,
+    res = run_synchronous(
+        topo, colors, rule, max_rounds=max_rounds, track_changes=False
     )
-    final = res.final[0]
+    final = res.final
     return ScaleFreeOutcome(
         num_vertices=topo.num_vertices,
         seed_size=int(seeds.size),
         strategy=strategy,
         final_k_fraction=float((final == k).mean()),
-        rounds=int(res.rounds[0]),
-        converged=bool(res.converged[0]),
-        monochromatic=bool(res.converged[0] and (final == final[0]).all()),
+        rounds=res.rounds,
+        converged=res.converged,
+        monochromatic=bool(res.converged and (final == final[0]).all()),
     )
 
 
@@ -262,7 +260,6 @@ def _scale_free_graph_worker(shard: _GraphShard) -> dict:
         rule,
         max_rounds=max_rounds,
         target_color=k,
-        detect_cycles=False,
     )
     return {
         "takeovers": int(res.k_monochromatic.sum()),

@@ -425,7 +425,6 @@ def verify_witness(
         rule,
         max_rounds=max_rounds,
         target_color=record.k,
-        detect_cycles=False,
     )
     rounds = int(res.rounds[0])
     if not bool(res.k_monochromatic[0]):

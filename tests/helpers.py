@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.complement import _wavefront_order
 from repro.engine import plans
-from repro.engine.batch import BatchRunResult
+from repro.engine.batch import BatchRunResult, run_batch
 from repro.engine.schedulers import AsyncSchedule, run_asynchronous
 from repro.engine.stencil import fallback_stepper
 from repro.engine.runner import run_synchronous
@@ -58,19 +58,39 @@ def rule_kernel_only() -> Iterator[None]:
 
 #: every per-row field of a :class:`BatchRunResult`
 RESULT_FIELDS = (
-    "final", "rounds", "converged", "cycle_length", "fixed_point_round",
-    "monotone",
+    "final", "rounds", "converged", "fixed_point_round", "monotone",
 )
 
 
-def per_row_oracle(topo, batch, rule, **kwargs):
+def per_row_oracle(topo, batch, rule, *, detect_cycles=False, **kwargs):
     """Per-row :func:`run_synchronous`: every row stepped on its own,
     without the registry's batch-width steppers, the packed kernel or
-    Brent retirement."""
+    Brent retirement — to the cap by default, or to its first repeated
+    state with ``detect_cycles=True``."""
     return [
-        run_synchronous(topo, row, rule, track_changes=False, **kwargs)
+        run_synchronous(
+            topo, row, rule, track_changes=False, detect_cycles=detect_cycles,
+            **kwargs,
+        )
         for row in batch
     ]
+
+
+def assert_verdicts_match(res, oracle, context):
+    """What the drivers read agrees with a first-repeat oracle: whether
+    each row converged and stayed monotone, and every field of a
+    converged row (so k-monochromatic too).  A cycling row's rounds and
+    final state depend on where the runner stops it, so they are not
+    compared."""
+    assert res.batch_size == len(oracle), context
+    for b, ref in enumerate(oracle):
+        row = res.row(b)
+        assert row.converged == ref.converged, (context, b)
+        assert row.monotone == ref.monotone, (context, b)
+        if ref.converged:
+            assert np.array_equal(row.final, ref.final), (context, b)
+            assert row.rounds == ref.rounds, (context, b)
+            assert row.fixed_point_round == ref.fixed_point_round, (context, b)
 
 
 def assert_matches_oracle(res, oracle, context):
@@ -84,6 +104,24 @@ def assert_matches_oracle(res, oracle, context):
                 assert np.array_equal(got, want), (context, b, field)
             else:
                 assert got == want, (context, b, field, got, want)
+
+
+def assert_matches_own_kernel(variant, topo, batch, rule, res, context, **kwargs):
+    """``res`` equals the run of ``batch`` on the rules' own kernel that
+    ``variant`` names: per-row :func:`run_synchronous` to the cap for
+    ``"no-cycles"``, :func:`run_batch` otherwise (every field, bitwise)."""
+    with rule_kernel_only():
+        if variant == "no-cycles":
+            oracle = per_row_oracle(topo, batch, rule, **kwargs)
+            assert_matches_oracle(res, oracle, context)
+            return
+        ref = run_batch(topo, batch, rule, **kwargs)
+    for field in RESULT_FIELDS:
+        got, want = getattr(res, field), getattr(ref, field)
+        if got is None or want is None:
+            assert got is want, (context, field)
+        else:
+            assert np.array_equal(got, want), (context, field)
 
 
 def random_coloring(topo, num_colors, rng, low=0):
@@ -205,7 +243,6 @@ def reference_async_trials(
     final = np.empty((trials, n), dtype=np.int32)
     rounds = np.zeros(trials, dtype=np.int32)
     converged = np.zeros(trials, dtype=bool)
-    cycle_length = np.zeros(trials, dtype=np.int32)
     fixed_point_round = np.full(trials, -1, dtype=np.int32)
     monotone = np.ones(trials, dtype=bool)
     for i in range(trials):
@@ -221,7 +258,6 @@ def reference_async_trials(
         final[i] = res.final
         rounds[i] = res.rounds
         converged[i] = res.converged
-        cycle_length[i] = res.cycle_length or 0
         fixed_point_round[i] = (
             -1 if res.fixed_point_round is None else res.fixed_point_round
         )
@@ -230,7 +266,6 @@ def reference_async_trials(
         final=final,
         rounds=rounds,
         converged=converged,
-        cycle_length=cycle_length,
         fixed_point_round=fixed_point_round,
         monotone=monotone,
         target_color=con.k,

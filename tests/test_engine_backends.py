@@ -31,7 +31,7 @@ from repro.rules import (
 from repro.rules.plurality import ceil_half, strong_threshold
 from repro.topology import GraphTopology, ToroidalMesh
 
-from helpers import TORUS_KINDS, rule_kernel_only
+from helpers import TORUS_KINDS, assert_matches_own_kernel, rule_kernel_only
 
 #: the per-rule palettes of the parity matrix (name -> factory, low,
 #: palette size, target color), mirroring test_engine_batch.RULE_CASES
@@ -45,32 +45,16 @@ RULE_CASES = {
     "threshold": (lambda: LinearThresholdRule("simple"), 0, 2, 1),
 }
 
-#: engine-flag variants of the parity matrix: cycle detection on/off
-#: and the irreversible-color mode
-VARIANTS = {
-    "plain": {},
-    "no-cycles": {"detect_cycles": False},
-    "irreversible": {},  # irreversible_color filled per-case (target)
-}
-
-RESULT_FIELDS = (
-    "final", "rounds", "converged", "cycle_length", "fixed_point_round",
-    "monotone",
-)
+#: reference variants of the parity matrix: the rules' own kernel
+#: through run_batch ("plain"), through per-row run_synchronous stepping
+#: each row to the cap ("no-cycles"), and through run_batch with the
+#: irreversible color (filled per case)
+VARIANTS = ("plain", "no-cycles", "irreversible")
 
 
 @pytest.fixture(params=sorted(RULE_CASES))
 def rule_case(request):
     return request.param
-
-
-def _assert_results_equal(res, ref, context):
-    for field in RESULT_FIELDS:
-        a, b = getattr(res, field), getattr(ref, field)
-        if a is None or b is None:
-            assert a is b, (context, field)
-        else:
-            assert np.array_equal(a, b), (context, field)
 
 
 # ----------------------------------------------------------------------
@@ -84,17 +68,13 @@ def test_backend_parity_matrix(rng, torus_kind, rule_case, compiled, variant):
     batch = rng.integers(low, low + palette, size=(24, topo.num_vertices)).astype(
         np.int32
     )
-    kwargs = dict(VARIANTS[variant])
+    kwargs = dict(max_rounds=100, target_color=target)
     if variant == "irreversible":
         kwargs["irreversible_color"] = target
-    with rule_kernel_only():
-        ref = run_batch(
-            topo, batch, rule, max_rounds=100, target_color=target, **kwargs
-        )
-    res = run_batch(
-        topo, batch, rule, max_rounds=100, target_color=target, **kwargs
+    res = run_batch(topo, batch, rule, **kwargs)
+    assert_matches_own_kernel(
+        variant, topo, batch, rule, res, (rule_case, variant), **kwargs
     )
-    _assert_results_equal(res, ref, (rule_case, variant))
 
 
 def test_backend_parity_on_padded_irregular_graph(rng, compiled):

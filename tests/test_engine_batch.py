@@ -1,19 +1,25 @@
 """Batched multi-replica engine tests.
 
 The contract of :func:`repro.engine.batch.run_batch` is row-for-row
-bitwise agreement with :func:`repro.engine.runner.run_synchronous` — for
-*every* rule, on every torus kind, including the irreversible color and
-cycle detection.  Seeded property tests below pin that
-contract for all five rule families; the fast per-rule ``step_batch``
-kernels are additionally checked against the base-class row-loop oracle.
+bitwise agreement with :func:`repro.engine.runner.run_synchronous`
+stepping each row to the cap (``detect_cycles=False``) — for *every*
+rule, on every torus kind, including the irreversible color and Brent
+retirement of cycling rows — and agreement with the scalar runner's
+first-repeat detection on the verdicts the drivers read.  Seeded
+property tests below pin that contract for all five rule families; the
+fast per-rule ``step_batch`` kernels are additionally checked against
+the base-class row-loop oracle, and the batched SMP searches run on is
+checked against the single-configuration step.
 """
+
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import batch as batch_module
 from repro.engine import run_batch, run_synchronous
 from repro.engine.batch import as_color_batch
 from repro.rules import (
@@ -26,9 +32,10 @@ from repro.rules import (
     SMPRule,
     make_rule,
 )
+from repro.rules.smp import smp_step_batch
 from repro.topology import GraphTopology, ToroidalMesh
 
-from helpers import TORUS_KINDS, CyclicRule
+from helpers import TORUS_KINDS, CyclicRule, assert_verdicts_match, per_row_oracle
 
 #: (name, rule factory, palette low, palette size, target color) — one per
 #: rule family; palettes respect each rule's domain (bi-colored majority
@@ -58,16 +65,16 @@ def _random_batch(rng, topo, low, palette, b):
 
 
 def _assert_rows_match(res, topo, batch, rule, target, **kwargs):
-    """Row-for-row comparison of a BatchRunResult against the scalar runner."""
+    """Row-for-row comparison of a BatchRunResult against the scalar
+    runner stepping each row to the cap."""
     for i in range(batch.shape[0]):
         ref = run_synchronous(
-            topo, batch[i], rule, target_color=target, **kwargs
+            topo, batch[i], rule, target_color=target, detect_cycles=False,
+            **kwargs
         )
         assert np.array_equal(res.final[i], ref.final)
         assert bool(res.converged[i]) == ref.converged
         assert int(res.rounds[i]) == ref.rounds
-        cyc = int(res.cycle_length[i])
-        assert (cyc if cyc > 0 else None) == ref.cycle_length
         fpr = int(res.fixed_point_round[i])
         assert (fpr if fpr >= 0 else None) == ref.fixed_point_round
         assert bool(res.monotone[i]) == ref.monotone
@@ -159,106 +166,50 @@ def test_run_batch_irreversible_matches(rng, torus_kind):
 
 def test_run_batch_cycle_detection(rng):
     """Prefer-Black on a 2-2 checkerboard blinks with period 2; the batch
-    engine must retire such rows with the detected cycle length."""
+    engine retires such a row by its Brent deadline, in the state the
+    scalar runner reaches at the cap."""
     topo = ToroidalMesh(4, 4)
     rule = ReverseSimpleMajority("prefer-black")
     grid = np.indices((4, 4)).sum(axis=0) % 2  # checkerboard
     blink = (grid + 1).astype(np.int32).reshape(-1)  # colors in {1, 2}
     batch = np.stack([blink, np.full(16, 2, dtype=np.int32)])
-    res = run_batch(topo, batch, rule, max_rounds=50, target_color=2)
-    assert not res.converged[0] and int(res.cycle_length[0]) == 2
-    assert res.converged[1] and int(res.cycle_length[1]) == 1
-    ref = run_synchronous(topo, blink, rule, max_rounds=50, target_color=2)
-    assert ref.cycle_length == 2 and np.array_equal(res.final[0], ref.final)
+    for cap in (50, 51):
+        res = run_batch(topo, batch, rule, max_rounds=cap, target_color=2)
+        assert not res.converged[0] and int(res.rounds[0]) == cap
+        assert res.converged[1] and int(res.rounds[1]) == 0
+        ref = run_synchronous(
+            topo, blink, rule, max_rounds=cap, target_color=2,
+            detect_cycles=False,
+        )
+        assert ref.rounds == cap and np.array_equal(res.final[0], ref.final)
+    # the scalar runner's first-repeat detection stops the blinker early
+    first = run_synchronous(topo, blink, rule, max_rounds=50, target_color=2)
+    assert first.cycle_length == 2 and first.rounds == 2
 
 
-# ----------------------------------------------------------------------
-# cycle detection: exact verdicts, retirement at the first repeat
-# ----------------------------------------------------------------------
-def _colliding_digests(colors, mult):
-    """Every state gets the same digest: each round triggers a check."""
-    return np.zeros((colors.shape[0], 2), dtype=np.uint64)
-
-
-def test_cycle_verdict_does_not_trust_the_digest(monkeypatch, rng, torus_kind):
-    """With every digest colliding, each live row is checked against its
-    whole state history every round; results must still be the scalar
-    runner's, row for row — the digest triggers, the states decide."""
-    monkeypatch.setattr(batch_module, "_digest_rows", _colliding_digests)
-    topo = TORUS_KINDS[torus_kind](4, 5)
-    for name in ("smp", "plurality", "cyclic"):
-        factory, low, palette, target = RULE_CASES[name]
-        rule = factory()
-        batch = _random_batch(rng, topo, low, palette, 24)
-        res = run_batch(topo, batch, rule, max_rounds=120, target_color=target)
-        _assert_rows_match(res, topo, batch, rule, target, max_rounds=120)
-
-
-def test_history_widening_keeps_parity(monkeypatch, rng, torus_kind):
-    """A history with room for one round is widened at rounds 1, 2, 4,
-    8, ... while rows retire around it; results must not notice."""
-    monkeypatch.setattr(batch_module, "_HISTORY_ROUNDS", 1)
-    topo = TORUS_KINDS[torus_kind](4, 5)
-    for name in ("smp", "cyclic"):
-        factory, low, palette, target = RULE_CASES[name]
-        rule = factory()
-        batch = _random_batch(rng, topo, low, palette, 32)
-        res = run_batch(topo, batch, rule, max_rounds=120, target_color=target)
-        _assert_rows_match(res, topo, batch, rule, target, max_rounds=120)
-
-
-def test_state_history_widens_past_the_uint8_range(monkeypatch, rng):
-    """Colors start below 256 and leave that range mid-run: the history
-    must switch to an exact dtype.  Truncated to uint8, the all-256
-    state a counter from 200 stores at round 56 would read back as the
-    all-0 state it reaches at round 200 — a false period-144 cycle."""
-
-    class Counter(Rule):
-        """Every vertex advances one color per round, mod ``k``."""
-
-        def __init__(self, k):
-            self.k = k
-
-        def step_batch(self, colors, topo, out=None):
-            if out is None:
-                out = np.empty_like(colors)
-            np.remainder(colors + 1, self.k, out=out)
-            return out
-
-        def update_vertex(self, current, neighbor_colors):
-            return (current + 1) % self.k
-
-        def plan_token(self):
-            return (self.k,)
-
-    monkeypatch.setattr(batch_module, "_digest_rows", _colliding_digests)
-    topo = ToroidalMesh(3, 3)
-    batch = np.stack([np.full(9, 200), _random_batch(rng, topo, 0, 3, 1)[0]])
-    res = run_batch(topo, batch, Counter(400), max_rounds=450, target_color=0)
-    assert (res.cycle_length == 400).all() and (res.rounds == 400).all()
-    assert np.array_equal(res.final, batch)
-    _assert_rows_match(res, topo, batch, Counter(400), 0, max_rounds=450)
-
-
-def test_cycle_detection_steps_each_row_to_its_first_repeat(rng, torus_kind):
-    """No replay and no late retirement: the row-rounds stepped are
-    exactly what each row's outcome implies — ``r + 1`` for a fixed
-    point at round ``r``, ``rounds`` for a first repeat or the cap."""
-    stepped = []
-
-    class CountingCyclic(CyclicRule):
-        def step_batch(self, colors, topo, out=None):
-            stepped.append(colors.shape[0])
-            return CyclicRule.step_batch(self, colors, topo, out=out)
-
-    topo = TORUS_KINDS[torus_kind](4, 5)
-    batch = _random_batch(rng, topo, 0, 3, 64)
-    batch[0] = 0  # a fixed point from round 0
-    res = run_batch(topo, batch, CountingCyclic(3), max_rounds=12, target_color=0)
-    assert res.converged.any() and (res.cycle_length > 1).any()
-    assert (res.cycle_length == 0).any()  # some rows run to the cap
-    implied = np.where(res.converged, res.fixed_point_round + 1, res.rounds)
-    assert sum(stepped) == int(implied.sum())
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_block_verdicts_match_first_repeat(seed):
+    """The complement DFS keeps the rows of a 256-row SMP block that
+    become k-monochromatic monotonically.  On random blocks with cycling
+    rows that verdict (and whatever else the drivers read) equals the
+    scalar runner's with first-repeat detection."""
+    rng = np.random.default_rng(seed)
+    topo = TORUS_KINDS[("mesh", "cordalis", "serpentinus", "mesh")[seed]](5, 5)
+    # colour k = 0 on about half the cells, so some rows pass
+    batch = rng.integers(-3, 4, size=(256, topo.num_vertices)).clip(0)
+    batch = batch.astype(np.int32)
+    res = run_batch(topo, batch, SMPRule(), max_rounds=80, target_color=0)
+    oracle = per_row_oracle(
+        topo, batch, SMPRule(), max_rounds=80, target_color=0,
+        detect_cycles=True,
+    )
+    verdict = res.k_monochromatic & res.monotone
+    want = [r.is_dynamo_run(0) and bool(r.monotone) for r in oracle]
+    assert verdict.tolist() == want
+    assert_verdicts_match(res, oracle, seed)
+    # the pin is meaningful: rows pass, fail, and cycle
+    assert verdict.any() and not verdict.all()
+    assert any(r.cycle_length and r.cycle_length > 1 for r in oracle)
 
 
 def test_run_batch_retires_converged_rows_early(rng):
@@ -289,7 +240,10 @@ def test_run_batch_row_view(rng):
     batch = _random_batch(rng, topo, 0, 3, 5)
     res = run_batch(topo, batch, SMPRule(), max_rounds=80, target_color=0)
     one = res.row(2)
-    ref = run_synchronous(topo, batch[2], SMPRule(), max_rounds=80, target_color=0)
+    ref = run_synchronous(
+        topo, batch[2], SMPRule(), max_rounds=80, target_color=0,
+        detect_cycles=False,
+    )
     assert np.array_equal(one.final, ref.final)
     assert one.rounds == ref.rounds
     assert one.converged == ref.converged
@@ -334,3 +288,48 @@ def test_k_monochromatic_requires_target(rng):
     assert res.monotone is None
     with pytest.raises(ValueError):
         _ = res.k_monochromatic
+
+
+# ----------------------------------------------------------------------
+# the batched SMP the core searches run on
+# ----------------------------------------------------------------------
+def test_core_import_stays_quiet():
+    """Importing repro.core warns about nothing and carries no retired
+    batch names."""
+    sys.modules.pop("repro.core", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        import repro.core
+    assert not hasattr(repro.core, "run_batch_smp")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 8))
+def test_batch_step_equals_single_step(seed, batch):
+    rng = np.random.default_rng(seed)
+    topo = ToroidalMesh(4, 5)
+    configs = rng.integers(0, 4, size=(batch, topo.num_vertices)).astype(np.int32)
+    stepped = smp_step_batch(configs, topo.neighbors)
+    rule = SMPRule()
+    for b in range(batch):
+        assert np.array_equal(stepped[b], rule.step(configs[b], topo))
+
+
+def test_batch_includes_constructions(torus_kind):
+    from repro.core import build_minimum_dynamo
+
+    con = build_minimum_dynamo(torus_kind, 5, 5)
+    batch = np.stack([con.colors, con.colors])
+    out = run_batch(con.topo, batch, SMPRule(), max_rounds=200, target_color=con.k)
+    assert out.k_monochromatic.all()
+    assert out.monotone.all()
+
+
+def test_batch_round_cap():
+    from repro.core import theorem4_cordalis_dynamo
+
+    con = theorem4_cordalis_dynamo(8, 8)  # 24 rounds needed
+    batch = con.colors[None, :]
+    out = run_batch(con.topo, batch, SMPRule(), max_rounds=5, target_color=con.k)
+    assert not out.converged[0]
+    assert not out.k_monochromatic[0]

@@ -25,12 +25,7 @@ from repro.rules import (
 )
 from repro.topology import GraphTopology, ToroidalMesh
 
-from helpers import rule_kernel_only
-
-RESULT_FIELDS = (
-    "final", "rounds", "converged", "cycle_length", "fixed_point_round",
-    "monotone",
-)
+from helpers import assert_matches_own_kernel
 
 #: irregular-rule cases: factory, palette size, target color
 RULE_CASES = {
@@ -60,36 +55,24 @@ def rule_case(request):
     return request.param
 
 
-def _assert_results_equal(res, ref, context):
-    for field in RESULT_FIELDS:
-        a, b = getattr(res, field), getattr(ref, field)
-        if a is None or b is None:
-            assert a is b, (context, field)
-        else:
-            assert np.array_equal(a, b), (context, field)
-
-
 # ----------------------------------------------------------------------
 # parity: compiled vs own kernel x rules x irregular graphs, via run_batch
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("variant", ["plain", "no-cycles"])
 def test_irregular_parity_matrix(rng, rule_case, compiled, variant):
+    """The reference is the rules' own kernel through run_batch
+    ("plain") or per-row run_synchronous to the cap ("no-cycles")."""
     factory, palette, target = RULE_CASES[rule_case]
-    kwargs = {
-        "plain": {},
-        "no-cycles": {"detect_cycles": False},
-    }[variant]
     for name, topo in _graphs().items():
         rule = factory()
         batch = rng.integers(0, palette, size=(12, topo.num_vertices)).astype(
             np.int32
         )
-        with rule_kernel_only():
-            ref = run_batch(topo, batch, rule, max_rounds=60,
-                            target_color=target, **kwargs)
-        res = run_batch(topo, batch, rule, max_rounds=60, target_color=target,
-                        **kwargs)
-        _assert_results_equal(res, ref, (name, rule_case, variant))
+        res = run_batch(topo, batch, rule, max_rounds=60, target_color=target)
+        assert_matches_own_kernel(
+            variant, topo, batch, rule, res, (name, rule_case, variant),
+            max_rounds=60, target_color=target,
+        )
 
 
 def test_step_batch_matches_scalar_oracle_on_irregular_graphs(rng, rule_case):
@@ -112,7 +95,7 @@ def test_run_batch_row_matches_run_synchronous_on_graph(rng, rule_case):
     rule = factory()
     colors = rng.integers(0, palette, size=topo.num_vertices).astype(np.int32)
     scalar = run_synchronous(topo, colors, rule, max_rounds=60,
-                             target_color=target)
+                             target_color=target, detect_cycles=False)
     batched = run_batch(topo, colors[None, :], rule, max_rounds=60,
                         target_color=target)
     assert np.array_equal(batched.final[0], scalar.final)

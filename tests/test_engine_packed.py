@@ -1,8 +1,8 @@
 """The bit-sliced SMP path of :func:`run_batch` (64 replicas per word).
 
-``run_batch`` steps SMP on packed ``uint64`` words exactly when it does
-not detect cycles, pins no irreversible colour, runs no schedule, and
-the registry serves the compiled SMP plan.  These tests pin:
+``run_batch`` steps SMP on packed ``uint64`` words exactly when it pins
+no irreversible colour, runs no schedule, and the registry serves the
+compiled SMP plan.  These tests pin:
 
 * **selection** — those conditions and no others, judged on the raw
   cached stepper (a ``debug`` timing shim does not switch paths);
@@ -78,14 +78,12 @@ def test_packed_path_selection(tmp_path, rng, monkeypatch):
     batch = rng.integers(0, 4, size=(70, 16)).astype(np.int32)
 
     def run(rule=None, **kw):
-        kw.setdefault("detect_cycles", False)
         return lambda: run_batch(
             topo, batch, rule or SMPRule(), max_rounds=20, target_color=0, **kw
         )
 
     assert packed_smp(raw_stepper_for(SMPRule(), topo, 70)) is not None
     assert _takes_packed(monkeypatch, run())
-    assert not _takes_packed(monkeypatch, run(detect_cycles=True))
     assert not _takes_packed(monkeypatch, run(irreversible_color=0))
     assert not _takes_packed(monkeypatch, run(ReverseStrongMajority()))
     with rule_kernel_only():
@@ -108,7 +106,7 @@ def test_packed_edge_cases_match_per_row_oracle(rng, torus_kind, colors, width):
     absent = next(c for c in range(1, 600) if c not in palette)
     for target in (int(palette[-1]), absent, 1 << planes):
         for cap in (0, 1, 2, 5, None):
-            kw = dict(max_rounds=cap, target_color=target, detect_cycles=False)
+            kw = dict(max_rounds=cap, target_color=target)
             res = run_batch(topo, batch, SMPRule(), **kw)
             oracle = per_row_oracle(topo, batch, SMPRule(), **kw)
             assert_matches_oracle(res, oracle, (colors, width, target, cap))
@@ -124,7 +122,7 @@ def _mixed_word_batch(rng, topo):
     """130 rows (three words, the last one partial) alternating rows
     that cycle to the cap with rows that reach a fixed point."""
     pool = rng.integers(0, 5, size=(2048, topo.num_vertices)).astype(np.int32)
-    kw = dict(max_rounds=101, detect_cycles=False)
+    kw = dict(max_rounds=101)
     res = run_batch(topo, pool, SMPRule(), **kw)
     cycling = pool[~res.converged][:65]
     fixed = pool[res.converged][:65]
@@ -139,7 +137,7 @@ def test_packed_words_mixing_fixed_and_brent_rows(tmp_path, rng):
     and rows retired by their Brent deadline (read at that round)."""
     topo = ToroidalMesh(4, 4)
     batch = _mixed_word_batch(rng, topo)
-    kw = dict(max_rounds=101, target_color=0, detect_cycles=False)
+    kw = dict(max_rounds=101, target_color=0)
     counters = _counters(
         tmp_path / "p.tel", lambda: run_batch(topo, batch, SMPRule(), **kw)
     )
@@ -154,7 +152,7 @@ def test_packed_debug_telemetry_matches_rule_kernel(tmp_path, rng):
     kernel counts: one kernel step per round, and each Brent retirement."""
     topo = ToroidalMesh(4, 4)
     batch = _mixed_word_batch(rng, topo)
-    kw = dict(max_rounds=101, target_color=0, detect_cycles=False)
+    kw = dict(max_rounds=101, target_color=0)
 
     def run():
         run_batch(topo, batch, SMPRule(), **kw)

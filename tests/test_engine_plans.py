@@ -3,13 +3,15 @@
 Two contracts are pinned here:
 
 * **the engine's speed-ups are invisible** — :func:`run_batch` serves
-  compiled steppers from the registry and retires cycling
-  ``detect_cycles=False`` rows by lockstep Brent detection; the oracle
-  matrix compares every :class:`BatchRunResult` field of every row
-  with per-row :func:`run_synchronous` (which steps each row to the cap
-  with neither) across rule cases x engine-flag variants x kernels
-  (compiled, and the rules' own ``step_batch``) x torus kinds, and a
-  census run from a cold registry matches one from a warm registry;
+  compiled steppers from the registry and retires cycling rows by
+  lockstep Brent detection; the oracle matrix compares every
+  :class:`BatchRunResult` field of every row with per-row
+  :func:`run_synchronous` stepping each row to the cap with neither,
+  and the verdicts the drivers read with the scalar runner's
+  first-repeat detection, across rule cases x oracle variants x
+  kernels (compiled, and the rules' own ``step_batch``) x torus kinds,
+  and a census run from a cold registry matches one from a warm
+  registry;
 * **cache correctness** — hits/misses/evictions behave, a mutated rule
   misses (plan tokens change with spec-relevant state), non-authoritative
   tokens are withheld (subclassed kernels), compiled steppers stay
@@ -63,6 +65,7 @@ from helpers import (
     TORUS_KINDS,
     CyclicRule,
     assert_matches_oracle,
+    assert_verdicts_match,
     per_row_oracle,
     rule_kernel_only,
 )
@@ -80,11 +83,14 @@ RULE_CASES = {
     "cyclic": (lambda: CyclicRule(3), 0, 3, 0),
 }
 
-#: engine-flag variants: cycle detection on/off x irreversible color
+#: oracle variants: the scalar runner's default first-repeat detection
+#: ("plain", compared on the verdicts the drivers read), every row
+#: stepped to the cap ("no-cycles", every field), and the latter with
+#: an irreversible color (filled per case)
 VARIANTS = {
-    "plain": {},
-    "no-cycles": {"detect_cycles": False},
-    "irreversible": {"detect_cycles": False},  # irreversible_color per-case
+    "plain": {"detect_cycles": True},
+    "no-cycles": {},
+    "irreversible": {},
 }
 
 #: the kernel a run steps with: the rule's own ``step_batch`` through the
@@ -101,11 +107,15 @@ def _fresh_cache():
     clear_plan_cache(maxsize=_DEFAULT_CACHE_SIZE)
 
 
-def _variant_kwargs(variant, target):
-    kwargs = dict(VARIANTS[variant])
+def _run_and_check(topo, batch, rule, variant, context, **kwargs):
+    """Run ``batch`` and compare it with the variant's per-row oracle."""
     if variant == "irreversible":
-        kwargs["irreversible_color"] = target
-    return kwargs
+        kwargs["irreversible_color"] = kwargs["target_color"]
+    res = run_batch(topo, batch, rule, **kwargs)
+    oracle = per_row_oracle(topo, batch, rule, **VARIANTS[variant], **kwargs)
+    check = assert_verdicts_match if variant == "plain" else assert_matches_oracle
+    check(res, oracle, context)
+    return res
 
 
 # ----------------------------------------------------------------------
@@ -121,12 +131,11 @@ def test_escalation_parity_matrix(rng, torus_kind, case, variant, kernel):
     batch = rng.integers(low, low + palette, size=(32, topo.num_vertices)).astype(
         np.int32
     )
-    kwargs = dict(max_rounds=100, target_color=target)
-    kwargs.update(_variant_kwargs(variant, target))
     with KERNELS[kernel]():
-        res = run_batch(topo, batch, rule, **kwargs)
-        oracle = per_row_oracle(topo, batch, rule, **kwargs)
-    assert_matches_oracle(res, oracle, (kernel, case, variant))
+        _run_and_check(
+            topo, batch, rule, variant, (kernel, case, variant),
+            max_rounds=100, target_color=target,
+        )
 
 
 def test_escalation_parity_across_round_caps(rng):
@@ -146,11 +155,10 @@ def test_escalation_parity_across_round_caps(rng):
             )
             for variant in sorted(VARIANTS):
                 for cap in list(range(0, 24)) + [33, 48, 80, 101]:
-                    kw = dict(max_rounds=cap, target_color=target)
-                    kw.update(_variant_kwargs(variant, target))
-                    res = run_batch(topo, batch, rule, **kw)
-                    oracle = per_row_oracle(topo, batch, rule, **kw)
-                    assert_matches_oracle(res, oracle, (kind, case, variant, cap))
+                    res = _run_and_check(
+                        topo, batch, rule, variant, (kind, case, variant, cap),
+                        max_rounds=cap, target_color=target,
+                    )
                     if variant == "no-cycles" and cap == 101:
                         cycling[case] += int((~res.converged).sum())
     # the pin is meaningful: rows of both cases cycle to the cap
@@ -172,7 +180,7 @@ def test_escalation_retires_cycling_rows_early(rng):
 
     topo = ToroidalMesh(4, 4)
     batch = rng.integers(0, 5, size=(128, 16)).astype(np.int32)
-    kw = dict(max_rounds=80, target_color=0, detect_cycles=False)
+    kw = dict(max_rounds=80, target_color=0)
     res = run_batch(topo, batch, CountingSMP(), **kw)
     oracle = per_row_oracle(topo, batch, SMPRule(), **kw)
     assert_matches_oracle(res, oracle, "counting")
