@@ -75,13 +75,22 @@ def _plan_cache_counters(fn) -> dict:
         return summarize_stream(stream)["plan_cache"]
 
 
-def _tmin(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _paired(off, on, repeats):
+    """Time ``off`` and ``on`` in ``repeats`` interleaved pairs, the
+    order alternating from pair to pair: the best time of each side and
+    the median of the per-pair ratios off / on.  Load that drifts over
+    the run hits both members of a pair alike, where separate best-of
+    blocks would each see a different slice of it."""
+    times = ([], [])
+    for i in range(repeats):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for side in order:
+            fn = (off, on)[side]
+            t0 = time.perf_counter()
+            fn()
+            times[side].append(time.perf_counter() - t0)
+    t_off, t_on = np.asarray(times[0]), np.asarray(times[1])
+    return float(t_off.min()), float(t_on.min()), float(np.median(t_off / t_on))
 
 
 def _full_simulation(topo, batch, rule, *, max_rounds, target_color):
@@ -158,9 +167,11 @@ def test_plan_search_speedup(benchmark, workload):
     on = _search_calls(topo, rule, palette)  # warm the stepper registry
     off = _search_calls(topo, rule, palette, _full_simulation)
     _assert_parity(on, off)
-    t_off = _tmin(lambda: _search_calls(topo, rule, palette, _full_simulation))
-    t_on = _tmin(lambda: _search_calls(topo, rule, palette))
-    speedup = t_off / t_on
+    _, _, speedup = _paired(
+        lambda: _search_calls(topo, rule, palette, _full_simulation),
+        lambda: _search_calls(topo, rule, palette),
+        repeats=3,
+    )
     benchmark.pedantic(
         _search_calls, args=(topo, rule, palette), rounds=1, iterations=1
     )
@@ -180,7 +191,9 @@ def test_plan_search_speedup(benchmark, workload):
 def collect_plan_timings(rounds: int = 5) -> dict:
     """Measure ``run_batch`` ("plans on") against full simulation
     ("plans off") on the search workloads; the ``BENCH_plans.json``
-    payload."""
+    payload.  Each side's seconds are its best over ``rounds``
+    interleaved pairs, each speedup the median per-pair ratio
+    (:func:`_paired`)."""
     payload = {
         "workload": {
             "search": f"mesh {TORUS_SIZE}x{TORUS_SIZE}, {CALLS} run_batch "
@@ -201,20 +214,22 @@ def collect_plan_timings(rounds: int = 5) -> dict:
             _search_calls(topo, rule, palette),
             _search_calls(topo, rule, palette, _full_simulation),
         )
-        t_off = _tmin(
+        t_off, t_on, search_speedup = _paired(
             lambda: _search_calls(topo, rule, palette, _full_simulation),
+            lambda: _search_calls(topo, rule, palette),
             repeats=rounds,
         )
-        t_on = _tmin(lambda: _search_calls(topo, rule, palette),
-                     repeats=rounds)
         big = ToroidalMesh(CENSUS_TORUS, CENSUS_TORUS)
         block = np.random.default_rng(0xD1CE).integers(
             0, palette, size=(CENSUS_BATCH, big.num_vertices)
         ).astype(np.int32)
         kw = dict(max_rounds=4 * big.num_vertices + 16, target_color=0)
-        c_off = _tmin(lambda: _full_simulation(big, block, rule, **kw),
-                      repeats=rounds)
-        c_on = _tmin(lambda: run_batch(big, block, rule, **kw), repeats=rounds)
+        run_batch(big, block, rule, **kw)  # compile and cache the plan
+        c_off, c_on, census_speedup = _paired(
+            lambda: _full_simulation(big, block, rule, **kw),
+            lambda: run_batch(big, block, rule, **kw),
+            repeats=rounds,
+        )
         # cache effectiveness, from the telemetry counters: by now the
         # cache is warm, so every one of the CALLS engine calls must be
         # served from it — a hit-rate collapse means cache identity broke
@@ -225,10 +240,10 @@ def collect_plan_timings(rounds: int = 5) -> dict:
         payload["results"][label] = {
             "search_seconds_plans_off": round(t_off, 3),
             "search_seconds_plans_on": round(t_on, 3),
-            "search_plan_speedup": round(t_off / t_on, 2),
+            "search_plan_speedup": round(search_speedup, 2),
             "census_seconds_plans_off": round(c_off, 3),
             "census_seconds_plans_on": round(c_on, 3),
-            "census_plan_speedup": round(c_off / c_on, 2),
+            "census_plan_speedup": round(census_speedup, 2),
             "plan_cache_hits": cache["hits"],
             "plan_cache_misses": cache["misses"],
             "plan_cache_hit_rate": cache["hit_rate"],
@@ -244,7 +259,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", default="BENCH_plans.json", metavar="FILE")
     parser.add_argument("--rounds", type=int, default=5,
-                        help="timing repeats per measurement (best-of)")
+                        help="timing repeats per measurement (interleaved "
+                        "pairs; best-of for the raw times)")
     args = parser.parse_args(argv)
     payload = collect_plan_timings(rounds=args.rounds)
     with open(args.out, "w") as fh:

@@ -23,11 +23,11 @@ Two engines:
     checks assigned vertices only) — one ``prune_to_core`` pass per depth
     decides it for every node at that depth.
 
-  Leaves are verified in fixed blocks: each leaf's coloring is queued as
-  one row of a 256-row block that :func:`~repro.engine.batch.run_batch`
-  simulates in a single call (a short final block is padded with copies
-  of a queued row, so the stepper registry compiles one per topology).
-  The first passing row in DFS order is re-certified by
+  Leaves are verified in blocks: each leaf's coloring is queued as one
+  row of a 256-row block that :func:`~repro.engine.batch.run_batch`
+  simulates in a single call (a short final block runs as it is; the
+  stepper registry serves every width one plan per topology).  The
+  first passing row in DFS order is re-certified by
   :func:`~repro.engine.runner.run_synchronous` and returned.
 
   The node budget ``max_nodes`` counts visited DFS nodes — the root,
@@ -62,8 +62,7 @@ from ..topology.base import Topology
 
 __all__ = ["find_dynamo_complement", "minimum_palette_complement"]
 
-#: rows per leaf-verification block; fixed so every flush reuses one
-#: compiled stepper per topology
+#: rows per leaf-verification block: the leaves queued before a flush
 LEAF_BLOCK = 256
 
 
@@ -190,11 +189,12 @@ def find_dynamo_complement(
         report()
         obs.count("complement.leaves", filled)
         rows, filled = filled, 0
-        block[rows:] = block[0]  # padding rows; their verdicts are ignored
-        res = run_batch(topo, block, rule, max_rounds=max_rounds, target_color=k)
-        ok = res.k_monochromatic[:rows]
+        res = run_batch(
+            topo, block[:rows], rule, max_rounds=max_rounds, target_color=k
+        )
+        ok = res.k_monochromatic
         if require_monotone:
-            ok &= res.monotone[:rows]
+            ok &= res.monotone
         passing = np.flatnonzero(ok)
         if passing.size == 0:
             return None

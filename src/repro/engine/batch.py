@@ -17,8 +17,6 @@ Semantics mirror :func:`~repro.engine.runner.run_synchronous` with
   eventually periodic; a cycling row is found by lockstep Brent
   snapshots and fast-forwarded to the cap's state, so it reports what
   stepping it to the cap would;
-* **irreversible color** — the Chang-Lyuu irreversible variant, applied
-  batch-wide;
 * **monotonicity monitoring** w.r.t. a target color (Definition 3).
 
 Whether a row converged, became k-monochromatic and stayed monotone
@@ -35,11 +33,10 @@ gathers, and a rule without one runs its own ``step_batch`` (the
 generic one loops the rule's scalar ``step`` over rows, so every rule
 works here).
 
-Two loops drive the plans.  The **int32 loop** serves every rule and
-flag.  The **packed loop** serves SMP runs that pin no irreversible
-colour and run no schedule — the census scans, the random dynamo
-search, the sweeps and the complement DFS leaf blocks — whenever the
-registry's raw stepper is the compiled SMP plan: the batch is packed
+Two loops drive the plans.  The **int32 loop** serves every rule.
+The **packed loop** serves every SMP run — the census scans, the random
+dynamo search, the sweeps and the complement DFS leaf blocks — whenever
+the registry's raw stepper is the compiled SMP plan: the batch is packed
 once into bit planes of 64 replicas per ``uint64`` word
 (:class:`~repro.engine.stencil.PackedSMP`) and stays packed, every
 per-row check becomes a reduction over words, and rows are unpacked
@@ -146,23 +143,17 @@ def run_batch(
     *,
     max_rounds: Optional[int] = None,
     target_color: Optional[int] = None,
-    irreversible_color: Optional[int] = None,
-    schedule: Optional["AsyncSchedule"] = None,
 ) -> BatchRunResult:
     """Run every row of ``batch`` to fixed point or round cap.
 
     Parameters mirror :func:`~repro.engine.runner.run_synchronous`; the
     returned arrays are indexed by row.  The compiled stepper comes from
     the process-local registry of :mod:`repro.engine.plans`, so repeated
-    calls on one ``(rule, topology, batch width)`` compile once.
-
-    ``schedule`` switches the *update model*: instead of synchronous
-    lockstep rounds, each row evolves under its own sequential
-    activation schedule (see :class:`~repro.engine.schedulers.
-    AsyncSchedule`), with ``max_rounds`` counting sweeps.  Schedule mode
-    delegates to :func:`~repro.engine.schedulers.run_asynchronous_batch`
-    — kernels are compiled by the scheduler's own vectorizer, and the
-    irreversible color of the synchronous engine is not available.
+    calls on one ``(rule, topology)`` compile once, whatever their
+    batch widths.  Sequential schedules run through
+    :func:`~repro.engine.schedulers.run_asynchronous_batch`, and the
+    irreversible variant through
+    :func:`~repro.engine.runner.run_synchronous`.
 
     Execution walks a *compact* working set: retired rows leave it, so a
     batch costs (rounds of the slowest member) x (live rows), and every
@@ -176,34 +167,17 @@ def run_batch(
     stepping the row to the cap would report (per-row
     :func:`~repro.engine.runner.run_synchronous` with
     ``detect_cycles=False`` is that oracle), at a fraction of the rounds.
-    An SMP run with no irreversible colour steps packed words of 64 rows
-    on the compiled plan's bit-sliced kernel (see the module
-    docstring); the results are the same.
+    An SMP run steps packed words of 64 rows on the compiled plan's
+    bit-sliced kernel (see the module docstring); the results are the
+    same.
     """
-    if schedule is not None:
-        if irreversible_color is not None:
-            raise ValueError(
-                "an irreversible color is a synchronous-engine feature; "
-                "schedule mode does not support it"
-            )
-        from .schedulers import run_asynchronous_batch
-
-        return run_asynchronous_batch(
-            topo,
-            batch,
-            rule,
-            schedule,
-            max_sweeps=max_rounds,
-            target_color=target_color,
-        )
     colors = as_color_batch(batch, topo.num_vertices).copy()
     b = colors.shape[0]
     raw = raw_stepper_for(rule, topo, b)
     max_rounds = validate_round_cap(max_rounds, topo)
-    if irreversible_color is None:
-        packed = packed_smp(raw)
-        if packed is not None:
-            return _run_packed(packed, colors, max_rounds, target_color)
+    packed = packed_smp(raw)
+    if packed is not None:
+        return _run_packed(packed, colors, max_rounds, target_color)
     stepper = instrumented_stepper(raw)
 
     converged = np.zeros(b, dtype=bool)
@@ -230,8 +204,6 @@ def run_batch(
         if not ids.size:
             break
         new = stepper(work)
-        if irreversible_color is not None:
-            np.copyto(new, irreversible_color, where=work == irreversible_color)
         changed = new != work
         moved = changed.any(axis=1)
         rounds[ids] = np.where(moved, t, t - 1)

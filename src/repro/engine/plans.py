@@ -7,7 +7,13 @@ per call is harmless for one census-sized block and real money for
 many-small-batch search loops that issue thousands of calls against the
 same ``(rule, topology)``, so the engine serves steppers from a bounded,
 process-local LRU registry keyed by ``(rule identity, topology
-identity, max_batch)``.  Rule identity is ``(type, plan_token())`` —
+identity)``.  Batch width is not part of the key: a plan's scratch grows
+to the widest batch it is handed and every call works on a ``[:b]``
+slice of it, so the ``(1, N)`` rows of
+:func:`~repro.engine.runner.run_synchronous`, a search's full blocks and
+a DFS's short last leaf block are all served one plan; ``max_batch``
+only sizes the scratch of a fresh compile.  Rule identity is
+``(type, plan_token())`` —
 rules publish a :meth:`~repro.rules.base.Rule.plan_token` that changes
 whenever any state their compiled kernel depends on changes (tie
 policy, palette size, threshold spec), so mutating a rule invalidates
@@ -149,18 +155,17 @@ def topology_token(topo: Topology) -> Optional[Hashable]:
     return ("obj", serial)
 
 
-def stepper_cache_key(
-    rule: Rule, topo: Topology, max_batch: int
-) -> Optional[tuple]:
-    """The registry key for one compiled stepper, or ``None`` when any
-    component is uncacheable (the caller then compiles fresh)."""
+def stepper_cache_key(rule: Rule, topo: Topology) -> Optional[tuple]:
+    """The registry key for one compiled stepper, ``(rule token,
+    topology token)``, or ``None`` when either component is uncacheable
+    (the caller then compiles fresh)."""
     rtok = rule_plan_token(rule)
     if rtok is None:
         return None
     ttok = topology_token(topo)
     if ttok is None:
         return None
-    return (rtok, ttok, int(max_batch))
+    return (rtok, ttok)
 
 
 # ----------------------------------------------------------------------
@@ -225,13 +230,14 @@ class _StepperCache:
     ) -> Stepper:
         """The compiled stepper for ``(rule, topo)`` as the registry
         holds it, with no timing shim; served from the registry when
-        the pair is cacheable.
+        the pair is cacheable.  ``max_batch`` sizes the scratch of a
+        fresh compile only; a served plan grows on demand.
 
         Never cached: rules without an authoritative
         :func:`rule_plan_token` and topologies without a
         :func:`topology_token`.
         """
-        key = stepper_cache_key(rule, topo, max_batch)
+        key = stepper_cache_key(rule, topo)
         if key is None:
             return timed_compile(rule, topo, max_batch)
         stepper = self.get(key)
@@ -246,12 +252,13 @@ class _StepperCache:
         return instrumented_stepper(self.raw_stepper_for(rule, topo, max_batch))
 
 
-#: compiled steppers cached per process.  32 entries comfortably covers
-#: a census (3 kinds x 4 sizes x a couple of batch geometries) while
-#: bounding pinned scratch: each stencil stepper preallocates
-#: O(max_batch x N) buffers (tens of MB at census size), so the bound is
-#: deliberately small — resize with ``clear_plan_cache(maxsize=...)``
-#: for workloads juggling more (rule, topology, geometry) combinations
+#: compiled steppers cached per process.  A census holds one entry per
+#: torus (3 kinds x 4 sizes), so 32 entries leave room for a sweep's
+#: rules besides it while bounding pinned scratch: each plan keeps
+#: buffers sized to the widest batch it has run (tens of MB at census
+#: size), so the bound is deliberately small — resize with
+#: ``clear_plan_cache(maxsize=...)`` for workloads juggling more
+#: (rule, topology) pairs
 _DEFAULT_CACHE_SIZE = 32
 _STEPPER_CACHE = _StepperCache(_DEFAULT_CACHE_SIZE)
 

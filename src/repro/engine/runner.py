@@ -15,8 +15,8 @@ unit.  :func:`run_synchronous` executes that loop with:
 
 Each round runs the same compiled kernel as the batched engine
 (:func:`~repro.engine.stencil.compile_stepper` on a ``(1, N)`` view,
-served by the stepper registry) unless the rule overrides its scalar
-``step``.
+served by the stepper registry: the very plan batched calls on the same
+``(rule, topology)`` use) unless the rule overrides its scalar ``step``.
 
 ``max_rounds`` defaults to a generous bound derived from Theorem 8 — the
 slowest construction in the paper needs ``O(m * n)`` rounds, so we cap at

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..rules.base import Rule, as_color_array
 from ..topology.base import Topology
+from .batch import BatchRunResult, as_color_batch
 from .stencil import _definer, rule_spec
 from .result import RunResult
 from .runner import validate_round_cap
@@ -306,7 +307,7 @@ def run_asynchronous_batch(
     *,
     max_sweeps: Optional[int] = None,
     target_color: Optional[int] = None,
-) -> "BatchRunResult":
+) -> BatchRunResult:
     """Run every row of ``batch`` under its own sequential schedule.
 
     Row ``i`` evolves exactly as ``run_asynchronous(topo, batch[i], rule,
@@ -320,8 +321,6 @@ def run_asynchronous_batch(
     Returns a :class:`~repro.engine.batch.BatchRunResult` whose
     ``rounds`` count sweeps.
     """
-    from .batch import BatchRunResult, as_color_batch  # avoid module cycle
-
     colors = as_color_batch(batch, topo.num_vertices).copy()
     b, n = colors.shape
     if schedule.batch_size is not None and schedule.batch_size != b:

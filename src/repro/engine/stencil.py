@@ -34,10 +34,11 @@ The SMP plan also carries a **bit-sliced** twin, :class:`PackedSMP`,
 built with it: colours as ``P`` bit planes of ``(P, N, W)`` ``uint64``
 words, 64 replicas per word, and one round as six pair equalities
 (XOR, OR-reduced across planes), a 2-2 tie mask and three masked
-selects.  :func:`~repro.engine.batch.run_batch` steps it whenever no
-irreversible colour is pinned (:func:`packed_smp` hands it over); on
-``(8192, 36)`` blocks a round costs ~0.2 ms against ~8 ms for the
-int32 sorting network, which stays the kernel of irreversible runs.
+selects.  :func:`~repro.engine.batch.run_batch` steps it on every SMP
+batch (:func:`packed_smp` hands it over); on ``(8192, 36)`` blocks a
+round costs ~0.2 ms against ~8 ms for the int32 sorting network, which
+stays the kernel of :func:`~repro.engine.runner.run_synchronous` (its
+one-row runs and the irreversible variant).
 
 Contract:
 
@@ -84,8 +85,8 @@ __all__ = [
 ]
 
 #: a compiled one-round kernel: ``stepper(colors)`` takes a ``(b, N)`` int32
-#: batch (``b`` may vary between calls, up to the compile-time ``max_batch``;
-#: larger batches reallocate) and returns the next state.  The returned
+#: batch (``b`` may vary between calls; one wider than any before grows
+#: the scratch) and returns the next state.  The returned
 #: array may be an internal scratch buffer reused by the *next* call — the
 #: engine consumes it fully before stepping again and callers must do the
 #: same (copy what you keep).

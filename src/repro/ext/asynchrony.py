@@ -15,7 +15,7 @@ measure it:
 Both experiments fan their trials out as one
 :class:`~repro.engine.schedulers.AsyncSchedule` batch — every trial is an
 independent row of a ``(trials, N)`` block advanced by
-:func:`~repro.engine.batch.run_batch`'s schedule mode.  Trial ``i``'s
+:func:`~repro.engine.schedulers.run_asynchronous_batch`.  Trial ``i``'s
 permutation stream is seeded ``(root, i)``, so trials are independent of
 each other's sweep counts and individually reproducible.  The scalar
 :func:`~repro.engine.schedulers.run_asynchronous` loop is the reference
@@ -43,9 +43,9 @@ import numpy as np
 
 from .. import obs
 from ..core.constructions import Construction
-from ..engine.batch import DYNAMICS_VERSION, run_batch
+from ..engine.batch import DYNAMICS_VERSION
 from ..engine.context import RunStats
-from ..engine.schedulers import AsyncSchedule
+from ..engine.schedulers import AsyncSchedule, run_asynchronous_batch
 from ..rules.smp import SMPRule
 
 __all__ = [
@@ -143,12 +143,12 @@ def _run_trials(
 ):
     """One BatchRunResult for the whole trial set."""
     block = np.tile(np.asarray(con.colors, dtype=np.int32), (schedule.batch_size, 1))
-    return run_batch(
+    return run_asynchronous_batch(
         con.topo,
         block,
         SMPRule(),
-        schedule=schedule,
-        max_rounds=max_sweeps,
+        schedule,
+        max_sweeps=max_sweeps,
         target_color=con.k,
     )
 

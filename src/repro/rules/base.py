@@ -180,8 +180,8 @@ class Rule(abc.ABC):
         """Hashable token identifying this rule's compiled-kernel state.
 
         The stepper registry (:mod:`repro.engine.plans`) caches
-        compiled steppers across ``run_batch`` calls keyed on
-        ``(rule type + this token, topology, batch width)``.
+        compiled steppers across engine calls keyed on
+        ``(rule type + this token, topology)``.
         Publishing a token is a *contract*: two instances of the same
         class with equal tokens must produce bitwise-identical dynamics,
         and the token must change whenever any state the kernel depends

@@ -63,10 +63,10 @@ RESULT_FIELDS = (
 
 
 def per_row_oracle(topo, batch, rule, *, detect_cycles=False, **kwargs):
-    """Per-row :func:`run_synchronous`: every row stepped on its own,
-    without the registry's batch-width steppers, the packed kernel or
-    Brent retirement — to the cap by default, or to its first repeated
-    state with ``detect_cycles=True``."""
+    """Per-row :func:`run_synchronous`: every row stepped on its own as
+    a ``(1, N)`` block, without the packed kernel or Brent retirement —
+    to the cap by default, or to its first repeated state with
+    ``detect_cycles=True``."""
     return [
         run_synchronous(
             topo, row, rule, track_changes=False, detect_cycles=detect_cycles,
@@ -104,6 +104,19 @@ def assert_matches_oracle(res, oracle, context):
                 assert np.array_equal(got, want), (context, b, field)
             else:
                 assert got == want, (context, b, field, got, want)
+
+
+def assert_per_row_matches_own_kernel(topo, batch, rule, context, **kwargs):
+    """Per-row :func:`run_synchronous` on the kernel in force equals the
+    same calls on the rules' own kernel, every field of every row."""
+    got = per_row_oracle(topo, batch, rule, **kwargs)
+    with rule_kernel_only():
+        want = per_row_oracle(topo, batch, rule, **kwargs)
+    for b, (row, ref) in enumerate(zip(got, want)):
+        for field in RESULT_FIELDS:
+            assert np.array_equal(getattr(row, field), getattr(ref, field)), (
+                context, b, field,
+            )
 
 
 def assert_matches_own_kernel(variant, topo, batch, rule, res, context, **kwargs):
@@ -236,7 +249,8 @@ def reference_async_trials(
     Replays every trial of ``schedule`` through
     :func:`~repro.engine.schedulers.run_asynchronous`, one row at a time,
     and assembles the results into the :class:`BatchRunResult` that
-    :func:`~repro.engine.batch.run_batch` returns for the same schedule.
+    :func:`~repro.engine.schedulers.run_asynchronous_batch` returns for
+    the same schedule.
     """
     trials = schedule.batch_size
     n = con.topo.num_vertices

@@ -256,8 +256,9 @@ def test_budget_parity_at_block_edges(monkeypatch, open_cell_trace, leaves):
 
     monkeypatch.setattr(batch_module, "run_batch", counting)
     assert find_dynamo_complement(topo, seed, 0, [1, 2, 3], max_nodes=budget) is None
-    # every leaf is verified, in fixed-height blocks
-    assert blocks == [LEAF_BLOCK] * -(-leaves // LEAF_BLOCK)
+    # every leaf is verified: full blocks, then the remainder unpadded
+    full, rest = divmod(leaves, LEAF_BLOCK)
+    assert blocks == [LEAF_BLOCK] * full + ([rest] if rest else [])
 
 
 #: inputs whose first passing leaf sits on a block edge (found by scanning
@@ -311,7 +312,7 @@ def test_disagreeing_engines_raise(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# plan cache: fixed-height blocks compile one stepper per topology
+# plan cache: leaf blocks of every height share one stepper per topology
 # ---------------------------------------------------------------------------
 
 
@@ -327,7 +328,7 @@ def fresh_plan_cache():
 def test_leaf_blocks_compile_one_stepper_per_topology(fresh_plan_cache):
     topo = make_torus("cordalis", 6, 6)
     seed = diagonal_seed(topo)
-    # final blocks of different heights, all padded to LEAF_BLOCK rows
+    # final blocks of different heights, none padded
     for budget in (300, 700, 1500):
         assert find_dynamo_complement(topo, seed, 0, [1, 2, 3], max_nodes=budget) is None
     stats = plan_cache_stats()
@@ -337,11 +338,11 @@ def test_leaf_blocks_compile_one_stepper_per_topology(fresh_plan_cache):
 def test_cold_census_evicts_no_stepper(fresh_plan_cache, tmp_path):
     below_bound_census(sizes=(3, 4, 5), db=tmp_path / "w.jsonl")
     stats = plan_cache_stats()
-    assert stats.evictions == 0 and stats.size == stats.misses
-    widths = [key[-1] for key in plans_module._STEPPER_CACHE._data]
-    # cordalis and serpentinus 4x4 and 5x5 run the DFS; mesh serves cached
-    # complements
-    assert widths.count(LEAF_BLOCK) == 4
+    # one plan per (rule, torus): SMP on 3 kinds x 3 sizes, whatever the
+    # widths of the scans, the exhaustive search and the DFS leaf blocks
+    assert (stats.misses, stats.size, stats.evictions) == (9, 9, 0)
+    tori = {key[1] for key in plans_module._STEPPER_CACHE._data}
+    assert len(tori) == 9
 
 
 # ---------------------------------------------------------------------------

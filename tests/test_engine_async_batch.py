@@ -2,8 +2,8 @@
 
 The load-bearing contract: row ``i`` of :func:`run_asynchronous_batch` is
 **bitwise identical** to a scalar :func:`run_asynchronous` run driven by
-the same per-row generator — for the vectorized smp/plurality legs, for
-the row-loop fallback, and through :func:`run_batch`'s schedule mode.
+the same per-row generator — for the vectorized smp/plurality legs and
+for the row-loop fallback, on the compiled and the rules' own kernels.
 That equivalence is what lets the ``ext`` robustness experiments batch
 hundreds of schedules without changing a single recorded number.
 """
@@ -11,7 +11,6 @@ hundreds of schedules without changing a single recorded number.
 import numpy as np
 import pytest
 
-from repro.engine import run_batch
 from repro.engine.schedulers import (
     AsyncSchedule,
     _compile_vertex_update,
@@ -193,20 +192,8 @@ def test_batch_size_mismatch_raises(rng):
 
 
 # ----------------------------------------------------------------------
-# run_batch schedule mode
+# kernel invariance
 # ----------------------------------------------------------------------
-def test_run_batch_schedule_mode_delegates(rng):
-    topo = ToroidalMesh(4, 5)
-    rule = SMPRule()
-    batch = rng.integers(0, 4, size=(8, topo.num_vertices)).astype(np.int32)
-    sched = AsyncSchedule.derive(0xABC, 8)
-    direct = run_asynchronous_batch(topo, batch, rule, sched, target_color=0)
-    via = run_batch(topo, batch, rule, schedule=sched, target_color=0)
-    for field in ("final", "rounds", "converged", "fixed_point_round",
-                  "monotone"):
-        assert np.array_equal(getattr(via, field), getattr(direct, field)), field
-
-
 def test_run_batch_schedule_mode_is_backend_invariant(rng):
     """The compiled kernel cannot change schedule results."""
     topo = _ba()
@@ -214,15 +201,7 @@ def test_run_batch_schedule_mode_is_backend_invariant(rng):
     batch = rng.integers(0, 4, size=(5, topo.num_vertices)).astype(np.int32)
     sched = AsyncSchedule.derive(0xD1CE, 5)
     with rule_kernel_only():
-        a = run_batch(topo, batch, rule, schedule=sched)
-    b = run_batch(topo, batch, rule, schedule=sched)
+        a = run_asynchronous_batch(topo, batch, rule, sched)
+    b = run_asynchronous_batch(topo, batch, rule, sched)
     assert np.array_equal(a.final, b.final)
     assert np.array_equal(a.rounds, b.rounds)
-
-
-def test_run_batch_schedule_mode_rejects_pinning_flags(rng):
-    topo = ToroidalMesh(3, 3)
-    batch = rng.integers(0, 4, size=(2, 9)).astype(np.int32)
-    sched = AsyncSchedule.derive(0, 2)
-    with pytest.raises(ValueError, match="synchronous-engine feature"):
-        run_batch(topo, batch, SMPRule(), schedule=sched, irreversible_color=0)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.search import random_dynamo_search
 from repro.engine import ExecutionSettings, run_batch
+from repro.engine.plans import raw_stepper_for
 from repro.engine.stencil import compile_stepper, fallback_stepper
 from repro.experiments import below_bound_census
 from repro.io.witnessdb import WitnessDB
@@ -31,7 +32,12 @@ from repro.rules import (
 from repro.rules.plurality import ceil_half, strong_threshold
 from repro.topology import GraphTopology, ToroidalMesh
 
-from helpers import TORUS_KINDS, assert_matches_own_kernel, rule_kernel_only
+from helpers import (
+    TORUS_KINDS,
+    assert_matches_own_kernel,
+    assert_per_row_matches_own_kernel,
+    rule_kernel_only,
+)
 
 #: the per-rule palettes of the parity matrix (name -> factory, low,
 #: palette size, target color), mirroring test_engine_batch.RULE_CASES
@@ -47,8 +53,9 @@ RULE_CASES = {
 
 #: reference variants of the parity matrix: the rules' own kernel
 #: through run_batch ("plain"), through per-row run_synchronous stepping
-#: each row to the cap ("no-cycles"), and through run_batch with the
-#: irreversible color (filled per case)
+#: each row to the cap ("no-cycles"), and per-row run_synchronous with
+#: the irreversible color (filled per case) on both kernels
+#: ("irreversible": run_batch has no irreversible variant)
 VARIANTS = ("plain", "no-cycles", "irreversible")
 
 
@@ -70,7 +77,11 @@ def test_backend_parity_matrix(rng, torus_kind, rule_case, compiled, variant):
     )
     kwargs = dict(max_rounds=100, target_color=target)
     if variant == "irreversible":
-        kwargs["irreversible_color"] = target
+        assert_per_row_matches_own_kernel(
+            topo, batch, rule, (rule_case, variant), irreversible_color=target,
+            **kwargs,
+        )
+        return
     res = run_batch(topo, batch, rule, **kwargs)
     assert_matches_own_kernel(
         variant, topo, batch, rule, res, (rule_case, variant), **kwargs
@@ -94,14 +105,26 @@ def test_backend_parity_on_padded_irregular_graph(rng, compiled):
 
 
 def test_backend_steppers_tolerate_shrinking_batches(rng, compiled):
-    """run_batch retires rows, so steppers see shrinking widths; results
-    must not depend on the compile-time max_batch."""
-    topo = ToroidalMesh(4, 4)
-    rule = SMPRule()
-    stepper = compiled(rule, topo, 16)
-    for b in (16, 7, 1, 9):  # shrink and re-grow within capacity
-        batch = rng.integers(0, 4, size=(b, topo.num_vertices)).astype(np.int32)
-        assert np.array_equal(stepper(batch), rule.step_batch(batch, topo))
+    """run_batch retires rows and the registry serves one plan to every
+    batch width, so a stepper sees widths that shrink and then grow past
+    its compile size; results must not depend on the compile-time
+    max_batch, for a fresh compile or a registry-served plan."""
+    for case in sorted(RULE_CASES):
+        factory, low, palette, _ = RULE_CASES[case]
+        rule = factory()
+        for kind in sorted(TORUS_KINDS):
+            topo = TORUS_KINDS[kind](4, 4)
+            fresh = compiled(rule, topo, 16)
+            served = raw_stepper_for(rule, topo, 16)
+            for b in (16, 7, 1, 40):
+                # every width is served the plan compiled at 16
+                assert raw_stepper_for(rule, topo, b) is served, (case, kind, b)
+                batch = rng.integers(
+                    low, low + palette, size=(b, topo.num_vertices)
+                ).astype(np.int32)
+                want = rule.step_batch(batch, topo)
+                for stepper in (fresh, served):
+                    assert np.array_equal(stepper(batch), want), (case, kind, b)
 
 
 def test_backend_validation_errors_match_reference(compiled):

@@ -3,8 +3,7 @@
 The contract of :func:`repro.engine.batch.run_batch` is row-for-row
 bitwise agreement with :func:`repro.engine.runner.run_synchronous`
 stepping each row to the cap (``detect_cycles=False``) — for *every*
-rule, on every torus kind, including the irreversible color and Brent
-retirement of cycling rows — and agreement with the scalar runner's
+rule, on every torus kind, including Brent retirement of cycling rows — and agreement with the scalar runner's
 first-repeat detection on the verdicts the drivers read.  Seeded
 property tests below pin that contract for all five rule families; the
 fast per-rule ``step_batch`` kernels are additionally checked against
@@ -148,20 +147,6 @@ def test_run_batch_matches_run_synchronous_property(seed, b):
         batch = _random_batch(rng, topo, low, palette, b)
         res = run_batch(topo, batch, rule, max_rounds=60, target_color=target)
         _assert_rows_match(res, topo, batch, rule, target, max_rounds=60)
-
-
-def test_run_batch_irreversible_matches(rng, torus_kind):
-    topo = TORUS_KINDS[torus_kind](4, 4)
-    rule = ReverseSimpleMajority("prefer-black")
-    batch = _random_batch(rng, topo, 1, 2, 24)
-    res = run_batch(
-        topo, batch, rule, max_rounds=80, target_color=2, irreversible_color=2
-    )
-    _assert_rows_match(
-        res, topo, batch, rule, 2, max_rounds=80, irreversible_color=2
-    )
-    # irreversible runs are monotone for that color by construction
-    assert res.monotone.all()
 
 
 def test_run_batch_cycle_detection(rng):

@@ -1,8 +1,7 @@
 """The bit-sliced SMP path of :func:`run_batch` (64 replicas per word).
 
-``run_batch`` steps SMP on packed ``uint64`` words exactly when it pins
-no irreversible colour, runs no schedule, and the registry serves the
-compiled SMP plan.  These tests pin:
+``run_batch`` steps SMP on packed ``uint64`` words exactly when the
+registry serves the compiled SMP plan.  These tests pin:
 
 * **selection** — those conditions and no others, judged on the raw
   cached stepper (a ``debug`` timing shim does not switch paths);
@@ -84,7 +83,6 @@ def test_packed_path_selection(tmp_path, rng, monkeypatch):
 
     assert packed_smp(raw_stepper_for(SMPRule(), topo, 70)) is not None
     assert _takes_packed(monkeypatch, run())
-    assert not _takes_packed(monkeypatch, run(irreversible_color=0))
     assert not _takes_packed(monkeypatch, run(ReverseStrongMajority()))
     with rule_kernel_only():
         assert not _takes_packed(monkeypatch, run())

@@ -9,10 +9,12 @@ Two contracts are pinned here:
   :func:`run_synchronous` stepping each row to the cap with neither,
   and the verdicts the drivers read with the scalar runner's
   first-repeat detection, across rule cases x oracle variants x
-  kernels (compiled, and the rules' own ``step_batch``) x torus kinds,
-  and a census run from a cold registry matches one from a warm
-  registry;
-* **cache correctness** — hits/misses/evictions behave, a mutated rule
+  kernels (compiled, and the rules' own ``step_batch``) x torus kinds
+  (the irreversible variant, which ``run_batch`` does not have, holds
+  per-row ``run_synchronous`` against the rules' own kernel), and a
+  census run from a cold registry matches one from a warm registry;
+* **cache correctness** — hits/misses/evictions behave, one plan
+  serves every batch width of a ``(rule, topology)``, a mutated rule
   misses (plan tokens change with spec-relevant state), non-authoritative
   tokens are withheld (subclassed kernels), compiled steppers stay
   process-local (pool workers fill their own cache), and the cache holds
@@ -65,6 +67,7 @@ from helpers import (
     TORUS_KINDS,
     CyclicRule,
     assert_matches_oracle,
+    assert_per_row_matches_own_kernel,
     assert_verdicts_match,
     per_row_oracle,
     rule_kernel_only,
@@ -85,8 +88,10 @@ RULE_CASES = {
 
 #: oracle variants: the scalar runner's default first-repeat detection
 #: ("plain", compared on the verdicts the drivers read), every row
-#: stepped to the cap ("no-cycles", every field), and the latter with
-#: an irreversible color (filled per case)
+#: stepped to the cap ("no-cycles", every field), and per-row
+#: run_synchronous with an irreversible color (filled per case) against
+#: the same calls on the rules' own kernel ("irreversible": run_batch
+#: has no irreversible variant)
 VARIANTS = {
     "plain": {"detect_cycles": True},
     "no-cycles": {},
@@ -108,9 +113,14 @@ def _fresh_cache():
 
 
 def _run_and_check(topo, batch, rule, variant, context, **kwargs):
-    """Run ``batch`` and compare it with the variant's per-row oracle."""
+    """Run ``batch`` and compare it with the variant's per-row oracle;
+    the batch result, or None for the per-row irreversible variant."""
     if variant == "irreversible":
-        kwargs["irreversible_color"] = kwargs["target_color"]
+        assert_per_row_matches_own_kernel(
+            topo, batch, rule, context,
+            irreversible_color=kwargs["target_color"], **kwargs,
+        )
+        return None
     res = run_batch(topo, batch, rule, **kwargs)
     oracle = per_row_oracle(topo, batch, rule, **VARIANTS[variant], **kwargs)
     check = assert_verdicts_match if variant == "plain" else assert_matches_oracle
@@ -265,11 +275,15 @@ def test_plan_cache_hit_miss_and_eviction(rng):
     run_batch(topo, batch, SMPRule(), max_rounds=5)  # same key, new instance
     s = plan_cache_stats()
     assert (s.hits, s.misses) == (1, 1)
-    # a different batch width is a different key
+    # batch width is not part of the key: narrower and wider are hits
     run_batch(topo, batch[:4], SMPRule(), max_rounds=5)
-    assert plan_cache_stats().misses == 2
-    # third distinct key evicts the least-recently-used entry
+    run_batch(topo, np.tile(batch, (3, 1)), SMPRule(), max_rounds=5)
+    s = plan_cache_stats()
+    assert (s.hits, s.misses, s.size) == (3, 1, 1)
+    # two more distinct keys: the second evicts the least-recently-used
     run_batch(topo, batch, OrderedIncrementRule(4), max_rounds=5)
+    run_batch(ToroidalMesh(4, 5), np.zeros((8, 20), np.int32), SMPRule(),
+              max_rounds=5)
     s = plan_cache_stats()
     assert s.evictions == 1 and s.size == 2 and s.maxsize == 2
     clear_plan_cache()
@@ -422,15 +436,41 @@ def test_topology_token_structural_for_tori_and_graphs_identity_otherwise():
 
 def test_stepper_cache_key_components():
     topo = ToroidalMesh(4, 4)
-    key = stepper_cache_key(SMPRule(), topo, 64)
-    assert key == (rule_plan_token(SMPRule()), topology_token(topo), 64)
+    key = stepper_cache_key(SMPRule(), topo)
+    assert key == (rule_plan_token(SMPRule()), topology_token(topo))
     # uncacheable rule -> no key
 
     class Custom(SMPRule):
         def step_batch(self, colors, topo, out=None):
             return SMPRule.step_batch(self, colors, topo, out=out)
 
-    assert stepper_cache_key(Custom(), topo, 64) is None
+    assert stepper_cache_key(Custom(), topo) is None
+
+
+def test_run_synchronous_is_served_the_batched_plan(rng):
+    """run_synchronous's one-row calls share the plan run_batch compiled
+    for the same (rule, torus), and their results do not change."""
+    for case in sorted(RULE_CASES):
+        factory, low, palette, target = RULE_CASES[case]
+        for kind in sorted(TORUS_KINDS):
+            clear_plan_cache()
+            topo = TORUS_KINDS[kind](4, 5)
+            rule = factory()
+            batch = rng.integers(low, low + palette, size=(32, 20)).astype(
+                np.int32
+            )
+            run_batch(topo, batch, rule, max_rounds=40, target_color=target)
+            kw = dict(target_color=target, max_rounds=40)
+            got = [run_synchronous(topo, row, rule, **kw) for row in batch[:4]]
+            s = plan_cache_stats()
+            assert (s.misses, s.hits, s.size) == (1, 4, 1), (case, kind)
+            with rule_kernel_only():
+                want = [run_synchronous(topo, row, rule, **kw) for row in batch[:4]]
+            for b, (row, ref) in enumerate(zip(got, want)):
+                for field in RESULT_FIELDS + ("cycle_length", "last_change"):
+                    assert np.array_equal(getattr(row, field), getattr(ref, field)), (
+                        case, kind, b, field,
+                    )
 
 
 # ----------------------------------------------------------------------
@@ -530,10 +570,6 @@ def test_all_drivers_reject_negative_caps_and_accept_zero(rng):
             lambda mr: run_asynchronous_batch(
                 topo, batch, SMPRule(), sched, max_sweeps=mr
             ),
-            "max_sweeps",
-        ),
-        (
-            lambda mr: run_batch(topo, batch, SMPRule(), max_rounds=mr, schedule=sched),
             "max_sweeps",
         ),
     ):

@@ -392,7 +392,7 @@ class TestObservability:
         src = (
             "from repro import obs\n"
             "from repro.engine.plans import stepper_cache_key\n"
-            "key = stepper_cache_key('stencil', obs.count, None, 64)\n"
+            "key = stepper_cache_key(obs.count, None)\n"
         )
         assert rules_of(lint_source(src, path=LIB)) == ["RPL-O001"]
 
