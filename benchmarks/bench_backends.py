@@ -20,8 +20,9 @@ Two entry points:
 
 The workload is the census/search regime the ROADMAP calls the hottest
 path: thousands of random replicas on a small torus (the below-bound
-census steps ``(8192, 36)`` blocks on the 6x6 tori), advanced by the
-sorted-gather (SMP) and histogram (plurality) kernels.
+census steps ``(8192, 36)`` blocks on the 6x6 tori), advanced by SMP
+and by the ceil(d/2) plurality rule, which the compiler serves the SMP
+plan on a torus (the rule's own kernel is its histogram).
 """
 
 import json
@@ -163,8 +164,8 @@ def collect_backend_timings(rounds: int = 20) -> dict:
     repeat) and each speedup is the median of the per-pair ratios: load
     that drifts over the run hits both members of a pair alike, where
     separate best-of blocks would each see a different slice of it.
-    On SMP the compiled side's ``run_batch`` runs the bit-sliced path,
-    so its ratio gates that path.
+    On both workloads the compiled side's ``run_batch`` runs the
+    bit-sliced SMP path, so its ratios gate that path.
     """
     rng = np.random.default_rng(0xD1CE)
     topo = ToroidalMesh(TORUS_SIZE, TORUS_SIZE)

@@ -35,9 +35,10 @@ works here).
 
 Two loops drive the plans.  The **int32 loop** serves every rule.
 The **packed loop** serves every SMP run — the census scans, the random
-dynamo search, the sweeps and the complement DFS leaf blocks — whenever
-the registry's raw stepper is the compiled SMP plan: the batch is packed
-once into bit planes of 64 replicas per ``uint64`` word
+dynamo search, the sweeps and the complement DFS leaf blocks — and every
+ceil(d/2) plurality run on a torus, whenever the registry's raw stepper
+is the compiled SMP plan: the batch is validated once, packed into bit
+planes of 64 replicas per ``uint64`` word
 (:class:`~repro.engine.stencil.PackedSMP`) and stays packed, every
 per-row check becomes a reduction over words, and rows are unpacked
 only as they leave.  The rules' own kernels
@@ -167,9 +168,9 @@ def run_batch(
     stepping the row to the cap would report (per-row
     :func:`~repro.engine.runner.run_synchronous` with
     ``detect_cycles=False`` is that oracle), at a fraction of the rounds.
-    An SMP run steps packed words of 64 rows on the compiled plan's
-    bit-sliced kernel (see the module docstring); the results are the
-    same.
+    An SMP run, and a ceil(d/2) plurality run on a torus, steps packed
+    words of 64 rows on the compiled SMP plan's bit-sliced kernel (see
+    the module docstring); the results are the same.
     """
     colors = as_color_batch(batch, topo.num_vertices).copy()
     b = colors.shape[0]
@@ -291,6 +292,8 @@ def _run_packed(
         return result
 
     step = instrumented_stepper(kernel)
+    if kernel.validate is not None:
+        kernel.validate(colors)  # once: colours only spread to neighbours
     x = kernel.pack(colors)
     planes, _, w = x.shape
     ids = np.arange(w * WORD_BITS)

@@ -34,11 +34,14 @@ The SMP plan also carries a **bit-sliced** twin, :class:`PackedSMP`,
 built with it: colours as ``P`` bit planes of ``(P, N, W)`` ``uint64``
 words, 64 replicas per word, and one round as six pair equalities
 (XOR, OR-reduced across planes), a 2-2 tie mask and three masked
-selects.  :func:`~repro.engine.batch.run_batch` steps it on every SMP
-batch (:func:`packed_smp` hands it over); on ``(8192, 36)`` blocks a
-round costs ~0.2 ms against ~8 ms for the int32 sorting network, which
-stays the kernel of :func:`~repro.engine.runner.run_synchronous` (its
-one-row runs and the irreversible variant).
+selects.  A plurality spec that is SMP (every threshold 2 on a
+degree-4 table without padding: the ceil(d/2) rule on the tori) compiles
+to the same plan, with the plurality rule's palette check.
+:func:`~repro.engine.batch.run_batch` steps the twin on every such batch
+(:func:`packed_smp` hands it over); on ``(8192, 36)`` blocks a round
+costs ~0.2 ms against ~8 ms for the int32 sorting network, which stays
+the kernel of :func:`~repro.engine.runner.run_synchronous` (its one-row
+runs and the irreversible variant).
 
 Contract:
 
@@ -62,6 +65,7 @@ Contract:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -209,7 +213,7 @@ class _Sort4Plan(_Plan):
         super().__init__(topo, spec.validate)
         self._kind = spec.kind
         self._idx = _slot_indices(topo)
-        self.packed = PackedSMP(topo) if spec.kind == "smp" else None
+        self.packed = PackedSMP(topo, spec.validate) if spec.kind == "smp" else None
 
     def _alloc(self, b: int) -> None:
         n = self._n
@@ -301,10 +305,14 @@ class PackedSMP:
 
     Calls return one of two ping-pong buffers: a result stays valid
     through the *next* call and is overwritten by the one after.
+
+    Calls never validate: the caller runs :attr:`validate` (the rule's
+    input check, or ``None``) once on the batch it packs.
     """
 
-    def __init__(self, topo: Topology):
+    def __init__(self, topo: Topology, validate: Optional[Callable]):
         self._n = topo.num_vertices
+        self.validate = validate
         self._idx = _slot_indices(topo)
         self._cap = self._mcap = -1
         self._flip = 0
@@ -616,6 +624,19 @@ _PLANS = {
 }
 
 
+def _plurality_is_smp(spec: KernelSpec, topo: Topology) -> bool:
+    """Whether ``spec`` is a plurality spec that is SMP: every threshold
+    2 (clipping to ``[0, 5]`` keeps a 2 and makes no other value one) on
+    a degree-4 table without padding slots."""
+    nb = topo.neighbors
+    return (
+        spec.kind == "plurality"
+        and nb.shape[1] == 4
+        and bool((nb >= 0).all())
+        and bool(np.all(np.asarray(spec.thresholds) == 2))
+    )
+
+
 def compile_stepper(rule: Rule, topo: Topology, max_batch: int) -> Stepper:
     """Build a one-round stepper for ``(rule, topo)``.
 
@@ -626,6 +647,11 @@ def compile_stepper(rule: Rule, topo: Topology, max_batch: int) -> Stepper:
     per-round work allocates nothing.
     """
     spec = rule_spec(rule, topo)
+    if spec is not None and _plurality_is_smp(spec, topo):
+        # on an unpadded degree-4 table "the only colour at least two
+        # neighbours hold" is SMP: serve the packed-capable SMP plan,
+        # keeping the plurality rule's palette check
+        spec = replace(spec, kind="smp")
     plan_cls = None if spec is None else _PLANS.get(spec.kind)
     if plan_cls is None:
         # no (authoritative) spec — custom rule, subclassed kernel,

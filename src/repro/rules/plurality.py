@@ -9,7 +9,8 @@ graphs — is:
     ``ceil(d/2)`` neighbors; otherwise keep the current color.
 
 On 4-regular graphs this is bit-for-bit the SMP rule (property-tested in
-``tests/test_rules_plurality.py``).  The threshold function is pluggable so
+``tests/test_rules_plurality.py``), so there the compiler serves it the SMP
+plan, bit-sliced kernel included.  The threshold function is pluggable so
 strong-majority-style variants (``ceil((d+1)/2)``) can be explored.
 
 The kernel is the *counting* kernel: colors are assumed to be small integers

@@ -93,10 +93,12 @@ def assert_verdicts_match(res, oracle, context):
             assert row.fixed_point_round == ref.fixed_point_round, (context, b)
 
 
-def assert_matches_oracle(res, oracle, context):
-    """Every :data:`RESULT_FIELDS` entry of every row agrees."""
-    assert res.batch_size == len(oracle), context
-    for b, ref in enumerate(oracle):
+def assert_matches_oracle(res, oracle, context, rows=None):
+    """Every :data:`RESULT_FIELDS` entry of every row agrees; with
+    ``rows``, ``oracle`` replays only those rows of ``res``."""
+    rows = range(res.batch_size) if rows is None else rows
+    assert len(rows) == len(oracle), context
+    for b, ref in zip(rows, oracle):
         row = res.row(b)
         for field in RESULT_FIELDS:
             got, want = getattr(row, field), getattr(ref, field)

@@ -17,7 +17,12 @@ import pytest
 from repro.core.search import random_dynamo_search
 from repro.engine import ExecutionSettings, run_batch
 from repro.engine.plans import raw_stepper_for
-from repro.engine.stencil import compile_stepper, fallback_stepper
+from repro.engine.stencil import (
+    _PluralityPlan,
+    compile_stepper,
+    fallback_stepper,
+    packed_smp,
+)
 from repro.experiments import below_bound_census
 from repro.io.witnessdb import WitnessDB
 from repro.rules import (
@@ -206,7 +211,8 @@ def test_dense_plurality_plan_matches_step_batch(rng, compiled, threshold, table
     assert (topo.neighbors >= 0).all()  # the dense shape, not CSR
     for palette in range(1, 7):
         rule = GeneralizedPluralityRule(palette, PLURALITY_THRESHOLDS[threshold])
-        stepper = compiled(rule, topo, 8)
+        # built directly: compiled, ceil-half on a torus is the SMP plan
+        stepper = _PluralityPlan(rule.kernel_spec(topo), topo)
         for b in PLURALITY_WIDTHS:
             batch = rng.integers(0, palette, size=(b, topo.num_vertices))
             batch = batch.astype(np.int32)
@@ -246,17 +252,23 @@ def test_padded_plurality_plan_clips_extreme_thresholds(rng, compiled, threshold
 
 
 def test_compiled_plurality_equals_compiled_smp(rng, compiled, torus_kind):
-    """Two independent plans the paper's definition says must agree: on
-    a degree-4 torus the ceil(d/2) plurality rule is SMP, round by round."""
+    """The paper's definition says the two must agree: on a degree-4
+    torus the ceil(d/2) plurality rule is SMP.  The compiler serves it
+    the SMP plan, so that plan is held, round by round, against the two
+    plurality kernels that share no code with it: the dense tally plan
+    built from the rule's own spec, and the rule's ``step_batch``."""
     topo = TORUS_KINDS[torus_kind](6, 6)
-    smp = compiled(SMPRule(), topo, 64)
     for palette in range(2, 7):
-        plurality = compiled(GeneralizedPluralityRule(palette), topo, 64)
+        rule = GeneralizedPluralityRule(palette)
+        served = compiled(rule, topo, 64)
+        assert packed_smp(served) is not None, palette
+        tally = _PluralityPlan(rule.kernel_spec(topo), topo)
         state = rng.integers(0, palette, size=(64, topo.num_vertices))
         state = state.astype(np.int32)
         for _ in range(6):
-            nxt = plurality(state).copy()
-            assert np.array_equal(nxt, smp(state)), palette
+            nxt = served(state).copy()
+            assert np.array_equal(nxt, tally(state)), palette
+            assert np.array_equal(nxt, rule.step_batch(state, topo)), palette
             state = nxt
 
 
