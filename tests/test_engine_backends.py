@@ -211,14 +211,16 @@ def test_dense_plurality_plan_matches_step_batch(rng, compiled, threshold, table
     assert (topo.neighbors >= 0).all()  # the dense shape, not CSR
     for palette in range(1, 7):
         rule = GeneralizedPluralityRule(palette, PLURALITY_THRESHOLDS[threshold])
-        # built directly: compiled, ceil-half on a torus is the SMP plan
-        stepper = _PluralityPlan(rule.kernel_spec(topo), topo)
+        # the served stepper (ceil-half on a torus compiles to the SMP
+        # plan) and the dense plan built directly from the rule's spec
+        served = compiled(rule, topo, 8)
+        dense = _PluralityPlan(rule.kernel_spec(topo), topo)
         for b in PLURALITY_WIDTHS:
             batch = rng.integers(0, palette, size=(b, topo.num_vertices))
             batch = batch.astype(np.int32)
-            assert np.array_equal(
-                stepper(batch), rule.step_batch(batch, topo)
-            ), (palette, b)
+            want = rule.step_batch(batch, topo)
+            assert np.array_equal(served(batch), want), (palette, b)
+            assert np.array_equal(dense(batch), want), (palette, b)
 
 
 @pytest.mark.parametrize("threshold", ["zero", "ceil-half"])

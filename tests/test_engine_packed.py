@@ -137,10 +137,13 @@ def test_packed_path_selection(tmp_path, rng, monkeypatch):
             assert packed_smp(raw_stepper_for(rule, torus, 70)) is not None
             assert _takes_packed(monkeypatch, run(rule, torus)), (kind, k)
     # ...and no other plurality spec is: thresholds of 3, a fractional
-    # threshold (no spec), or padding slots in the table
+    # threshold (no spec), thresholds that read as 2 if truncated to a
+    # byte, or padding slots in the table
     for rule in (
         GeneralizedPluralityRule(4, strong_threshold),
         GeneralizedPluralityRule(4, lambda d: d / 2 + 0.5),
+        GeneralizedPluralityRule(4, lambda d: 0 * d + 2**40 + 2),
+        GeneralizedPluralityRule(4, lambda d: 0 * d - 254),
     ):
         assert not _takes_packed(monkeypatch, run(rule))
     padded = _padded_graph()
