@@ -89,26 +89,3 @@ def test_irreversible_vs_free_rounds(benchmark):
     free = run_synchronous(con.topo, con.colors, SMPRule(), target_color=con.k)
     assert irr.rounds == free.rounds  # monotone run: pinning is a no-op
     benchmark.extra_info.update(rounds=irr.rounds)
-
-
-def test_tie_rule_and_shape_ablations(benchmark):
-    """The ablation table: SMP + theorem shape + crafted
-    complement is the only full-takeover arm."""
-    from repro.experiments import seed_shape_ablation, tie_rule_ablation
-
-    def run():
-        ties = {r.arm: r.k_fraction for r in tie_rule_ablation("mesh", 6, 6)}
-        shapes = {
-            name: r.k_fraction
-            for name, r in seed_shape_ablation(6, 6).items()
-        }
-        return ties, shapes
-
-    ties, shapes = once(benchmark, run)
-    assert ties["smp"] == 1.0
-    assert shapes["theorem"] == 1.0
-    assert all(v <= 1.0 for v in shapes.values())
-    benchmark.extra_info.update(
-        **{f"tie_{k}": round(v, 3) for k, v in ties.items()},
-        **{f"shape_{k}": round(v, 3) for k, v in shapes.items()},
-    )

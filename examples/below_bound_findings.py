@@ -25,9 +25,8 @@ from repro.core import (
     lower_bound,
     min_bootstrap_percolating_size,
 )
-from repro.engine import adoption_curve
 from repro.theory import full_report, render_report
-from repro.viz import render_grid, render_time_matrix, sparkline
+from repro.viz import render_grid, render_time_matrix
 
 
 def the_counterexample() -> None:
@@ -45,13 +44,16 @@ def the_counterexample() -> None:
 
 def the_diagonal_family() -> None:
     print("=== 2. diagonal dynamos: size n, |C| = 3, for n = 3..6 ===")
-    print(f"{'n':>3} {'size':>5} {'bound':>6} {'rounds':>7} {'adoption curve':>20}")
+    header = f"{'n':>3} {'size':>5} {'bound':>6} {'rounds':>7}"
+    print(f"{header}   color-0 vertices per round")
     for n in sorted(CACHED_MESH_DIAGONAL_WITNESSES):
         con = diagonal_dynamo(n)
-        res = run_synchronous(con.topo, con.colors, SMPRule(), target_color=0)
-        curve = adoption_curve(res, 0)
+        res = run_synchronous(
+            con.topo, con.colors, SMPRule(), target_color=0, record=True
+        )
+        curve = " ".join(str(int((state == 0).sum())) for state in res.trajectory)
         print(f"{n:>3} {con.seed_size:>5} {con.size_lower_bound:>6} "
-              f"{res.rounds:>7}   {sparkline(curve)}")
+              f"{res.rounds:>7}   {curve}")
     print()
 
 

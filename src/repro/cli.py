@@ -652,16 +652,6 @@ def _witness_main(args) -> int:
     return 2  # pragma: no cover - argparse enforces the choices
 
 
-def _configuration(args):
-    if getattr(args, "load", None):
-        topo, colors, k = load_configuration(args.load)
-        if k is None:
-            k = args.target_color
-        return topo, colors, k
-    con = build_minimum_dynamo(args.kind, args.m, args.n, k=args.target_color)
-    return con.topo, con.colors, con.k
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _main(argv)
@@ -745,8 +735,20 @@ def _dispatch(parser, args) -> int:
             print(f"saved to {args.save}")
         return 0
 
+    if args.command in ("simulate", "verify"):
+        if args.load:
+            try:
+                topo, colors, k = load_configuration(args.load)
+            except (OSError, ValueError) as exc:
+                print(f"error: {args.load}: {exc}", file=sys.stderr)
+                return 2
+            if k is None:
+                k = args.target_color
+        else:
+            con = build_minimum_dynamo(args.kind, args.m, args.n, k=args.target_color)
+            topo, colors, k = con.topo, con.colors, con.k
+
     if args.command == "simulate":
-        topo, colors, k = _configuration(args)
         if args.render:
             print("initial:")
             print(render_grid(topo, colors, k))
@@ -760,7 +762,6 @@ def _dispatch(parser, args) -> int:
         return 0 if res.converged else 1
 
     if args.command == "verify":
-        topo, colors, k = _configuration(args)
         rep = verify_dynamo(topo, colors, k)
         print(f"is_dynamo={rep.is_dynamo} monotone={rep.monotone} "
               f"rounds={rep.rounds}")

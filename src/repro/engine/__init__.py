@@ -1,11 +1,5 @@
 """Simulation engine: synchronous, batched and asynchronous drivers."""
 
-from .metrics import (
-    adoption_curve,
-    frontier_perimeter,
-    takeover_summary,
-    wavefront_speed,
-)
 from .batch import BatchRunResult, as_color_batch, run_batch
 from .context import ExecutionSettings, RunStats
 from .plans import PlanCacheStats, clear_plan_cache, plan_cache_stats
@@ -49,8 +43,4 @@ __all__ = [
     "clear_plan_cache",
     "default_round_cap",
     "validate_round_cap",
-    "adoption_curve",
-    "wavefront_speed",
-    "frontier_perimeter",
-    "takeover_summary",
 ]

@@ -21,11 +21,10 @@ thousands of rounds across batches) the allocator and the generic
   **sorting network** built from ``np.minimum``/``np.maximum`` — the same
   sorted values, an order of magnitude less per-element overhead;
 * replaces the histogram's ``np.add.at`` scatter (notoriously slow: one
-  non-fused scatter per neighbor slot) with per-color count planes over
-  the slot planes on regular tables — and, on padded irregular tables
-  where a hub makes ``O(N * max_degree)`` gathers pathological, with an
-  ``O(edges)`` CSR gather + one ``np.bincount`` over precomputed flat
-  offsets;
+  non-fused scatter per neighbor slot) with an ``O(edges)`` CSR gather
+  + one ``np.bincount`` over precomputed flat offsets, on regular and
+  padded tables alike (a scale-free hub would make a per-slot gather
+  ``O(N * max_degree)``);
 * writes results with masked ``np.copyto`` into persistent buffers —
   **zero allocations per round** once compiled (the CSR histogram's one
   ``bincount`` output is the sole exception).
@@ -455,28 +454,22 @@ class _MajorityPlan(_Plan):
 
 
 class _PluralityPlan(_Plan):
-    """Unique-plurality kernel: both shapes fill an ``nreach`` plane (how
-    many colors reach the threshold) and a ``win`` plane, and a vertex
-    adopts ``win`` where ``nreach == 1``.
-
-    * **dense** (regular tables, no padding) — per color, the equalities
-      of the per-slot ``(B, N)`` planes sum into a count plane and
-      ``win`` keeps the last color with ``count >= thr``.  A unique
-      reaching color is the strict argmax for any integer threshold, so
-      no ``(B, N, colors)`` tensor and no ``argmax`` are needed;
-    * **CSR** (padded irregular tables) — a dense gather is
-      ``O(N * max_degree)`` and a scale-free hub inflates ``max_degree``
-      far past the mean, so instead gather only the real edges (row-major
-      ``nb[mask]`` keeps them grouped by vertex) and histogram them with
-      one ``np.bincount`` over precomputed ``(replica, vertex, color)``
-      flat offsets: ``O(E)`` work per round; ``win`` is its argmax.
+    """Unique-plurality kernel: gather only the real edges (row-major
+    ``nb[mask]`` keeps them grouped by vertex) and histogram them with
+    one ``np.bincount`` over precomputed ``(replica, vertex, color)``
+    flat offsets — ``O(E)`` work per round, where a per-slot gather would
+    be ``O(N * max_degree)`` and a scale-free hub inflates ``max_degree``
+    far past the mean.  ``nreach`` counts the colors that reach the
+    threshold, ``win`` is the histogram's argmax (the reaching color
+    when only one does), and a vertex adopts ``win`` where
+    ``nreach == 1``.
 
     Thresholds are clipped once to ``[0, deg + 1]``: counts lie in
     ``0..deg``, so ``count >= thr`` is unchanged whatever
-    ``threshold_fn`` returns, and the dense planes fit a narrow dtype.
-    The reference's ``deg > 0`` guard needs no plane: at degree 0 no
-    color or every color reaches, and every color is unique only on a
-    one-color palette, where adopting color 0 changes nothing.
+    ``threshold_fn`` returns.  The reference's ``deg > 0`` guard needs no
+    plane: at degree 0 no color or every color reaches, and every color
+    is unique only on a one-color palette, where adopting color 0 changes
+    nothing.
     """
 
     def __init__(self, spec: KernelSpec, topo: Topology):
@@ -484,66 +477,36 @@ class _PluralityPlan(_Plan):
         nb = topo.neighbors
         self._colors = int(spec.num_colors)
         mask = nb >= 0
-        self._dense = bool(mask.all())
         audible = (
             np.asarray(spec.degrees, dtype=np.int64)
             if spec.degrees is not None
             else mask.sum(axis=1)
         )
         thr = np.clip(np.asarray(spec.thresholds), 0, audible + 1)
-        if self._dense:
-            self._idx = _slot_indices(topo)
-            # clipped thresholds fit d + 1, nreach fits the palette size
-            self._cnt_t = np.min_scalar_type(len(self._idx) + 1)
-            self._nreach_t = np.min_scalar_type(self._colors)
-            self._thr = thr.astype(self._cnt_t)
-        else:
-            self._thr = thr[:, None]  # (N, 1) over colors
-            # CSR arrays: audible neighbor ids grouped by vertex, plus the
-            # owning vertex's color-plane offset for the flat histogram
-            self._csr_idx = np.ascontiguousarray(nb[mask], dtype=np.intp)
-            owner = np.repeat(np.arange(self._n, dtype=np.int64), audible)
-            self._owner_off = owner * self._colors  # (E,)
+        self._thr = thr[:, None]  # (N, 1) over colors
+        # audible neighbor ids grouped by vertex, plus the owning
+        # vertex's color-plane offset for the flat histogram
+        self._csr_idx = np.ascontiguousarray(nb[mask], dtype=np.intp)
+        owner = np.repeat(np.arange(self._n, dtype=np.int64), audible)
+        self._owner_off = owner * self._colors  # (E,)
 
     def _alloc(self, b: int) -> None:
         n, c = self._n, self._colors
-        if self._dense:
-            self._planes = [np.empty((b, n), np.int32) for _ in self._idx]
-            self._cnt = np.empty((b, n), self._cnt_t)
-            self._nreach = np.empty((b, n), self._nreach_t)
-            self._win = np.empty((b, n), np.int32)
-        else:
-            e = self._csr_idx.size
-            self._g = np.empty((b, e), np.int32)
-            # per-(replica, vertex) bin offsets, hoisted out of the loop
-            self._bins = np.empty((b, e), np.int64)
-            self._addend = (
-                np.arange(b, dtype=np.int64)[:, None] * (n * c)
-                + self._owner_off[None, :]
-            )
-            self._reach = np.empty((b, n, c), bool)
-            self._nreach = np.empty((b, n), np.int32)
-            self._win = np.empty((b, n), np.intp)
+        e = self._csr_idx.size
+        self._g = np.empty((b, e), np.int32)
+        # per-(replica, vertex) bin offsets, hoisted out of the loop
+        self._bins = np.empty((b, e), np.int64)
+        self._addend = (
+            np.arange(b, dtype=np.int64)[:, None] * (n * c)
+            + self._owner_off[None, :]
+        )
+        self._reach = np.empty((b, n, c), bool)
+        self._nreach = np.empty((b, n), np.int32)
+        self._win = np.empty((b, n), np.intp)
         self._eq = np.empty((b, n), bool)
         self._out = np.empty((b, n), np.int32)
 
-    def _tally_dense(self, colors: np.ndarray, b: int) -> None:
-        planes = [p[:b] for p in self._planes]
-        for idx, dst in zip(self._idx, planes):
-            np.take(colors, idx, axis=1, out=dst, mode="clip")
-        eq, cnt = self._eq[:b], self._cnt[:b]
-        nreach, win = self._nreach[:b], self._win[:b]
-        nreach[...] = 0
-        for color in range(self._colors):
-            cnt[...] = 0
-            for plane in planes:
-                np.equal(plane, color, out=eq)
-                cnt += eq
-            np.greater_equal(cnt, self._thr, out=eq)
-            nreach += eq
-            np.copyto(win, color, where=eq)
-
-    def _tally_csr(self, colors: np.ndarray, b: int) -> None:
+    def _step(self, colors: np.ndarray, b: int) -> np.ndarray:
         n, c = self._n, self._colors
         g, bins = self._g[:b], self._bins[:b]
         np.take(colors, self._csr_idx, axis=1, out=g)
@@ -551,20 +514,14 @@ class _PluralityPlan(_Plan):
         counts = np.bincount(bins.reshape(-1), minlength=b * n * c).reshape(
             b, n, c
         )
-        reach = self._reach[:b]
+        reach, nreach, win = self._reach[:b], self._nreach[:b], self._win[:b]
         np.greater_equal(counts, self._thr, out=reach)
-        reach.sum(axis=2, dtype=np.int32, out=self._nreach[:b])
-        np.argmax(counts, axis=2, out=self._win[:b])
-
-    def _step(self, colors: np.ndarray, b: int) -> np.ndarray:
-        if self._dense:
-            self._tally_dense(colors, b)
-        else:
-            self._tally_csr(colors, b)
+        reach.sum(axis=2, dtype=np.int32, out=nreach)
+        np.argmax(counts, axis=2, out=win)
         adopt, out = self._eq[:b], self._out[:b]
-        np.equal(self._nreach[:b], 1, out=adopt)
+        np.equal(nreach, 1, out=adopt)
         np.copyto(out, colors)
-        np.copyto(out, self._win[:b], where=adopt)
+        np.copyto(out, win, where=adopt)
         return out
 
 

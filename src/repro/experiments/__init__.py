@@ -12,12 +12,6 @@ from .figures import (
     figure6_cordalis_time_matrix,
     find_frozen_completion,
 )
-from .ablations import (
-    AblationResult,
-    complement_ablation,
-    seed_shape_ablation,
-    tie_rule_ablation,
-)
 from .census import CensusRow, below_bound_census
 from .sweeps import (
     SweepPoint,
@@ -42,10 +36,6 @@ __all__ = [
     "convergence_sweep",
     "CensusRow",
     "below_bound_census",
-    "AblationResult",
-    "tie_rule_ablation",
-    "seed_shape_ablation",
-    "complement_ablation",
     "square_points",
     "rect_points",
     "SweepPoint",

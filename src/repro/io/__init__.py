@@ -4,11 +4,8 @@ from .serialize import (
     WITNESS_SCHEMA,
     WitnessFormatError,
     WitnessRecord,
-    construction_to_dict,
     load_configuration,
-    load_run,
     save_configuration,
-    save_run,
     witness_from_dict,
     witness_id,
     witness_to_dict,
@@ -38,9 +35,6 @@ from .witnessdb import (
 __all__ = [
     "save_configuration",
     "load_configuration",
-    "save_run",
-    "load_run",
-    "construction_to_dict",
     "WITNESS_SCHEMA",
     "WitnessFormatError",
     "WitnessRecord",

@@ -1,9 +1,8 @@
-"""JSON serialization of configurations, constructions, runs, and witnesses.
+"""JSON serialization of configurations and witnesses.
 
 Formats are deliberately plain: a configuration file is a JSON object with
 the torus kind/size, the target color, and the row-major color list, so
-artifacts are diffable and readable in a code review.  Runs additionally
-store the result fields and (optionally) the trajectory.
+artifacts are diffable and readable in a code review.
 
 Witness records — the minimal dynamo configurations discovered by the
 census/search drivers — serialize through :class:`WitnessRecord` /
@@ -35,17 +34,12 @@ from typing import Any, Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.constructions import Construction
-from ..engine.result import RunResult
 from ..topology.base import GridTopology
 from ..topology.tori import make_torus
 
 __all__ = [
     "save_configuration",
     "load_configuration",
-    "save_run",
-    "load_run",
-    "construction_to_dict",
     "WITNESS_SCHEMA",
     "WitnessFormatError",
     "WitnessRecord",
@@ -112,6 +106,16 @@ def save_configuration(
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _is_count(value: Any) -> bool:
+    """A non-negative JSON integer that fits the engine's ``int32``
+    (``bool`` is an ``int`` subclass, not one)."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and 0 <= value <= np.iinfo(np.int32).max
+    )
+
+
 def load_configuration(path: PathLike) -> Tuple[GridTopology, np.ndarray, Optional[int]]:
     """Read a configuration back.
 
@@ -119,104 +123,34 @@ def load_configuration(path: PathLike) -> Tuple[GridTopology, np.ndarray, Option
     -------
     ``(topology, colors, k)`` — the rebuilt torus, the ``int32`` color
     vector, and the stored target color (``None`` when absent).  Raises
-    :class:`ValueError` when the color list length disagrees with the
-    stored torus size.
+    :class:`ValueError` on a file that is not a configuration: invalid
+    JSON, a missing field, a size, color or target color that is not a
+    non-negative integer (``1.9`` is refused, not truncated to 1), or a
+    color list whose length disagrees with the stored torus size.
     """
     payload = json.loads(Path(path).read_text())
-    topo = make_torus(payload["kind"], payload["m"], payload["n"])
-    colors = np.asarray(payload["colors"], dtype=np.int32)
-    if colors.shape != (topo.num_vertices,):
+    if not isinstance(payload, dict):
+        raise ValueError("a configuration file holds one JSON object")
+    missing = [f for f in ("kind", "m", "n", "colors") if f not in payload]
+    if missing:
+        raise ValueError(f"configuration is missing fields {missing}")
+    kind, m, n, colors = (payload[f] for f in ("kind", "m", "n", "colors"))
+    if not isinstance(kind, str):
+        raise ValueError(f"torus kind must be a string, got {kind!r}")
+    if not (_is_count(m) and _is_count(n)):
+        raise ValueError(f"torus size must be integers, got {m!r}x{n!r}")
+    topo = make_torus(kind, m, n)
+    if not isinstance(colors, list) or not all(_is_count(c) for c in colors):
+        raise ValueError("colors must be a list of non-negative integers")
+    if len(colors) != topo.num_vertices:
         raise ValueError(
-            f"configuration has {colors.size} colors for a "
+            f"configuration has {len(colors)} colors for a "
             f"{topo.m}x{topo.n} torus"
         )
     k = payload.get("k")
-    return topo, colors, None if k is None else int(k)
-
-
-def construction_to_dict(con: Construction) -> dict:
-    """Plain-dict view of a construction (for JSON or reporting).
-
-    Every value is a built-in Python type, so the result passes
-    ``json.dumps`` unchanged; the seed is stored as the sorted list of
-    seed vertex indices, not the boolean mask.
-    """
-    return {
-        "kind": _kind_of(con.topo),
-        "m": con.topo.m,
-        "n": con.topo.n,
-        "k": int(con.k),
-        "name": con.name,
-        "colors": con.colors.astype(int).tolist(),
-        "seed": np.flatnonzero(con.seed).astype(int).tolist(),
-        "palette": [int(c) for c in con.palette],
-        "seed_size": con.seed_size,
-        "size_lower_bound": con.size_lower_bound,
-        "predicted_rounds": con.predicted_rounds,
-        "empirical_rounds": con.empirical_rounds,
-        "notes": con.notes,
-    }
-
-
-def save_run(path: PathLike, result: RunResult, include_trajectory: bool = False) -> None:
-    """Write a run result as JSON.
-
-    Parameters
-    ----------
-    path:
-        Destination file; overwritten if present.
-    result:
-        A scalar-engine :class:`~repro.engine.result.RunResult`.
-    include_trajectory:
-        Store every intermediate state (large: ``rounds x N`` ints).
-        When ``False`` the file stores ``"trajectory": null`` and
-        :func:`load_run` restores an empty trajectory list.
-    """
-    payload = {
-        "final": result.final.astype(int).tolist(),
-        "rounds": result.rounds,
-        "converged": result.converged,
-        "cycle_length": result.cycle_length,
-        "fixed_point_round": result.fixed_point_round,
-        "monotone": result.monotone,
-        "target_color": result.target_color,
-        "monochromatic": result.monochromatic,
-        "last_change": None
-        if result.last_change is None
-        else result.last_change.astype(int).tolist(),
-        "trajectory": [s.astype(int).tolist() for s in result.trajectory]
-        if include_trajectory
-        else None,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_run(path: PathLike) -> RunResult:
-    """Read a run result back.
-
-    Returns a :class:`~repro.engine.result.RunResult` with the trajectory
-    restored when the file stored one (``first_change`` is not
-    serialized and always loads as ``None``).
-    """
-    payload = json.loads(Path(path).read_text())
-    return RunResult(
-        final=np.asarray(payload["final"], dtype=np.int32),
-        rounds=int(payload["rounds"]),
-        converged=bool(payload["converged"]),
-        cycle_length=payload["cycle_length"],
-        fixed_point_round=payload["fixed_point_round"],
-        last_change=None
-        if payload["last_change"] is None
-        else np.asarray(payload["last_change"], dtype=np.int32),
-        first_change=None,
-        monotone=payload["monotone"],
-        target_color=payload["target_color"],
-        trajectory=[
-            np.asarray(s, dtype=np.int32) for s in payload["trajectory"]
-        ]
-        if payload.get("trajectory")
-        else [],
-    )
+    if k is not None and not _is_count(k):
+        raise ValueError(f"target color must be a non-negative integer, got {k!r}")
+    return topo, np.asarray(colors, dtype=np.int32), k
 
 
 # ----------------------------------------------------------------------

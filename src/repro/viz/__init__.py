@@ -1,6 +1,5 @@
 """Terminal rendering of grids, runs, and time matrices."""
 
-from .charts import ascii_line_chart, series_table, sparkline
 from .render import color_glyphs, render_grid, render_run, render_time_matrix
 
-__all__ = ["render_grid", "render_time_matrix", "render_run", "color_glyphs", "sparkline", "ascii_line_chart", "series_table"]
+__all__ = ["render_grid", "render_time_matrix", "render_run", "color_glyphs"]

@@ -174,12 +174,14 @@ def test_fractional_plurality_thresholds_fall_back(rng, compiled):
 
 
 # ----------------------------------------------------------------------
-# the dense plurality plan beyond degree 4: thresholds x palettes x
-# degrees x batch widths, against the rule's own step_batch
+# the CSR plurality plan on unpadded ("dense") tables beyond degree 4:
+# thresholds x palettes x degrees x batch widths, against the rule's own
+# step_batch
 # ----------------------------------------------------------------------
 #: integer thresholds spanning "every color reaches" (0) to "none does"
 #: (d + 1), and four far outside the clip range [0, d + 1]; the last two
-#: read as 2 (ceil-half on a torus) if truncated to a byte
+#: read as 2 (ceil-half on a torus) if truncated to a byte, which would
+#: wrongly send them to the SMP plan
 PLURALITY_THRESHOLDS = {
     "ceil-half": ceil_half,
     "strong": strong_threshold,
@@ -208,19 +210,19 @@ PLURALITY_WIDTHS = (8, 1, 5, 3, 13, 2, 20)
 @pytest.mark.parametrize("threshold", sorted(PLURALITY_THRESHOLDS))
 def test_dense_plurality_plan_matches_step_batch(rng, compiled, threshold, table):
     topo = DENSE_TABLES[table]()
-    assert (topo.neighbors >= 0).all()  # the dense shape, not CSR
+    assert (topo.neighbors >= 0).all()  # no padding slots
     for palette in range(1, 7):
         rule = GeneralizedPluralityRule(palette, PLURALITY_THRESHOLDS[threshold])
         # the served stepper (ceil-half on a torus compiles to the SMP
-        # plan) and the dense plan built directly from the rule's spec
+        # plan) and the CSR tally built directly from the rule's spec
         served = compiled(rule, topo, 8)
-        dense = _PluralityPlan(rule.kernel_spec(topo), topo)
+        tally = _PluralityPlan(rule.kernel_spec(topo), topo)
         for b in PLURALITY_WIDTHS:
             batch = rng.integers(0, palette, size=(b, topo.num_vertices))
             batch = batch.astype(np.int32)
             want = rule.step_batch(batch, topo)
             assert np.array_equal(served(batch), want), (palette, b)
-            assert np.array_equal(dense(batch), want), (palette, b)
+            assert np.array_equal(tally(batch), want), (palette, b)
 
 
 @pytest.mark.parametrize("threshold", ["zero", "ceil-half"])
@@ -257,8 +259,9 @@ def test_compiled_plurality_equals_compiled_smp(rng, compiled, torus_kind):
     """The paper's definition says the two must agree: on a degree-4
     torus the ceil(d/2) plurality rule is SMP.  The compiler serves it
     the SMP plan, so that plan is held, round by round, against the two
-    plurality kernels that share no code with it: the dense tally plan
-    built from the rule's own spec, and the rule's ``step_batch``."""
+    plurality kernels that share no code with it: the CSR tally plan
+    built from the rule's own spec (on this unpadded table), and the
+    rule's ``step_batch``."""
     topo = TORUS_KINDS[torus_kind](6, 6)
     for palette in range(2, 7):
         rule = GeneralizedPluralityRule(palette)

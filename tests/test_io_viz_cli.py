@@ -7,13 +7,7 @@ import pytest
 
 from repro.core import theorem2_mesh_dynamo, verify_dynamo
 from repro.engine import run_synchronous
-from repro.io import (
-    construction_to_dict,
-    load_configuration,
-    load_run,
-    save_configuration,
-    save_run,
-)
+from repro.io import load_configuration, save_configuration
 from repro.rules import SMPRule
 from repro.topology import ToroidalMesh
 from repro.viz import color_glyphs, render_grid, render_run, render_time_matrix
@@ -44,35 +38,38 @@ def test_configuration_json_is_plain(tmp_path):
     assert len(payload["colors"]) == 9
 
 
-def test_load_rejects_inconsistent_file(tmp_path):
+def test_load_rejects_inconsistent_file(tmp_path, capsys):
+    from repro.cli import main
+
+    good = {"kind": "mesh", "m": 3, "n": 3, "k": 1, "colors": [1, 0, 2] * 3}
+    bad_payloads = [
+        {**good, "colors": [1, 2]},  # length disagrees with the torus
+        {**good, "colors": [1.9, 0, 2] * 3},  # would truncate to color 1
+        {**good, "colors": [True, 0, 2] * 3},
+        {**good, "colors": [-1, 0, 2] * 3},
+        {**good, "colors": [2**31, 0, 2] * 3},  # does not fit int32
+        {**good, "colors": "102102102"},
+        {**good, "k": 1.5},
+        {**good, "k": -1},
+        {**good, "m": 3.7},
+        {**good, "kind": 3},
+        {key: v for key, v in good.items() if key != "colors"},
+        [good],
+    ]
     path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps({"kind": "mesh", "m": 3, "n": 3, "k": 1, "colors": [1, 2]})
-    )
+    for payload in bad_payloads:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_configuration(path)
+        for command in ("simulate", "verify"):
+            assert main([command, "mesh", "3", "3", "--load", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    path.write_text("{not json")
     with pytest.raises(ValueError):
         load_configuration(path)
-
-
-def test_run_roundtrip(tmp_path):
-    con = theorem2_mesh_dynamo(4, 4)
-    res = run_synchronous(con.topo, con.colors, SMPRule(), target_color=con.k, record=True)
-    path = tmp_path / "run.json"
-    save_run(path, res, include_trajectory=True)
-    back = load_run(path)
-    assert np.array_equal(back.final, res.final)
-    assert back.rounds == res.rounds
-    assert back.converged and back.monotone == res.monotone
-    assert len(back.trajectory) == len(res.trajectory)
-    assert np.array_equal(back.trajectory[0], res.trajectory[0])
-
-
-def test_construction_to_dict():
-    con = theorem2_mesh_dynamo(5, 5)
-    d = construction_to_dict(con)
-    assert d["seed_size"] == 8
-    assert d["kind"] == "mesh"
-    assert len(d["seed"]) == 8
-    json.dumps(d)  # fully JSON-serializable
+    missing = str(tmp_path / "missing.json")
+    assert main(["verify", "mesh", "3", "3", "--load", missing]) == 2
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ produce exactly the expected rule id at the expected location, a clean
 variant that must produce nothing, and a suppressed variant proving
 ``# reprolint: disable=...`` works at both line and file granularity.
 The docs family is exercised against a miniature repo tree built on
-disk (it reads real files), and the suite ends with the acceptance
-check: ``src tests benchmarks`` lint clean exactly as CI runs them.
+disk (it reads real files) and against every documented invocation in
+README.md and docs/*.md, and the suite ends with the acceptance check:
+``src tests benchmarks`` lint clean exactly as CI runs them.
 """
 
 import json
@@ -19,6 +20,11 @@ import pytest
 
 from tools.reprolint import lint_project, lint_source
 from tools.reprolint.__main__ import main as reprolint_main
+from tools.reprolint.docs import (
+    check_invocation,
+    extract_invocations,
+    iter_doc_files,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -521,6 +527,49 @@ class TestDocsDrift:
         root = _mini_repo(tmp_path, readme)
         findings, _ = lint_project(root, ["src"], select=["docs"])
         assert [f for f in findings if f.rule == "RPL-C003"] == []
+
+    def test_extractor_joins_continuations_and_cuts_pipes(self):
+        text = "\n".join([
+            "prose repro-dynamo outside a fence is ignored",
+            "```bash",
+            "repro-dynamo census --kinds mesh cordalis \\",
+            "  --sizes 3 4 --processes 2",
+            "$ repro-dynamo witness list | head -3",
+            "python not-a-cli-line.py",
+            "```",
+        ])
+        got = list(extract_invocations(text))
+        assert got == [
+            (3, "repro-dynamo census --kinds mesh cordalis --sizes 3 4 --processes 2"),
+            (5, "repro-dynamo witness list"),
+        ]
+
+    def test_checker_flags_stale_flags(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert check_invocation(parser, "repro-dynamo census --db x.jsonl") is None
+        stale = "repro-dynamo census --no-such-flag"
+        assert check_invocation(parser, stale) is not None
+        assert check_invocation(parser, "repro-dynamo witness verify --all") is None
+
+    def test_all_documented_invocations_parse(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        checked = 0
+        failures = []
+        for path in iter_doc_files(ROOT):
+            for lineno, command in extract_invocations(path.read_text()):
+                checked += 1
+                error = check_invocation(parser, command)
+                if error:
+                    failures.append(f"{path.name}:{lineno}: `{command}` — {error}")
+        assert not failures, "\n".join(failures)
+        # the extractor found a healthy number of commands (README
+        # quickstart alone documents a dozen); zero would mean it
+        # silently broke
+        assert checked >= 10
 
 
 # ---------------------------------------------------------------------------
