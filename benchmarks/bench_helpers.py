@@ -11,10 +11,14 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-# the "rule's own kernel" seam is shared with the parity suites in tests/
+# the "rule's own kernel" seam and the scalar complement DFS are shared
+# with the parity suites in tests/
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from helpers import rule_kernel_only  # noqa: E402,F401  (re-exported)
+from helpers import (  # noqa: E402,F401  (re-exported)
+    reference_dynamo_complement,
+    rule_kernel_only,
+)
 
 
 def once(benchmark, fn, *args, **kwargs):

@@ -76,6 +76,7 @@ from .io.ledger import LedgerError
 from .io.serialize import load_configuration, save_configuration
 from .rules import RULE_NAMES
 from .rules.smp import SMPRule
+from .topology.tori import TORUS_CLASSES
 from .viz.render import render_grid, render_time_matrix
 
 __all__ = ["main", "build_parser"]
@@ -741,6 +742,18 @@ def _dispatch(parser, args) -> int:
                 topo, colors, k = load_configuration(args.load)
             except (OSError, ValueError) as exc:
                 print(f"error: {args.load}: {exc}", file=sys.stderr)
+                return 2
+            if type(topo) is not TORUS_CLASSES[args.kind] or (topo.m, topo.n) != (
+                args.m, args.n
+            ):
+                loaded = next(
+                    name for name, cls in TORUS_CLASSES.items() if cls is type(topo)
+                )
+                print(
+                    f"error: {args.load}: holds a {loaded} {topo.m}x{topo.n} "
+                    f"configuration, not the {args.kind} {args.m}x{args.n} asked for",
+                    file=sys.stderr,
+                )
                 return 2
             if k is None:
                 k = args.target_color

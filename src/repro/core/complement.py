@@ -14,14 +14,30 @@ Two engines:
   - *seed protection*: every seed vertex whose open neighborhood is fully
     assigned must not recolor at round 1 (necessary for monotonicity).
     A seed becomes decidable at the depth that assigns its last non-seed
-    neighbor, so each depth lists the seeds it must test;
+    neighbor, so each depth lists the seeds it must test, each as the
+    4-tuple of its neighbor ids.  The test is SMP in closed form on four
+    ints: with ``e`` equal pairs among the six, the seed keeps ``k``
+    when ``e`` is 0 or 2 (all distinct, or a 2-2 tie) and otherwise
+    takes the color of the pair or triple;
   - *non-k-block prune*: the palette excludes ``k``, so the assigned
     non-k region at depth ``d`` is exactly the first ``d + 1`` cells
     whatever colors were chosen.  If it already contains a non-k-block
     no extension can ever work (Definition 5 is monotone in the assigned
     set only when the candidate block is fully assigned, so the prune
-    checks assigned vertices only) — one ``prune_to_core`` pass per depth
-    decides it for every node at that depth.
+    checks assigned vertices only).  The 3-core only grows with the
+    assigned set, so the blocked depths are a suffix and a bisection of
+    ``prune_to_core`` passes finds the first of them.
+
+  The last ``L`` cells of the wavefront (the largest ``L`` with
+  ``p**L <= TAIL_ROWS`` for ``p`` palette colors) are not recursed into:
+  the node that reaches them expands its whole subtree as one
+  lexicographic product array, level by level, applying each depth's
+  seed guards over rows and stopping at the first blocked depth.
+  Lexicographic order is DFS order, and nodes are counted as the
+  recursion would count them: a node's preorder rank is the order of
+  its base-``(p + 1)`` key (digit ``c + 1`` per assigned cell, 0 past the
+  node's depth), so a budget that runs out inside the tail keeps exactly
+  the leaves ranked below it.
 
   Leaves are verified in blocks: each leaf's coloring is queued as one
   row of a 256-row block that :func:`~repro.engine.batch.run_batch`
@@ -64,6 +80,8 @@ __all__ = ["find_dynamo_complement", "minimum_palette_complement"]
 
 #: rows per leaf-verification block: the leaves queued before a flush
 LEAF_BLOCK = 256
+#: rows of the largest product array the vectorised tail expands
+TAIL_ROWS = 4096
 
 
 def _wavefront_order(topo: Topology, seed_ids: np.ndarray) -> List[int]:
@@ -91,24 +109,34 @@ def _wavefront_order(topo: Topology, seed_ids: np.ndarray) -> List[int]:
     return cells
 
 
-def _blocked_depths(topo: Topology, cells: Sequence[int]) -> List[bool]:
-    """Per depth ``d``: do the cells ``cells[:d + 1]`` contain a non-k-block?"""
+def _first_blocked_depth(topo: Topology, cells: Sequence[int]) -> int:
+    """The first depth ``d`` whose cells ``cells[:d + 1]`` contain a
+    non-k-block, or ``len(cells)`` when none does.
+
+    The 3-core of a vertex set only grows with the set, so the blocked
+    depths form a suffix and a bisection finds where it starts.
+    """
     member = np.zeros(topo.num_vertices, dtype=bool)
-    blocked = []
-    for v in cells:
-        member[v] = True
-        blocked.append(bool(prune_to_core(topo, member, 3).any()))
-    return blocked
+    lo, hi = 0, len(cells)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        member[:] = False
+        member[list(cells[: mid + 1])] = True
+        if prune_to_core(topo, member, 3).any():
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _seed_guards(
     topo: Topology, seeds: set, cells: Sequence[int]
-) -> List[List[List[int]]]:
-    """Per depth ``d``: the neighbor lists of the seeds adjacent to
-    ``cells[d]`` whose whole neighborhood is assigned once ``cells[d]``
+) -> List[List[tuple]]:
+    """Per depth ``d``: the neighbor ids, as 4-tuples, of the seeds adjacent
+    to ``cells[d]`` whose whole neighborhood is assigned once ``cells[d]``
     is — the seeds the protection test decides at that depth."""
     nbrs = [
-        [int(w) for w in topo.neighbors[v, : topo.degrees[v]]]
+        tuple(int(w) for w in topo.neighbors[v, : topo.degrees[v]])
         for v in range(topo.num_vertices)
     ]
     depth = {v: d for d, v in enumerate(cells)}
@@ -116,10 +144,50 @@ def _seed_guards(
         u: max((depth[w] for w in nbrs[u] if w not in seeds), default=-1)
         for u in seeds
     }
-    return [
+    guards = [
         [nbrs[u] for u in dict.fromkeys(nbrs[v]) if u in seeds and last[u] <= d]
         for d, v in enumerate(cells)
     ]
+    if any(len(nb) != 4 for level in guards for nb in level):
+        raise ValueError("SMP rule is defined on degree-4 neighborhoods")
+    return guards
+
+
+def _seed_leaves(k: int, a: int, b: int, c: int, d: int) -> bool:
+    """Does a seed of color ``k`` with neighbor colors ``a, b, c, d`` recolor
+    at round 1 under SMP (``update_vertex(k, [a, b, c, d]) != k``)?
+
+    With ``e`` equal pairs among the six, SMP keeps the current color when
+    ``e`` is 0 (all distinct) or 2 (a 2-2 tie); otherwise it adopts the
+    color of the pair or triple.
+    """
+    ab, ac, ad, bc, bd, cd = a == b, a == c, a == d, b == c, b == d, c == d
+    e = ab + ac + ad + bc + bd + cd
+    if e == 0 or e == 2:
+        return False
+    return (a if ab or ac or ad else b if bc or bd else c) != k
+
+
+def _seed_leaves_rows(k: int, a, b, c, d) -> np.ndarray:
+    """:func:`_seed_leaves` over rows: each argument is an int array or a
+    scalar broadcast against them."""
+    ab, ac, ad, bc, bd, cd = a == b, a == c, a == d, b == c, b == d, c == d
+    e = 1 * ab + ac + ad + bc + bd + cd
+    winner = np.where(ab | ac | ad, a, np.where(bc | bd, b, c))
+    return (e != 0) & (e != 2) & (winner != k)
+
+
+def _tail_length(p: int, depth_max: int) -> int:
+    """Cells the vectorised tail expands: the largest ``L`` with
+    ``p**L <= TAIL_ROWS`` (and preorder keys that fit in int64)."""
+    length = 0
+    while (
+        length < depth_max
+        and p ** (length + 1) <= TAIL_ROWS
+        and (p + 1) ** (length + 1) < 2**62
+    ):
+        length += 1
+    return length
 
 
 def find_dynamo_complement(
@@ -157,18 +225,32 @@ def find_dynamo_complement(
     from ..engine.batch import run_batch
 
     rule = SMPRule()
-    update = rule.update_vertex
     cells = _wavefront_order(topo, np.asarray(seeds, dtype=np.int64))
+    depth_max = len(cells)
     guards = (
         _seed_guards(topo, set(seeds), cells)
         if require_monotone
         else [[] for _ in cells]
     )
-    blocked = _blocked_depths(topo, cells)
-    depth_max = len(cells)
+    first_blocked = _first_blocked_depth(topo, cells)
     colors = [-1] * n
     for u in seeds:
         colors[u] = k
+
+    # the tail: cells[start:] are expanded as one product array
+    p = len(palette)
+    start = depth_max - _tail_length(p, depth_max)
+    tail_cells = np.asarray(cells[start:], dtype=np.intp)
+    shades = np.asarray(palette, dtype=np.int32)
+    # each tail guard neighbor as (its tail column, or -1 above the tail;
+    # its vertex id)
+    offset = {v: d - start for d, v in enumerate(cells) if d >= start}
+    tail_guards = [
+        [tuple((offset.get(w, -1), w) for w in nb) for nb in guards[d]]
+        for d in range(start, depth_max)
+    ]
+    # preorder keys: one base-(p+1) digit per tail cell, 0 where unassigned
+    weights = (p + 1) ** np.arange(depth_max - start - 1, -1, -1, dtype=np.int64)
 
     block = np.empty((LEAF_BLOCK, n), dtype=np.int32)
     filled = 0
@@ -209,9 +291,73 @@ def find_dynamo_complement(
             )
         return row
 
+    def tail() -> bool:
+        """Visit the node at depth ``start`` and its whole subtree at once;
+        True stops the search (witness or budget)."""
+        nonlocal budget, filled, found
+        if budget <= 0:
+            return True
+        budget -= 1
+        # every level of the subtree, each in lexicographic (= DFS) order
+        levels: List[np.ndarray] = []
+        rows = np.zeros((1, 0), dtype=np.intp)
+        for d in range(start, min(depth_max, first_blocked)):
+            j = d - start
+            grown = np.empty((len(rows) * p, j + 1), dtype=np.intp)
+            grown[:, :j] = np.repeat(rows, p, axis=0)
+            grown[:, j] = np.tile(np.arange(p), len(rows))
+            keep = None
+            for guard in tail_guards[j]:
+                around = [
+                    colors[w] if o < 0 else shades[grown[:, o]] for o, w in guard
+                ]
+                stays = ~_seed_leaves_rows(k, *around)
+                keep = stays if keep is None else keep & stays
+            rows = grown if keep is None else grown[keep]
+            levels.append(rows)
+            if not len(rows):
+                break
+        total = sum(len(level) for level in levels)
+        # the last level holds leaves only when no depth is blocked
+        count = len(rows) if first_blocked == depth_max else 0
+        ranks = None
+
+        def preorder_ranks() -> np.ndarray:
+            """Rank of each leaf among the subtree's nodes below its root."""
+            keys = [(level + 1) @ weights[: level.shape[1]] for level in levels]
+            return np.searchsorted(np.sort(np.concatenate(keys)), keys[-1])
+
+        entry = budget
+        if count and total > entry:
+            # the budget runs out mid-tail: keep the nodes of rank < budget
+            ranks = preorder_ranks()
+            count = int(np.searchsorted(ranks, entry))
+        template = np.asarray(colors, dtype=np.int32)
+        values = shades[rows[:count]]
+        i = 0
+        while i < count:
+            take = min(LEAF_BLOCK - filled, count - i)
+            block[filled : filled + take] = template
+            block[filled : filled + take, tail_cells] = values[i : i + take]
+            filled += take
+            i += take
+            if filled == LEAF_BLOCK:
+                if ranks is None:
+                    ranks = preorder_ranks()
+                # the walk has visited every node up to the leaf that
+                # filled the block, and stops there on a witness
+                budget = entry - int(ranks[i - 1]) - 1
+                found = flush()
+                if found is not None:
+                    return True
+        budget = max(entry - total, 0)
+        return total > entry
+
     def dfs(idx: int) -> bool:
         """Visit one node; True stops the search (witness or budget)."""
         nonlocal budget, filled, found
+        if idx == start and idx < depth_max:
+            return tail()
         if budget <= 0:
             return True
         budget -= 1
@@ -221,18 +367,18 @@ def find_dynamo_complement(
             if filled == LEAF_BLOCK:
                 found = flush()
             return found is not None
-        if blocked[idx]:
+        if idx >= first_blocked:
             return False
         v = cells[idx]
         guard = guards[idx]
         for c in palette:
             colors[v] = c
-            if guard and any(
-                update(k, [colors[w] for w in nb]) != k for nb in guard
-            ):
-                continue
-            if dfs(idx + 1):
-                return True
+            for a, b, x, y in guard:
+                if _seed_leaves(k, colors[a], colors[b], colors[x], colors[y]):
+                    break
+            else:
+                if dfs(idx + 1):
+                    return True
         colors[v] = -1
         return False
 

@@ -106,13 +106,22 @@ def save_configuration(
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 def _is_count(value: Any) -> bool:
     """A non-negative JSON integer that fits the engine's ``int32``
     (``bool`` is an ``int`` subclass, not one)."""
+    return type(value) is int and 0 <= value <= _INT32_MAX
+
+
+def _are_counts(values: Any) -> bool:
+    """A JSON array of :func:`_is_count` values, checked at C speed (the
+    witness store runs every record's configuration through it)."""
     return (
-        isinstance(value, int)
-        and not isinstance(value, bool)
-        and 0 <= value <= np.iinfo(np.int32).max
+        isinstance(values, (list, tuple))
+        and set(map(type, values)) <= {int}
+        and (not values or (min(values) >= 0 and max(values) <= _INT32_MAX))
     )
 
 
@@ -140,7 +149,7 @@ def load_configuration(path: PathLike) -> Tuple[GridTopology, np.ndarray, Option
     if not (_is_count(m) and _is_count(n)):
         raise ValueError(f"torus size must be integers, got {m!r}x{n!r}")
     topo = make_torus(kind, m, n)
-    if not isinstance(colors, list) or not all(_is_count(c) for c in colors):
+    if not isinstance(colors, list) or not _are_counts(colors):
         raise ValueError("colors must be a list of non-negative integers")
     if len(colors) != topo.num_vertices:
         raise ValueError(
@@ -292,8 +301,9 @@ def witness_from_dict(payload: Mapping[str, Any]) -> WitnessRecord:
     WitnessFormatError
         On non-dict payloads, records from a newer schema, missing
         fields, a configuration whose length disagrees with ``m * n``,
-        negative colors, or a stored ``seed_size`` that contradicts the
-        configuration.
+        a size, color, palette size or seed size that is not a
+        non-negative integer, or a stored ``seed_size`` that contradicts
+        the configuration.
     """
     if not isinstance(payload, dict):
         raise WitnessFormatError(f"witness payload must be an object, got {type(payload).__name__}")
@@ -329,12 +339,11 @@ def witness_from_dict(payload: Mapping[str, Any]) -> WitnessRecord:
         k = payload.get("k")
         if k is None:
             raise WitnessFormatError("legacy configuration has no target color")
-        configuration = payload["colors"]
         meta = payload.get("metadata") or {}
         return _build_record(
             payload,
-            configuration=configuration,
-            num_colors=len({int(c) for c in configuration} | {int(k)}),
+            configuration=payload["colors"],
+            num_colors=None,
             method="legacy",
             rule="smp",
             monotone=False,
@@ -352,7 +361,7 @@ def _build_record(
     payload: Mapping[str, Any],
     *,
     configuration: Iterable[int],
-    num_colors: int,
+    num_colors: Optional[int],
     method: str,
     rule: str,
     monotone: bool,
@@ -361,23 +370,38 @@ def _build_record(
     seed_size: Optional[int],
     stored_id: str,
 ) -> WitnessRecord:
-    """Shared validation tail of :func:`witness_from_dict`."""
-    try:
-        m, n, k = int(payload["m"]), int(payload["n"]), int(payload["k"])
-        config = tuple(int(c) for c in configuration)
-        colors = int(num_colors)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise WitnessFormatError(f"malformed witness fields: {exc}") from None
+    """Shared validation tail of :func:`witness_from_dict`.
+
+    ``num_colors=None`` (a legacy payload) counts the distinct colors of
+    the configuration and ``k``; ``seed_size=None`` counts its k cells.
+    Every size and color must be a non-negative integer: ``1.9`` or
+    ``true`` is refused, not truncated to 1.
+    """
+    m, n, k = payload["m"], payload["n"], payload["k"]
+    for name, value in (("m", m), ("n", n), ("k", k)):
+        if not _is_count(value):
+            raise WitnessFormatError(
+                f"{name} must be a non-negative integer, got {value!r}"
+            )
+    if not _are_counts(configuration):
+        raise WitnessFormatError(
+            "configuration colors must be non-negative integers"
+        )
+    config = tuple(configuration)
     if len(config) != m * n:
         raise WitnessFormatError(
             f"configuration has {len(config)} entries for a {m}x{n} torus"
         )
-    if any(c < 0 for c in config):
-        raise WitnessFormatError("configuration colors must be non-negative")
-    actual_seed = sum(c == k for c in config)
+    colors = len(set(config) | {k}) if num_colors is None else num_colors
+    for name, value in (("colors", colors), ("seed_size", seed_size)):
+        if value is not None and not _is_count(value):
+            raise WitnessFormatError(
+                f"{name} must be a non-negative integer, got {value!r}"
+            )
+    actual_seed = config.count(k)
     if seed_size is None:
         seed_size = actual_seed
-    elif int(seed_size) != actual_seed:
+    elif seed_size != actual_seed:
         raise WitnessFormatError(
             f"stored seed_size {seed_size} contradicts the configuration "
             f"({actual_seed} vertices of color {k})"
@@ -391,7 +415,7 @@ def _build_record(
         n=n,
         colors=colors,
         k=k,
-        seed_size=int(seed_size),
+        seed_size=seed_size,
         monotone=bool(monotone),
         configuration=config,
         method=method,

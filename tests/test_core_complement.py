@@ -1,5 +1,7 @@
 """Complement-coloring search tests."""
 
+import itertools
+
 import helpers
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from repro.engine.parallel import RunCancelled
 from repro.engine.plans import clear_plan_cache, plan_cache_stats
 from repro.experiments import below_bound_census
 from repro.obs.report import summarize_stream
+from repro.rules import SMPRule
 from repro.topology import ToroidalMesh, TorusCordalis
+from repro.topology.lattice import OpenMesh
 from repro.topology.tori import make_torus
 
 
@@ -407,3 +411,150 @@ def test_telemetry_counts_nodes_and_leaves_without_changing_results(tmp_path):
         _assert_same(got, want)
     counters = summarize_stream(path)["counters"]
     assert 0 < counters["complement.leaves"] <= counters["complement.nodes"] <= 1800
+
+
+# ---------------------------------------------------------------------------
+# the integer seed guard, the vectorised tail and its node accounting
+# ---------------------------------------------------------------------------
+
+
+def test_seed_guard_matches_update_vertex_exhaustively():
+    rule = SMPRule()
+    grid = np.array(list(itertools.product(range(6), repeat=4)), dtype=np.int32)
+    for k in range(6):
+        want = np.array([rule.update_vertex(k, row.tolist()) != k for row in grid])
+        scalar = [complement_module._seed_leaves(k, *row.tolist()) for row in grid]
+        assert scalar == want.tolist()
+        assert np.array_equal(complement_module._seed_leaves_rows(k, *grid.T), want)
+        # a neighbor outside the tail enters the array form as a scalar
+        for a in range(6):
+            rows = grid[:, 0] == a
+            got = complement_module._seed_leaves_rows(k, a, *grid[rows, 1:].T)
+            assert np.array_equal(got, want[rows])
+
+
+def test_guard_of_another_degree_raises():
+    topo = OpenMesh(3, 3)  # corner seeds have two neighbors
+    with pytest.raises(ValueError, match="degree-4"):
+        find_dynamo_complement(topo, [0], 0, [1, 2], max_nodes=1)
+
+
+def _counted(monkeypatch, *args, **kwargs):
+    """Run the DFS; its result and its ``complement.*`` counter totals."""
+    totals = {"complement.nodes": 0, "complement.leaves": 0}
+    real = obs.count
+
+    def count(name, n=1):
+        if name in totals:
+            assert n >= 0, (name, n)  # progress is reported as it is made
+            totals[name] += n
+        real(name, n)
+
+    monkeypatch.setattr(obs, "count", count)
+    result = find_dynamo_complement(*args, **kwargs)
+    monkeypatch.setattr(obs, "count", real)
+    return result, totals["complement.nodes"], totals["complement.leaves"]
+
+
+def _leaves_within(events, budget):
+    """Leaves the reference verifies when its node budget is ``budget``."""
+    leaves = sum(event is not None for event in events)
+    return sum(
+        _budget_through_leaf(events, leaf) <= budget for leaf in range(1, leaves + 1)
+    )
+
+
+#: witness-free searches that exhaust their space: (kind, n, seed, palette,
+#: require_monotone), with the palette size deciding how much of the tree
+#: the tail expands (every cell for one or two colors on these tori)
+EXHAUSTED = [
+    ("mesh", 4, [1, 2, 5, 11], [1], False),
+    ("cordalis", 3, [0, 1, 6, 7], [1], True),
+    ("mesh", 4, [1, 3, 11], [1, 2], True),
+    ("mesh", 4, [1, 2, 5, 6, 8, 9], [1, 2], False),
+    ("serpentinus", 4, [6], [1, 2], True),  # blocked inside the tail
+    ("cordalis", 4, [2, 4, 6, 8, 15], [1, 2, 3], True),
+    ("mesh", 3, [2], [1, 2, 3], False),  # blocked inside the tail
+    ("serpentinus", 3, [3, 5], [1, 2, 3, 4], True),
+    ("mesh", 3, [3], [1, 2, 3, 4], True),  # blocked inside the tail
+]
+
+
+@pytest.fixture(scope="module", params=EXHAUSTED, ids=lambda case: "-".join(
+    str(part) for part in (case[0], case[1], len(case[3]), case[4])
+))
+def exhausted_trace(request):
+    kind, n, seed, palette, monotone = request.param
+    topo = make_torus(kind, n, n)
+    result, events = _reference_trace(
+        topo, seed, 0, palette, max_nodes=20_000, require_monotone=monotone
+    )
+    nodes = 1 + events.count(None)
+    assert result is None and nodes < 20_000
+    return topo, seed, palette, monotone, events, nodes
+
+
+def test_nodes_match_the_reference_when_the_space_is_exhausted(
+    monkeypatch, exhausted_trace
+):
+    topo, seed, palette, monotone, events, nodes = exhausted_trace
+    got = _counted(
+        monkeypatch, topo, seed, 0, palette, max_nodes=20_000,
+        require_monotone=monotone,
+    )
+    assert got == (None, nodes, _leaves_within(events, nodes))
+
+
+def test_nodes_equal_the_budget_when_it_binds(monkeypatch, exhausted_trace):
+    topo, seed, palette, monotone, events, nodes = exhausted_trace
+    budgets = sorted(set(range(1, nodes, max(1, nodes // 25))) | {nodes - 1})
+    for budget in budgets:
+        got = _counted(
+            monkeypatch, topo, seed, 0, palette, max_nodes=budget,
+            require_monotone=monotone,
+        )
+        assert got == (None, budget, _leaves_within(events, budget)), budget
+
+
+#: searches whose first witness lies inside a tail that starts below the
+#: root: (kind, n, seed, palette, require_monotone)
+TAIL_WITNESSES = [
+    ("cordalis", 4, [1, 3, 7, 11, 14], [1, 2, 3], True),
+    ("mesh", 5, [1, 8, 9, 12, 13, 16], [1, 2, 3], True),
+    ("serpentinus", 4, [2, 7, 9], [1, 2, 3, 4], True),  # second block
+    ("serpentinus", 3, [2, 6], [1, 2, 3, 4], False),
+]
+
+
+@pytest.mark.parametrize("case", TAIL_WITNESSES, ids=lambda case: case[0])
+def test_budget_sweep_around_a_witness_inside_the_tail(monkeypatch, case):
+    kind, n, seed, palette, monotone = case
+    topo = make_torus(kind, n, n)
+    cells = complement_module._wavefront_order(topo, np.asarray(seed))
+    assert 0 < len(cells) - complement_module._tail_length(len(palette), len(cells))
+    want, events = _reference_trace(
+        topo, seed, 0, palette, max_nodes=20_000, require_monotone=monotone
+    )
+    assert want is not None
+    position = _leaf_pass_positions(events)[0]
+    through = _budget_through_leaf(events, position)
+    for budget in range(max(1, through - 12), through + 4):
+        got, nodes, leaves = _counted(
+            monkeypatch, topo, seed, 0, palette, max_nodes=budget,
+            require_monotone=monotone,
+        )
+        if budget < through:
+            _assert_same(got, None)
+            assert (nodes, leaves) == (budget, _leaves_within(events, budget))
+        else:
+            _assert_same(got, want)
+            assert through <= nodes <= budget and leaves >= position
+
+
+def test_witness_filling_a_block_stops_the_count_on_its_leaf(monkeypatch):
+    (kind, n, seed, palette), position = EDGE_WITNESSES["last-row-of-block"]
+    topo = make_torus(kind, n, n)
+    _, events = _reference_trace(topo, seed, 0, palette, max_nodes=20_000)
+    got, nodes, leaves = _counted(monkeypatch, topo, seed, 0, palette, max_nodes=20_000)
+    assert got is not None
+    assert (nodes, leaves) == (_budget_through_leaf(events, position), LEAF_BLOCK)

@@ -72,6 +72,25 @@ def test_load_rejects_inconsistent_file(tmp_path, capsys):
     assert main(["verify", "mesh", "3", "3", "--load", missing]) == 2
 
 
+def test_load_refuses_a_torus_other_than_the_one_named(tmp_path, capsys):
+    from repro.cli import main
+
+    con = theorem2_mesh_dynamo(5, 5)
+    path = tmp_path / "mesh55.json"
+    save_configuration(path, con.topo, con.colors, con.k)
+    for command in ("simulate", "verify"):
+        for torus in (["mesh", "3", "3"], ["cordalis", "5", "5"], ["mesh", "5", "6"]):
+            assert main([command, *torus, "--load", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {path}: holds a mesh 5x5 configuration, not the "
+                f"{torus[0]} {torus[1]}x{torus[2]} asked for\n"
+            )
+        assert main([command, "mesh", "5", "5", "--load", str(path)]) == 0
+        capsys.readouterr()
+
+
 # ----------------------------------------------------------------------
 # viz
 # ----------------------------------------------------------------------

@@ -272,6 +272,56 @@ def test_legacy_configuration_upgrades(tmp_path):
     assert verify_witness(rec).ok  # and it still replays
 
 
+def _with_config_entry(payload, field, index, value):
+    config = list(payload[field])
+    config[index] = value
+    return {**payload, field: config}
+
+
+_LEGACY = {"kind": "mesh", "m": 3, "n": 3, "k": 0,
+           "colors": [0, 1, 1, 2, 0, 1, 2, 2, 0]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # a current record keeps its stored id: int() would map each of
+        # these onto the original configuration and pass the id check
+        _with_config_entry(witness_to_dict(_sample_record()), "configuration", 1, 1.9),
+        _with_config_entry(witness_to_dict(_sample_record()), "configuration", 1, True),
+        _with_config_entry(witness_to_dict(_sample_record()), "configuration", 1, "1"),
+        {**witness_to_dict(_sample_record()), "m": 3.0},
+        {**witness_to_dict(_sample_record()), "n": 3.7},
+        {**witness_to_dict(_sample_record()), "k": False},
+        {**witness_to_dict(_sample_record()), "colors": 3.0},
+        {**witness_to_dict(_sample_record()), "seed_size": 3.0},
+        {**witness_to_dict(_sample_record()), "configuration": "011201220"},
+        _with_config_entry(_LEGACY, "colors", 1, 1.9),
+        _with_config_entry(_LEGACY, "colors", 1, True),
+        _with_config_entry(_LEGACY, "colors", 1, [1]),
+        {**_LEGACY, "m": 3.7},
+        {**_LEGACY, "k": 0.0},
+    ],
+    ids=[
+        "current-color-float", "current-color-bool", "current-color-str",
+        "current-m-float", "current-n-float", "current-k-bool",
+        "current-colors-float", "current-seed-size-float",
+        "current-configuration-str", "legacy-color-float", "legacy-color-bool",
+        "legacy-color-list", "legacy-m-float", "legacy-k-float",
+    ],
+)
+def test_non_integer_fields_are_refused_not_truncated(payload):
+    with pytest.raises(WitnessFormatError, match="non-negative integer"):
+        witness_from_dict(payload)
+
+
+def test_integer_payloads_still_load():
+    record = _sample_record()
+    assert witness_from_dict(witness_to_dict(record)) == record
+    legacy = witness_from_dict(_LEGACY)
+    assert (legacy.colors, legacy.seed_size) == (3, 3)
+
+
 def test_seed_size_contradiction_is_corrupt():
     payload = witness_to_dict(_sample_record())
     payload["seed_size"] = 5
